@@ -1,10 +1,12 @@
 """Replication engine, empirical critical values and power functions."""
 from __future__ import annotations
 
-import csv
+import hashlib
+import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,7 @@ from .timeseries import _freeze
 DEFAULT_LEVELS = (0.10, 0.05, 0.01)
 DEFAULT_REPS = 5000
 
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -33,6 +35,7 @@ class EstimateSample:
     method: str
     spec: SimulationSpec
     reps: int
+    master_seed: int
     values: np.ndarray
     failures: int
 
@@ -133,7 +136,7 @@ def run_replications(spec: SimulationSpec, method: str, reps: int,
     failures = reps - len(values)
     if len(values) == 0:
         raise AllReplicationsFailed(f"all {reps} replications of {method} failed")
-    return EstimateSample(method=method, spec=spec, reps=reps,
+    return EstimateSample(method=method, spec=spec, reps=reps, master_seed=master_seed,
                           values=values, failures=failures)
 
 
@@ -144,8 +147,7 @@ def summarize_sample(s: EstimateSample) -> tuple[float, float]:
     return float(s.values.mean()), float(s.values.std(ddof=1))
 
 
-def critical_values(s: EstimateSample, levels=DEFAULT_LEVELS,
-                    master_seed: int | None = None) -> CriticalValueTable:
+def critical_values(s: EstimateSample, levels=DEFAULT_LEVELS) -> CriticalValueTable:
     """Nearest-rank percentile cutoffs: rank ceil((1-level)*count) ascending."""
     count = len(s.values)
     if count < 100:
@@ -160,8 +162,7 @@ def critical_values(s: EstimateSample, levels=DEFAULT_LEVELS,
     mean, sd = summarize_sample(s)
     return CriticalValueTable(
         method=s.method, T=s.spec.T, mean=mean, sd=sd, cutoffs=tuple(cuts),
-        reps=s.reps, master_seed=s.spec.seed if master_seed is None else master_seed,
-        failures=s.failures)
+        reps=s.reps, master_seed=s.master_seed, failures=s.failures)
 
 
 def build_critical_values(spec: SimulationSpec, method: str, reps: int,
@@ -170,15 +171,15 @@ def build_critical_values(spec: SimulationSpec, method: str, reps: int,
                           cache_dir: str | Path | None = None) -> CriticalValueTable:
     """Monte Carlo critical values for `method` under `spec`, with caching."""
     if cache_dir is not None:
-        cached = load_table(cache_dir, method, spec.T, reps, master_seed)
+        cached = load_table(cache_dir, spec, method, reps, master_seed)
         if cached is not None and all(
                 any(math.isclose(l, lv, abs_tol=1e-12) for lv in cached.levels)
                 for l in levels):
             return cached
     sample = run_replications(spec, method, reps, master_seed, workers=workers)
-    table = critical_values(sample, levels=levels, master_seed=master_seed)
+    table = critical_values(sample, levels=levels)
     if cache_dir is not None:
-        save_table(table, cache_dir)
+        save_table(table, spec, cache_dir)
     return table
 
 
@@ -201,42 +202,37 @@ def power_function(alt: SimulationSpec, method: str, table: CriticalValueTable,
                        failures=sample.failures)
 
 
-# --- critical value cache (versioned CSV, one file per table) -----------------
+# --- critical value cache (one JSON file per table, keyed on the null spec) ----
 
-def _cache_name(method: str, T: int, reps: int, master_seed: int) -> str:
-    return f"cv_v{CACHE_SCHEMA_VERSION}_{method}_T{T}_r{reps}_s{master_seed}.csv"
+def _cache_path(cache_dir: str | Path, spec: SimulationSpec, method: str, reps: int,
+                master_seed: int) -> Path:
+    # asdict covers every spec field; tolist() keeps full-precision AR coefficients
+    key = json.dumps([CACHE_SCHEMA_VERSION, asdict(replace(spec, seed=0)), method,
+                      reps, master_seed], sort_keys=True, default=lambda o: o.tolist())
+    digest = hashlib.sha256(key.encode()).hexdigest()[:16]
+    return Path(cache_dir) / f"cv_{method}_T{spec.T}_{digest}.json"
 
 
-def save_table(table: CriticalValueTable, cache_dir: str | Path) -> Path:
-    """Write one table as CSV; schema documented in the README."""
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    path = cache_dir / _cache_name(table.method, table.T, table.reps, table.master_seed)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["schema_version", "method", "T", "reps", "master_seed",
-                         "failures", "mean", "sd", "level", "cutoff"])
-        for level, cutoff in table.cutoffs:
-            writer.writerow([CACHE_SCHEMA_VERSION, table.method, table.T, table.reps,
-                             table.master_seed, table.failures,
-                             repr(table.mean), repr(table.sd),
-                             repr(level), repr(cutoff)])
+def save_table(table: CriticalValueTable, spec: SimulationSpec,
+               cache_dir: str | Path) -> Path:
+    """Write `table`, built under `spec`, atomically; schema in the README."""
+    path = _cache_path(cache_dir, spec, table.method, table.reps, table.master_seed)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    tmp.write_text(json.dumps(asdict(table)))
+    os.replace(tmp, path)
     return path
 
 
-def load_table(cache_dir: str | Path, method: str, T: int, reps: int,
+def load_table(cache_dir: str | Path, spec: SimulationSpec, method: str, reps: int,
                master_seed: int) -> CriticalValueTable | None:
-    """Load a cached table, or None when absent."""
-    path = Path(cache_dir) / _cache_name(method, T, reps, master_seed)
-    if not path.exists():
+    """The cached table for this request, or None when absent, malformed or foreign."""
+    try:
+        table = CriticalValueTable(**json.loads(
+            _cache_path(cache_dir, spec, method, reps, master_seed).read_text()))
+    except (OSError, ValueError, TypeError):
         return None
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows or int(rows[0]["schema_version"]) != CACHE_SCHEMA_VERSION:
+    if (table.method, table.T, table.reps, table.master_seed) != (
+            method, spec.T, reps, master_seed):
         return None
-    cuts = tuple((float(row["level"]), float(row["cutoff"])) for row in rows)
-    first = rows[0]
-    return CriticalValueTable(
-        method=first["method"], T=int(first["T"]), mean=float(first["mean"]),
-        sd=float(first["sd"]), cutoffs=cuts, reps=int(first["reps"]),
-        master_seed=int(first["master_seed"]), failures=int(first["failures"]))
+    return table

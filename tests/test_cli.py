@@ -65,8 +65,30 @@ def test_critvals_cache(tmp_path):
             "--seed", "5", "--cache-dir", str(cache),
             "--out", str(tmp_path / "cv.csv")]
     assert run_cli(args) == 0
-    assert (cache / "cv_v1_hill_T128_r120_s5.csv").exists()
+    assert len(list(cache.glob("cv_hill_T128_*.json"))) == 1
     assert run_cli(args) == 0  # second run served from cache
+
+
+@pytest.mark.parametrize("damage", ["truncated", "foreign"])
+def test_critvals_bad_cache_file_is_a_miss(tmp_path, damage):
+    def critvals(seed, cache):
+        out = tmp_path / f"cv_{seed}_{cache.name}.csv"
+        assert run_cli(["critvals", "--method", "hill", "-T", "128", "--reps", "120",
+                        "--seed", str(seed), "--cache-dir", str(cache),
+                        "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    fresh = critvals(5, tmp_path / "a")
+    [path] = (tmp_path / "a").iterdir()
+    good = path.read_bytes()
+    if damage == "truncated":
+        path.write_bytes(good[:len(good) // 2])
+    else:  # another request's table under this request's name
+        critvals(6, tmp_path / "b")
+        [other] = (tmp_path / "b").iterdir()
+        path.write_bytes(other.read_bytes())
+    assert critvals(5, tmp_path / "a") == fresh
+    assert path.read_bytes() == good
 
 
 def test_power_command(tmp_path):

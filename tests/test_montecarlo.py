@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,14 +23,14 @@ from selfaffine.montecarlo import (
     summarize_sample,
 )
 from selfaffine.rng import derive_seed
-from selfaffine.simulate import generate, niid_spec
-from selfaffine.timeseries import ReturnsSeries
+from selfaffine.simulate import ar_recursive_spec, generate, lstable_spec, niid_spec
+from selfaffine.timeseries import ARModel, ReturnsSeries
 
 
 def sample_from(values, method="rra", T=1000, failures=0):
     spec = niid_spec(T)
     return EstimateSample(method=method, spec=spec,
-                          reps=len(values) + failures,
+                          reps=len(values) + failures, master_seed=0,
                           values=np.asarray(values, dtype=float),
                           failures=failures)
 
@@ -111,6 +112,10 @@ class TestCriticalValues:
         with pytest.raises(MissingCutoff):
             table.cutoff(0.01)
 
+    def test_table_records_the_run_master_seed(self):
+        sample = run_replications(niid_spec(128), "hill", 150, master_seed=4)
+        assert critical_values(sample).master_seed == 4
+
     def test_table_invariant_enforced(self):
         with pytest.raises(ValueError):
             CriticalValueTable(method="rra", T=100, mean=0.5, sd=0.1,
@@ -144,14 +149,15 @@ class TestPower:
 
 class TestCache:
     def test_save_load_roundtrip(self, tmp_path):
-        table = build_critical_values(niid_spec(128), "hill", 150, master_seed=4)
-        path = save_table(table, tmp_path)
-        assert path.name == "cv_v1_hill_T128_r150_s4.csv"
-        back = load_table(tmp_path, "hill", 128, 150, 4)
+        spec = niid_spec(128)
+        table = build_critical_values(spec, "hill", 150, master_seed=4)
+        path = save_table(table, spec, tmp_path)
+        assert re.fullmatch(r"cv_hill_T128_[0-9a-f]{16}\.json", path.name)
+        back = load_table(tmp_path, spec, "hill", 150, 4)
         assert back == table
 
     def test_load_missing_returns_none(self, tmp_path):
-        assert load_table(tmp_path, "rra", 1000, 100, 1) is None
+        assert load_table(tmp_path, niid_spec(1000), "rra", 100, 1) is None
 
     def test_build_uses_cache(self, tmp_path):
         first = build_critical_values(niid_spec(128), "hill", 150, master_seed=4,
@@ -160,4 +166,23 @@ class TestCache:
         again = build_critical_values(niid_spec(128), "hill", 150, master_seed=4,
                                       cache_dir=tmp_path)
         assert again == first
-        assert (tmp_path / "cv_v1_hill_T128_r150_s4.csv").exists()
+        assert len(list(tmp_path.glob("cv_hill_T128_*.json"))) == 1
+
+    def test_null_model_is_part_of_the_key(self, tmp_path):
+        build_critical_values(lstable_spec(1.5, 500), "hill", 200, 0, cache_dir=tmp_path)
+        cached = build_critical_values(niid_spec(500), "hill", 200, 0, cache_dir=tmp_path)
+        assert cached == build_critical_values(niid_spec(500), "hill", 200, 0)
+
+    def test_ar_coefficients_keyed_at_full_precision(self, tmp_path):
+        for phi in (0.3, 0.3 + 1e-12):
+            model = ARModel(order=1, intercept=0.0, coefficients=np.array([phi]),
+                            residual_sd=1.0)
+            build_critical_values(ar_recursive_spec(model, 128), "hill", 100, 0,
+                                  cache_dir=tmp_path)
+        assert len(list(tmp_path.iterdir())) == 2
+
+    def test_save_leaves_no_temp_file(self, tmp_path):
+        spec = niid_spec(128)
+        table = build_critical_values(spec, "hill", 150, master_seed=4)
+        path = save_table(table, spec, tmp_path)
+        assert list(tmp_path.iterdir()) == [path]
