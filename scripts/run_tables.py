@@ -9,18 +9,33 @@ import argparse
 import sys
 import time
 
-from selfaffine.montecarlo import critical_values, run_replications
+from selfaffine.montecarlo import critical_values, replicate
 from selfaffine.simulate import arfima_spec, lstable_spec_for_hurst, niid_spec
 
 SCALING_METHODS = ("rra", "fa1", "fa2", "fa3")
+HURSTS = (0.54, 0.58, 0.62)
+
+
+def alternatives(H, T):
+    """(model, spec) of the fractionally integrated and stable alternatives."""
+    return (("arfima", arfima_spec(H - 0.5, T)), ("lstable", lstable_spec_for_hurst(H, T)))
+
+
+def null_tables(T, reps, seed):
+    samples = replicate(niid_spec(T), SCALING_METHODS, reps, seed)
+    return {m: critical_values(s) for m, s in samples.items()}
+
+
+def alternative_samples(T, reps, seed):
+    """{(H, model): {method: sample}}: each alternative runs once for every method."""
+    return {(H, model): replicate(spec, SCALING_METHODS, reps, seed)
+            for H in HURSTS for model, spec in alternatives(H, T)}
 
 
 def table_critvals(lengths, reps, seed, out):
     print("table,method,T,mean,sd,c10,c05,c01", file=out)
     for T in lengths:
-        for method in SCALING_METHODS:
-            sample = run_replications(niid_spec(T), method, reps, seed)
-            t = critical_values(sample)
+        for method, t in null_tables(T, reps, seed).items():
             print(f"critvals,{method},{T},{t.mean:.4f},{t.sd:.4f},"
                   f"{t.cutoff(0.10):.4f},{t.cutoff(0.05):.4f},{t.cutoff(0.01):.4f}",
                   file=out)
@@ -29,11 +44,11 @@ def table_critvals(lengths, reps, seed, out):
 def table_bias(lengths, reps, seed, out):
     print("table,model,H,method,T,mean,sd", file=out)
     for T in lengths:
-        for H in (0.54, 0.58, 0.62):
+        samples = alternative_samples(T, reps, seed)
+        for H in HURSTS:
             for method in SCALING_METHODS:
-                for model, spec in (("arfima", arfima_spec(H - 0.5, T)),
-                                    ("lstable", lstable_spec_for_hurst(H, T))):
-                    s = run_replications(spec, method, reps, seed)
+                for model, _ in alternatives(H, T):
+                    s = samples[(H, model)][method]
                     print(f"bias,{model},{H},{method},{T},"
                           f"{s.values.mean():.4f},{s.values.std(ddof=1):.4f}",
                           file=out)
@@ -42,13 +57,12 @@ def table_bias(lengths, reps, seed, out):
 def table_power(lengths, reps, seed, out):
     print("table,model,H,method,T,level,power", file=out)
     for T in lengths:
-        tables = {m: critical_values(run_replications(niid_spec(T), m, reps, seed))
-                  for m in SCALING_METHODS}
-        for H in (0.54, 0.58, 0.62):
+        tables = null_tables(T, reps, seed)
+        samples = alternative_samples(T, reps, seed + 1)
+        for H in HURSTS:
             for method in SCALING_METHODS:
-                for model, spec in (("arfima", arfima_spec(H - 0.5, T)),
-                                    ("lstable", lstable_spec_for_hurst(H, T))):
-                    s = run_replications(spec, method, reps, seed + 1)
+                for model, _ in alternatives(H, T):
+                    s = samples[(H, model)][method]
                     rate = float((s.values > tables[method].cutoff(0.05)).mean())
                     print(f"power,{model},{H},{method},{T},0.05,{rate:.3f}",
                           file=out)

@@ -11,14 +11,16 @@ from .analysis import (
     classify_source,
 )
 from .errors import SelfAffineError
-from .methods import METHODS, estimate, estimate_point
+from .methods import METHODS, estimate, estimate_block, estimate_point
 from .montecarlo import (
     CriticalValueTable,
     EstimateSample,
     PowerResult,
     build_critical_values,
+    build_tables,
     critical_values,
     power_function,
+    replicate,
     run_replications,
     summarize_sample,
 )

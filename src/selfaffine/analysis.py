@@ -10,7 +10,10 @@ from pathlib import Path
 
 from .errors import IncompleteReport, SelfAffineError, TooShort
 from .methods import estimate_point
-from .montecarlo import CriticalValueTable, build_critical_values
+from .montecarlo import CriticalValueTable, build_tables
+# not called here: kept as a module attribute so that perfbench's traced run,
+# which rebinds analysis.build_critical_values, still finds it
+from .montecarlo import build_critical_values  # noqa: F401
 from .rng import derive_seed
 from .simulate import ar_recursive_spec, niid_spec
 from .timeseries import (
@@ -140,32 +143,30 @@ def analyze_index(prices: PriceSeries, config: AnalyzeConfig) -> TestReport:
     except SelfAffineError as exc:
         ar_error = f"{type(exc).__name__}: {exc}"
 
-    niid_tables: dict[tuple[str, int], CriticalValueTable] = {}
+    def niid_tables(length: int, methods) -> dict[str, CriticalValueTable]:
+        return build_tables(niid_spec(length), methods, config.reps, seed_niid,
+                            levels=config.levels, workers=config.workers,
+                            cache_dir=config.cache_dir)
 
-    def niid_table(method: str, length: int) -> CriticalValueTable:
-        key = (method, length)
-        if key not in niid_tables:
-            niid_tables[key] = build_critical_values(
-                niid_spec(length), method, config.reps, seed_niid,
-                levels=config.levels, workers=config.workers,
-                cache_dir=config.cache_dir)
-        return niid_tables[key]
-
+    # three engine passes: each spec's replications are shared by its methods
     cells: list[CellResult] = []
-    for method in BATTERY:
-        if ar_model is not None:
-            rec_spec = ar_recursive_spec(ar_model, T)
-            rec_table = build_critical_values(
-                rec_spec, method, config.reps, seed_rec, levels=config.levels,
-                workers=config.workers, cache_dir=None)
-            cells.append(_make_cell(method, UNFILTERED, returns, rec_table,
+    if ar_model is not None:
+        rec_tables = build_tables(ar_recursive_spec(ar_model, T), BATTERY, config.reps,
+                                  seed_rec, levels=config.levels,
+                                  workers=config.workers, cache_dir=None)
+        filtered_tables = niid_tables(len(filtered), BATTERY)
+        niid_T = (filtered_tables if len(filtered) == T
+                  else niid_tables(T, ("fa1",)))
+        for method in BATTERY:
+            cells.append(_make_cell(method, UNFILTERED, returns, rec_tables[method],
                                     "ar-recursive"))
-            cells.append(_make_cell(method, FILTERED, filtered,
-                                    niid_table(method, len(filtered)), "niid"))
-        else:
-            # no fitted model: unfiltered cells fall back to NIID cutoffs
-            cells.append(_make_cell(method, UNFILTERED, returns,
-                                    niid_table(method, T), "niid"))
+            cells.append(_make_cell(method, FILTERED, filtered, filtered_tables[method],
+                                    "niid"))
+    else:
+        # no fitted model: unfiltered cells fall back to NIID cutoffs
+        niid_T = niid_tables(T, BATTERY)
+        for method in BATTERY:
+            cells.append(_make_cell(method, UNFILTERED, returns, niid_T[method], "niid"))
 
     fa1_reordered = fa1_normalized = None
     try:
@@ -180,7 +181,7 @@ def analyze_index(prices: PriceSeries, config: AnalyzeConfig) -> TestReport:
         filtered_T=len(filtered) if filtered is not None else None,
         cells=tuple(cells), fa1_reordered=fa1_reordered,
         fa1_normalized=fa1_normalized,
-        niid_fa1_sd=niid_table("fa1", T).sd)
+        niid_fa1_sd=niid_T["fa1"].sd)
 
 
 def _required_rejects(report: TestReport) -> dict[tuple[str, str], bool]:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import logging
 import sys
 from pathlib import Path
 
@@ -250,6 +251,11 @@ def run_cli(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
+    # diagnostics (such as an ignored cache file) go to this call's stderr
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s: %(message)s"))
+    log = logging.getLogger("selfaffine")
+    log.addHandler(handler)
     try:
         return _COMMANDS[args.command](args)
     except SelfAffineError as exc:
@@ -258,6 +264,8 @@ def run_cli(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
+    finally:
+        log.removeHandler(handler)
 
 
 def main() -> None:

@@ -3,10 +3,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +20,10 @@ from .errors import (
     SelfAffineError,
     TooFewValues,
 )
-from .methods import estimate_point
+from .methods import estimate_block
+# not called here: kept as a module attribute so that perfbench's traced run,
+# which rebinds montecarlo.estimate_point, still finds it
+from .methods import estimate_point  # noqa: F401
 from .rng import derive_seed
 from .simulate import SimulationSpec, generate
 from .timeseries import _freeze
@@ -26,6 +32,8 @@ DEFAULT_LEVELS = (0.10, 0.05, 0.01)
 DEFAULT_REPS = 5000
 
 CACHE_SCHEMA_VERSION = 2
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -38,11 +46,14 @@ class EstimateSample:
     master_seed: int
     values: np.ndarray
     failures: int
+    failures_by_kind: dict[str, int] = field(default_factory=dict)  # exception name -> count
 
     def __post_init__(self):
         object.__setattr__(self, "values", _freeze(self.values))
         if len(self.values) + self.failures != self.reps:
             raise ValueError("values + failures must account for every replication")
+        if sum(self.failures_by_kind.values()) != self.failures:
+            raise ValueError("failures_by_kind must add up to failures")
 
 
 @dataclass(frozen=True)
@@ -96,48 +107,84 @@ class PowerResult:
             raise ValueError("rejection rate must lie in [0, 1]")
 
 
-def _run_chunk(spec: SimulationSpec, method: str, master_seed: int,
-               indices: range) -> list[tuple[int, float | None]]:
-    out: list[tuple[int, float | None]] = []
-    for i in indices:
-        sub = replace(spec, seed=derive_seed(master_seed, i))
+#: replications generated and estimated together: large enough to amortise
+#: numpy's per-call overhead, small enough to keep a block's arrays in cache
+_BLOCK_ROWS = 64
+
+
+def _run_block(spec: SimulationSpec, methods: tuple[str, ...], master_seed: int,
+               lo: int, hi: int) -> dict[str, tuple[np.ndarray, list[str | None]]]:
+    """Replications lo..hi-1 of `spec`, each estimated by every method.
+
+    Per method: the rows' estimates and, per row, None or the name of the
+    exception that failed it (its estimate is then meaningless).
+    """
+    rows, kinds = [], []
+    for i in range(lo, hi):
         try:
-            out.append((i, estimate_point(method, generate(sub))))
-        except SelfAffineError:
-            out.append((i, None))
+            rows.append(generate(replace(spec, seed=derive_seed(master_seed, i))).values)
+            kinds.append(None)
+        except SelfAffineError as exc:
+            kinds.append(type(exc).__name__)
+    generated = np.flatnonzero([k is None for k in kinds])
+    X = np.array(rows).reshape(len(rows), spec.T)
+    out = {}
+    for method in methods:
+        values, failed = np.full(hi - lo, np.nan), list(kinds)
+        if len(X):
+            try:
+                values[generated], errors = estimate_block(method, X)
+            except SelfAffineError as exc:  # fails every row alike, e.g. T too short
+                errors = dict.fromkeys(range(len(X)), exc)
+            for j, exc in errors.items():
+                failed[generated[j]] = type(exc).__name__
+        out[method] = (values, failed)
     return out
 
 
-def run_replications(spec: SimulationSpec, method: str, reps: int,
-                     master_seed: int, workers: int = 1) -> EstimateSample:
-    """Estimate `method` on `reps` independent replications of `spec`.
+def replicate(spec: SimulationSpec, methods, reps: int, master_seed: int,
+              workers: int = 1) -> dict[str, EstimateSample]:
+    """Estimate every method on the same `reps` independent replications of `spec`.
 
     Replication i draws from the sub-stream (master_seed, i), so results do
-    not depend on the worker count or scheduling. Estimator failures are
-    recorded, not fatal.
+    not depend on the worker count or scheduling. Replications are generated
+    in blocks of rows and every method runs on each block; a row's estimate
+    is bit-identical to the one-row estimate of the same series. Estimator
+    failures are recorded by exception type, not fatal.
     """
+    methods = tuple(methods)
     if reps < 1:
         raise ValueError("reps must be at least 1")
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    pairs: list[tuple[int, float | None]] = []
+    starts = range(0, reps, _BLOCK_ROWS)
+    ends = [min(lo + _BLOCK_ROWS, reps) for lo in starts]
     if workers == 1:
-        pairs = _run_chunk(spec, method, master_seed, range(reps))
+        parts = [_run_block(spec, methods, master_seed, lo, hi) for lo, hi in zip(starts, ends)]
     else:
-        chunk = max(1, math.ceil(reps / (workers * 4)))
-        ranges = [range(lo, min(lo + chunk, reps)) for lo in range(0, reps, chunk)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_run_chunk, [spec] * len(ranges),
-                                 [method] * len(ranges), [master_seed] * len(ranges),
-                                 ranges):
-                pairs.extend(part)
-    pairs.sort(key=lambda p: p[0])
-    values = np.array([v for _, v in pairs if v is not None], dtype=float)
-    failures = reps - len(values)
-    if len(values) == 0:
-        raise AllReplicationsFailed(f"all {reps} replications of {method} failed")
-    return EstimateSample(method=method, spec=spec, reps=reps, master_seed=master_seed,
-                          values=values, failures=failures)
+            parts = list(pool.map(_run_block, repeat(spec), repeat(methods),
+                                  repeat(master_seed), starts, ends))
+    samples = {}
+    for method in methods:
+        values = np.concatenate([part[method][0] for part in parts])
+        kinds = [k for part in parts for k in part[method][1]]
+        ok = np.array([k is None for k in kinds])
+        if not ok.any():
+            raise AllReplicationsFailed(f"all {reps} replications of {method} failed")
+        by_kind = Counter(k for k in kinds if k is not None)
+        samples[method] = EstimateSample(
+            method=method, spec=spec, reps=reps, master_seed=master_seed,
+            values=values[ok], failures=reps - int(ok.sum()),
+            failures_by_kind=dict(sorted(by_kind.items())))
+    return samples
+
+
+def run_replications(spec: SimulationSpec, method: str, reps: int,
+                     master_seed: int, workers: int = 1) -> EstimateSample:
+    """Estimate `method` on `reps` independent replications of `spec`; see
+    `replicate`."""
+    return replicate(spec, (method,), reps, master_seed, workers=workers)[method]
 
 
 def summarize_sample(s: EstimateSample) -> tuple[float, float]:
@@ -165,22 +212,41 @@ def critical_values(s: EstimateSample, levels=DEFAULT_LEVELS) -> CriticalValueTa
         reps=s.reps, master_seed=s.master_seed, failures=s.failures)
 
 
+def build_tables(spec: SimulationSpec, methods, reps: int, master_seed: int,
+                 levels=DEFAULT_LEVELS, workers: int = 1,
+                 cache_dir: str | Path | None = None) -> dict[str, CriticalValueTable]:
+    """Monte Carlo critical values for every method under `spec`, with caching.
+
+    Cached tables are loaded first; the missing methods are simulated in one
+    `replicate` pass over shared replications, and each table is cached in
+    its own file.
+    """
+    methods = tuple(methods)
+    tables = {}
+    if cache_dir is not None:
+        for method in methods:
+            cached = load_table(cache_dir, spec, method, reps, master_seed)
+            if cached is not None and all(
+                    any(math.isclose(l, lv, abs_tol=1e-12) for lv in cached.levels)
+                    for l in levels):
+                tables[method] = cached
+    missing = [m for m in methods if m not in tables]
+    if missing:
+        for method, sample in replicate(spec, missing, reps, master_seed,
+                                        workers=workers).items():
+            tables[method] = critical_values(sample, levels=levels)
+            if cache_dir is not None:
+                save_table(tables[method], spec, cache_dir)
+    return {m: tables[m] for m in methods}
+
+
 def build_critical_values(spec: SimulationSpec, method: str, reps: int,
                           master_seed: int, levels=DEFAULT_LEVELS,
                           workers: int = 1,
                           cache_dir: str | Path | None = None) -> CriticalValueTable:
-    """Monte Carlo critical values for `method` under `spec`, with caching."""
-    if cache_dir is not None:
-        cached = load_table(cache_dir, spec, method, reps, master_seed)
-        if cached is not None and all(
-                any(math.isclose(l, lv, abs_tol=1e-12) for lv in cached.levels)
-                for l in levels):
-            return cached
-    sample = run_replications(spec, method, reps, master_seed, workers=workers)
-    table = critical_values(sample, levels=levels)
-    if cache_dir is not None:
-        save_table(table, spec, cache_dir)
-    return table
+    """Monte Carlo critical values for `method` under `spec`; see `build_tables`."""
+    return build_tables(spec, (method,), reps, master_seed, levels=levels,
+                        workers=workers, cache_dir=cache_dir)[method]
 
 
 def power_function(alt: SimulationSpec, method: str, table: CriticalValueTable,
@@ -226,13 +292,23 @@ def save_table(table: CriticalValueTable, spec: SimulationSpec,
 
 def load_table(cache_dir: str | Path, spec: SimulationSpec, method: str, reps: int,
                master_seed: int) -> CriticalValueTable | None:
-    """The cached table for this request, or None when absent, malformed or foreign."""
+    """The cached table for this request, or None when absent, malformed or foreign.
+
+    A file that exists but cannot serve the request is logged as a warning;
+    the caller simulates the table again and overwrites it.
+    """
+    path = _cache_path(cache_dir, spec, method, reps, master_seed)
     try:
-        table = CriticalValueTable(**json.loads(
-            _cache_path(cache_dir, spec, method, reps, master_seed).read_text()))
-    except (OSError, ValueError, TypeError):
+        table = CriticalValueTable(**json.loads(path.read_text()))
+    except FileNotFoundError:
         return None
-    if (table.method, table.T, table.reps, table.master_seed) != (
-            method, spec.T, reps, master_seed):
-        return None
-    return table
+    except (OSError, ValueError, TypeError) as exc:
+        problem = f"{type(exc).__name__}: {exc}"
+    else:
+        if (table.method, table.T, table.reps, table.master_seed) == (
+                method, spec.T, reps, master_seed):
+            return table
+        problem = (f"it holds {table.method}/T={table.T} reps={table.reps} "
+                   f"seed={table.master_seed}")
+    _log.warning("ignoring cache file %s (%s); the table is simulated again", path, problem)
+    return None

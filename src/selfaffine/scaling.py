@@ -110,20 +110,34 @@ class HurstEstimate:
         return self.intercepts[0] if self.intercepts else math.nan
 
 
-def _block_ratios(seg: np.ndarray, M: int, n: int) -> np.ndarray:
-    """R_m/S_m over M contiguous blocks of one subdivision pass."""
-    b = seg.reshape(M, n)
-    mu = b.mean(axis=1)
-    dev = b - mu[:, None]
-    S = np.sqrt((dev * dev).mean(axis=1))
-    if np.any(S == 0.0):
-        raise ZeroDispersion(f"constant block at scale {n}")
-    x = np.cumsum(dev, axis=1)
+def _block_ratios(seg: np.ndarray, M: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """R_m/S_m over M contiguous blocks of one subdivision pass, per row of
+    `seg`, and which rows hold a constant block (their ratios are not finite)."""
+    b = seg.reshape(len(seg), M, n)
+    mu = b.mean(axis=2)
+    dev = b - mu[:, :, None]
+    S = np.sqrt((dev * dev).mean(axis=2))
+    x = np.cumsum(dev, axis=2)
     # the full-block cumulative deviation is analytically zero; pin it so the
     # range always includes that endpoint
-    x[:, -1] = 0.0
-    R = x.max(axis=1) - x.min(axis=1)
-    return R / S
+    x[:, :, -1] = 0.0
+    R = x.max(axis=2) - x.min(axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return R / S, np.any(S == 0.0, axis=1)
+
+
+def _rs_rows(X: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two-pass average R/S at scale n for every row of X, and the rows with a
+    constant block."""
+    T = X.shape[1]
+    M = T // n
+    first, zero = _block_ratios(X[:, : M * n], M, n)
+    L = T - M * n
+    second = first
+    if L:
+        second, zero2 = _block_ratios(X[:, L : L + M * n], M, n)
+        zero = zero | zero2
+    return (first.sum(axis=1) + second.sum(axis=1)) / (2 * M), zero
 
 
 def rs_statistic(r: ReturnsSeries, n: int) -> float:
@@ -133,39 +147,65 @@ def rs_statistic(r: ReturnsSeries, n: int) -> float:
     at observation L+1 with L = T - n*M, otherwise the first pass is counted
     twice.
     """
-    z = r.values
-    T = len(z)
+    T = len(r)
     if not 2 <= n <= T:
         raise ValueError(f"scale n={n} out of range for T={T}")
-    M = T // n
-    first = _block_ratios(z[: M * n], M, n)
-    L = T - M * n
-    second = _block_ratios(z[L : L + M * n], M, n) if L else first
-    return float((first.sum() + second.sum()) / (2 * M))
+    rs, zero = _rs_rows(r.values[None, :], n)
+    if zero[0]:
+        raise ZeroDispersion(f"constant block at scale {n}")
+    return float(rs[0])
+
+
+def _ols_slopes(x: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """OLS slope of each row of Y on the regressor x."""
+    xd = x - x.mean()
+    with np.errstate(invalid="ignore"):  # failed rows hold non-finite points
+        return np.sum(xd * (Y - Y.mean(axis=1, keepdims=True)), axis=1) / np.sum(xd * xd)
+
+
+def _rra_points(X: np.ndarray, grid: ScaleGrid) -> tuple[np.ndarray, dict]:
+    """ln[(R/S)_n] over the grid for every row of X, and each failed row's error."""
+    cols, errors = [], {}
+    for n in grid.scales:
+        rs, zero = _rs_rows(X, n)
+        for i in np.flatnonzero(zero):
+            errors.setdefault(int(i), ZeroDispersion(f"constant block at scale {n}"))
+        cols.append(rs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(np.stack(cols, axis=1)), errors
+
+
+def rra_block(X: np.ndarray) -> tuple[np.ndarray, dict]:
+    """RRA Hurst exponent of every row of X, and each failed row's error."""
+    grid = time_scale_grid(X.shape[1])
+    Y, errors = _rra_points(X, grid)
+    return _ols_slopes(np.log(grid.scales), Y), errors
 
 
 def estimate_rra(r: ReturnsSeries, grid: ScaleGrid | None = None) -> HurstEstimate:
     """Hurst exponent: OLS slope of ln[(R/S)_n] on ln(n) over the grid."""
     if grid is None:
         grid = time_scale_grid(len(r))
-    y = np.log([rs_statistic(r, n) for n in grid.scales])
+    Y, errors = _rra_points(r.values[None, :], grid)
+    if errors:
+        raise errors[0]
     x = np.log(grid.scales)
-    xd = x - x.mean()
-    H = float(np.sum(xd * (y - y.mean())) / np.sum(xd * xd))
+    H = float(_ols_slopes(x, Y)[0])
+    y = Y[0]
     intercept = float(y.mean() - H * x.mean())
     resid = y - intercept - H * x
     return HurstEstimate(H=H, method="rra", intercepts=(intercept,),
                          n_points=len(grid.scales), residual_sse=float(resid @ resid))
 
 
-def _block_increments(p: np.ndarray, n: int) -> np.ndarray:
-    """|p_{mn} - p_{(m-1)n}| over both subdivision passes (2M values)."""
-    T = len(p) - 1
+def _block_increments(P: np.ndarray, n: int) -> np.ndarray:
+    """|p_{mn} - p_{(m-1)n}| over both subdivision passes (2M values per row of P)."""
+    T = P.shape[1] - 1
     M = T // n
-    v1 = np.abs(np.diff(p[: M * n + 1 : n]))
+    v1 = np.abs(np.diff(P[:, : M * n + 1 : n], axis=1))
     L = T - M * n
-    v2 = np.abs(np.diff(p[L : L + M * n + 1 : n])) if L else v1
-    return np.concatenate([v1, v2])
+    v2 = np.abs(np.diff(P[:, L : L + M * n + 1 : n], axis=1)) if L else v1
+    return np.concatenate([v1, v2], axis=1)
 
 
 def partition_function(p: LogPricePath, n: int, q: float) -> float:
@@ -175,10 +215,45 @@ def partition_function(p: LogPricePath, n: int, q: float) -> float:
         raise ValueError(f"scale n={n} out of range for T={T}")
     if q <= 0:
         raise ValueError("q must be positive")
-    v = _block_increments(p.values, n)
+    v = _block_increments(p.values[None, :], n)[0]
     if not np.any(v > 0.0):
         raise AllZeroIncrements(f"all block increments are zero at scale {n}")
     return float(0.5 * np.sum(v ** q))
+
+
+def _fa_points(X: np.ndarray, q: np.ndarray, grid: ScaleGrid) -> tuple[np.ndarray, dict]:
+    """ln S_q(T,n) over the (q, n) grid for every row of X, shape (rows, q, n),
+    and each failed row's error."""
+    P = np.concatenate([np.zeros((len(X), 1)), np.cumsum(X, axis=1)], axis=1)
+    lnS = np.empty((len(X), len(q), len(grid.scales)))
+    errors = {}
+    for j, n in enumerate(grid.scales):
+        v = _block_increments(P, n)
+        S = 0.5 * np.power(v[:, None, :], q[None, :, None]).sum(axis=2)
+        for i in np.flatnonzero(np.any(S <= 0.0, axis=1)):
+            errors.setdefault(int(i), ZeroPartition(f"zero partition function at scale {n}"))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lnS[:, :, j] = np.log(S)
+    return lnS, errors
+
+
+def _fa_slopes(lnS: np.ndarray, q: np.ndarray, lnn: np.ndarray) -> np.ndarray:
+    """Within-q demeaned OLS slope of (ln S_q + ln n) on q*ln n, per row."""
+    X = q[:, None] * lnn[None, :]
+    Xd = X - X.mean(axis=1, keepdims=True)
+    with np.errstate(invalid="ignore"):  # failed rows hold non-finite points
+        Y = lnS + lnn
+        Yd = Y - Y.mean(axis=2, keepdims=True)
+        return np.sum(Xd * Yd, axis=(1, 2)) / np.sum(Xd * Xd)
+
+
+def fa_block(X: np.ndarray, qs: QGrid) -> tuple[np.ndarray, dict]:
+    """Fluctuation-analysis Hurst exponent of every row of X, and each failed
+    row's error."""
+    grid = time_scale_grid(X.shape[1])
+    q = np.asarray(qs.values)
+    lnS, errors = _fa_points(X, q, grid)
+    return _fa_slopes(lnS, q, np.log(grid.scales)), errors
 
 
 def estimate_fa(r: ReturnsSeries, qs: QGrid,
@@ -191,21 +266,13 @@ def estimate_fa(r: ReturnsSeries, qs: QGrid,
     """
     if grid is None:
         grid = time_scale_grid(len(r))
-    p = LogPricePath.from_returns(r)
     q = np.asarray(qs.values)
     lnn = np.log(grid.scales)
-    lnS = np.empty((len(q), len(lnn)))
-    for j, n in enumerate(grid.scales):
-        v = _block_increments(p.values, n)
-        S = 0.5 * np.power(v[None, :], q[:, None]).sum(axis=1)
-        if np.any(S <= 0.0):
-            raise ZeroPartition(f"zero partition function at scale {n}")
-        lnS[:, j] = np.log(S)
-    Y = lnS + lnn[None, :]
-    X = q[:, None] * lnn[None, :]
-    Yd = Y - Y.mean(axis=1, keepdims=True)
-    Xd = X - X.mean(axis=1, keepdims=True)
-    H = float(np.sum(Xd * Yd) / np.sum(Xd * Xd))
+    lnS, errors = _fa_points(r.values[None, :], q, grid)
+    if errors:
+        raise errors[0]
+    H = float(_fa_slopes(lnS, q, lnn)[0])
+    lnS = lnS[0]
     a = lnS.mean(axis=1) - (H * q - 1.0) * lnn.mean()
     resid = lnS - a[:, None] - (H * q[:, None] - 1.0) * lnn[None, :]
     return HurstEstimate(H=H, method=f"fa:{qs.variant}", intercepts=tuple(a),

@@ -5,10 +5,19 @@ import math
 
 import numpy as np
 
-from .montecarlo import run_replications
+from .methods import METHODS, estimate_point
+from .montecarlo import replicate, run_replications
+from .rng import derive_seed
 from .scaling import ScaleGrid, estimate_fa, partition_function, qgrid, rs_statistic, time_scale_grid
 from .simulate import arfima_spec, arfima_weights, gen_iid, generate, niid_spec
 from .timeseries import LogPricePath, PriceSeries, ReturnsSeries, log_returns, normalize_transform
+
+
+def _engine_matches_one_row_estimates() -> bool:
+    samples = replicate(niid_spec(128), METHODS, 5, 42)
+    series = [generate(niid_spec(128, seed=derive_seed(42, i))) for i in range(5)]
+    return all(list(samples[m].values) == [estimate_point(m, r) for r in series]
+               for m in METHODS)
 
 
 def _checks():
@@ -39,6 +48,8 @@ def _checks():
            lambda: np.array_equal(
                run_replications(niid_spec(128), "hill", 3, 42).values,
                run_replications(niid_spec(128), "hill", 3, 42).values))
+    yield ("a 5-row engine run equals five one-row estimates on its sub-streams",
+           _engine_matches_one_row_estimates)
     yield ("trend series has FA Hurst exponent 1",
            lambda: abs(estimate_fa(
                ReturnsSeries([0.3] * 1024), qgrid("fa1"),

@@ -55,6 +55,10 @@ class SimulationSpec:
     truncation: int = DEFAULT_TRUNCATION
 
     def __post_init__(self):
+        # one spelling per value: lstable_spec(2, ...) and lstable_spec(2.0, ...)
+        # are the same null model and share one critical-value cache file
+        for name in ("d", "alpha", "beta", "mu", "sigma"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
         if self.T < 1:

@@ -59,30 +59,39 @@ class DEstimate:
         return self.d
 
 
+def _ordinates(X: np.ndarray, m: int) -> np.ndarray:
+    """Periodogram ordinates j = 1..m of every row of X."""
+    T = X.shape[1]
+    return np.abs(np.fft.rfft(X, axis=1)[:, 1 : m + 1]) ** 2 / (2.0 * math.pi * T)
+
+
 def periodogram(r: ReturnsSeries, m: int) -> Periodogram:
     """I(lambda_j) = |sum_t x_t exp(-i lambda_j t)|^2 / (2 pi T), j = 1..m."""
     T = len(r)
     if not 1 <= m <= (T - 1) // 2:
         raise BadOrdinateCount(f"m must lie in [1, {(T - 1) // 2}], got {m}")
-    spec = np.abs(np.fft.rfft(r.values)[1 : m + 1]) ** 2 / (2.0 * math.pi * T)
-    return Periodogram(T=T, ordinates=spec)
+    return Periodogram(T=T, ordinates=_ordinates(r.values[None, :], m)[0])
 
 
-def _log_periodogram_fit(r: ReturnsSeries, m: int,
-                         x: np.ndarray) -> tuple[float, float, float]:
-    """OLS slope, intercept and slope standard error for ln I on regressor x."""
-    I = periodogram(r, m).ordinates
-    if np.any(I == 0.0):
-        raise ZeroOrdinate("zero periodogram ordinate in the regression band")
-    y = np.log(I)
+def _log_periodogram(X: np.ndarray, m: int) -> tuple[np.ndarray, dict]:
+    """ln I(lambda_j), j = 1..m, for every row of X, and each failed row's error."""
+    I = _ordinates(X, m)
+    errors = {int(i): ZeroOrdinate("zero periodogram ordinate in the regression band")
+              for i in np.flatnonzero(np.any(I == 0.0, axis=1))}
+    with np.errstate(divide="ignore"):
+        return np.log(I), errors
+
+
+def _dot_slopes(x: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """OLS slope of each row of Y on the regressor x.
+
+    One dot product per row: a matrix product would round differently from
+    the one-row case.
+    """
     xd = x - x.mean()
-    sxx = float(xd @ xd)
-    slope = float(xd @ (y - y.mean())) / sxx
-    intercept = float(y.mean() - slope * x.mean())
-    resid = y - intercept - slope * x
-    dof = max(len(y) - 2, 1)
-    se = math.sqrt(float(resid @ resid) / dof / sxx)
-    return slope, intercept, se
+    with np.errstate(invalid="ignore"):  # failed rows hold non-finite points
+        Yc = Y - Y.mean(axis=1, keepdims=True)
+    return np.array([xd @ y for y in Yc]) / float(xd @ xd)
 
 
 def gph_regressor(lam: np.ndarray) -> np.ndarray:
@@ -90,14 +99,48 @@ def gph_regressor(lam: np.ndarray) -> np.ndarray:
     return -2.0 * np.log(2.0 * np.sin(lam / 2.0))
 
 
-def estimate_gph(r: ReturnsSeries) -> DEstimate:
-    """Log-periodogram estimate of d over m = T^0.5 ordinates."""
-    T = len(r)
+def _regression(method: str, T: int) -> tuple[int, np.ndarray]:
+    """Ordinate count m and regressor: the GPH regressor over m = T^0.5
+    ordinates, or ln(lambda_j) over m = T^0.9 capped at (T-1)/2 (Robinson)."""
     if T < 100:
         raise TooShort("need T >= 100")
-    m = int(math.floor(T ** GPH_EXPONENT))
+    if method == "gph":
+        m = int(math.floor(T ** GPH_EXPONENT))
+    else:
+        m = min(int(math.floor(T ** ROBINSON_EXPONENT)), (T - 1) // 2)
     lam = 2.0 * math.pi * np.arange(1, m + 1) / T
-    slope, intercept, se = _log_periodogram_fit(r, m, gph_regressor(lam))
+    return m, gph_regressor(lam) if method == "gph" else np.log(lam)
+
+
+def log_periodogram_block(X: np.ndarray, method: str) -> tuple[np.ndarray, dict]:
+    """GPH or Robinson estimate of d for every row of X, and each failed row's
+    error; the Robinson slope estimates -2d."""
+    m, x = _regression(method, X.shape[1])
+    Y, errors = _log_periodogram(X, m)
+    slopes = _dot_slopes(x, Y)
+    return (slopes if method == "gph" else -slopes / 2.0), errors
+
+
+def _log_periodogram_fit(r: ReturnsSeries, method: str) -> tuple[int, float, float, float]:
+    """m, and the OLS slope, intercept and slope standard error of ln I on the
+    method's regressor for one series."""
+    m, x = _regression(method, len(r))
+    Y, errors = _log_periodogram(r.values[None, :], m)
+    if errors:
+        raise errors[0]
+    slope = float(_dot_slopes(x, Y)[0])
+    y = Y[0]
+    xd = x - x.mean()
+    intercept = float(y.mean() - slope * x.mean())
+    resid = y - intercept - slope * x
+    dof = max(len(y) - 2, 1)
+    se = math.sqrt(float(resid @ resid) / dof / float(xd @ xd))
+    return m, slope, intercept, se
+
+
+def estimate_gph(r: ReturnsSeries) -> DEstimate:
+    """Log-periodogram estimate of d over m = T^0.5 ordinates."""
+    m, slope, intercept, se = _log_periodogram_fit(r, "gph")
     return DEstimate(d=slope, method="gph", m=m, standard_error=se,
                      intercept=intercept)
 
@@ -108,17 +151,52 @@ def estimate_robinson(r: ReturnsSeries) -> DEstimate:
     The slope b estimates -2d; m is capped at the largest usable harmonic
     index (T-1)/2.
     """
-    T = len(r)
-    if T < 100:
-        raise TooShort("need T >= 100")
-    m = min(int(math.floor(T ** ROBINSON_EXPONENT)), (T - 1) // 2)
-    lam = 2.0 * math.pi * np.arange(1, m + 1) / T
-    slope, intercept, se = _log_periodogram_fit(r, m, np.log(lam))
+    m, slope, intercept, se = _log_periodogram_fit(r, "robinson")
     return DEstimate(d=-slope / 2.0, method="robinson", m=m,
                      standard_error=se / 2.0, intercept=intercept)
 
 
 TAIL_METHODS = ("pickands", "hill", "hr")
+
+
+def _tail_size(method: str, T: int) -> int:
+    """Tail observation count m = 0.05*T."""
+    if method not in TAIL_METHODS:
+        raise ValueError(f"unknown tail method {method!r}")
+    if T < 100:
+        raise TooShort("need T >= 100")
+    return int(math.floor(TAIL_FRACTION * T))
+
+
+def _log(a: np.ndarray) -> np.ndarray:
+    """math.log of each entry: the one-row formulas were written with the
+    scalar log, whose last bit can differ from numpy's vectorised one."""
+    return np.array([math.log(v) for v in a.tolist()])
+
+
+def tail_block(X: np.ndarray, method: str) -> tuple[np.ndarray, dict]:
+    """Order-statistic estimate of H for every row of X, and each failed row's
+    error; see `estimate_tail`."""
+    m = _tail_size(method, X.shape[1])
+    # descending, ties kept in their original order
+    x = -np.sort(-X, axis=1, kind="stable")  # x[:, 0] = x_(1) >= x[:, 1] = x_(2) >= ...
+    if method == "pickands":
+        d1 = x[:, m - 1] - x[:, 2 * m - 1]
+        d2 = x[:, 2 * m - 1] - x[:, 4 * m - 1]
+        bad = (d1 <= 0.0) | (d2 <= 0.0)
+        message = "tied boundary order statistics"
+        H = (_log(np.where(bad, 1.0, d1)) - _log(np.where(bad, 1.0, d2))) / math.log(2.0)
+    elif method == "hill":
+        bad = x[:, m - 1] <= 0.0
+        message = "x_(m) must be positive"
+        with np.errstate(divide="ignore", invalid="ignore"):
+            H = np.log(x[:, : m - 1]).mean(axis=1) - _log(np.where(bad, 1.0, x[:, m - 1]))
+    else:  # hr
+        bad = (x[:, 0] <= 0.0) | (x[:, m - 1] <= 0.0)
+        message = "x_(1) and x_(m) must be positive"
+        H = (_log(np.where(bad, 1.0, x[:, 0]))
+             - _log(np.where(bad, 1.0, x[:, m - 1]))) / math.log(m)
+    return H, {int(i): NonPositiveTail(message) for i in np.flatnonzero(bad)}
 
 
 def estimate_tail(r: ReturnsSeries, method: str) -> HurstEstimate:
@@ -128,28 +206,9 @@ def estimate_tail(r: ReturnsSeries, method: str) -> HurstEstimate:
     Pickands, Hill or de Haan-Resnick formula is applied with m = 0.05*T
     tail observations; alpha is recoverable as 1/H.
     """
-    if method not in TAIL_METHODS:
-        raise ValueError(f"unknown tail method {method!r}")
-    T = len(r)
-    if T < 100:
-        raise TooShort("need T >= 100")
-    m = int(math.floor(TAIL_FRACTION * T))
-    order = np.argsort(-r.values, kind="stable")
-    x = r.values[order]  # x[0] = x_(1) >= x[1] = x_(2) >= ...
-
-    if method == "pickands":
-        d1 = x[m - 1] - x[2 * m - 1]
-        d2 = x[2 * m - 1] - x[4 * m - 1]
-        if d1 <= 0.0 or d2 <= 0.0:
-            raise NonPositiveTail("tied boundary order statistics")
-        H = (math.log(d1) - math.log(d2)) / math.log(2.0)
-    elif method == "hill":
-        if x[m - 1] <= 0.0:
-            raise NonPositiveTail("x_(m) must be positive")
-        H = float(np.mean(np.log(x[: m - 1]))) - math.log(x[m - 1])
-    else:  # hr
-        if x[0] <= 0.0 or x[m - 1] <= 0.0:
-            raise NonPositiveTail("x_(1) and x_(m) must be positive")
-        H = (math.log(x[0]) - math.log(x[m - 1])) / math.log(m)
-    return HurstEstimate(H=float(H), method=method, intercepts=(),
+    m = _tail_size(method, len(r))
+    H, errors = tail_block(r.values[None, :], method)
+    if errors:
+        raise errors[0]
+    return HurstEstimate(H=float(H[0]), method=method, intercepts=(),
                          n_points=m, residual_sse=0.0)

@@ -128,7 +128,9 @@ def summary_stats(r: ReturnsSeries) -> SummaryStats:
     mean = float(z.mean())
     dev = z - mean
     m2 = float((dev * dev).mean())
-    if m2 == 0.0:
+    # a constant series whose mean rounds off its value leaves equal non-zero
+    # deviations, and a subnormal m2 has lost its precision: both are degenerate
+    if m2 < np.finfo(float).tiny or z.min() == z.max():
         raise DegenerateSeries("zero variance: skewness/kurtosis undefined")
     sd = math.sqrt(m2)
     # standardize first: |dev/sd| <= sqrt(T) with divisor-T moments, so the

@@ -1,0 +1,55 @@
+"""Block kernels: row i of a block estimate is the one-row estimate of row i,
+bit for bit, and a failing row fails alone with the scalar path's error."""
+import numpy as np
+import pytest
+
+from selfaffine import methods
+from selfaffine.errors import (
+    NonPositiveTail,
+    SelfAffineError,
+    ZeroDispersion,
+    ZeroOrdinate,
+    ZeroPartition,
+)
+from selfaffine.timeseries import ReturnsSeries
+
+CONSTANT_ROW, NEGATIVE_ROW = 2, 5
+
+CONSTANT_ERROR = {"rra": ZeroDispersion, "fa1": ZeroPartition, "fa2": ZeroPartition,
+                  "fa3": ZeroPartition, "gph": ZeroOrdinate, "robinson": ZeroOrdinate,
+                  "pickands": NonPositiveTail, "hill": NonPositiveTail,
+                  "hr": NonPositiveTail}
+
+
+def block(T):
+    rng = np.random.default_rng(T)
+    X = rng.standard_normal((9, T))
+    X[CONSTANT_ROW] = 0.0
+    X[NEGATIVE_ROW] = -np.abs(X[NEGATIVE_ROW]) - 0.01
+    X[7] = rng.standard_t(2, T)
+    return X
+
+
+def scalar_outcome(method, x):
+    try:
+        return methods.estimate_point(method, ReturnsSeries(x))
+    except SelfAffineError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("T", [100, 383, 2000])
+@pytest.mark.parametrize("method", methods.METHODS)
+def test_block_row_equals_one_row_estimate(method, T):
+    X = block(T)
+    values, errors = methods.estimate_block(method, X)
+    for i, x in enumerate(X):
+        got = type(errors[i]) if i in errors else float(values[i])
+        assert got == scalar_outcome(method, x), f"row {i}"
+    failing = {CONSTANT_ROW} | ({NEGATIVE_ROW} if method in ("hill", "hr") else set())
+    assert set(errors) == failing
+    assert type(errors[CONSTANT_ROW]) is CONSTANT_ERROR[method]
+
+
+def test_unknown_method():
+    with pytest.raises(ValueError):
+        methods.estimate_block("dekkers", np.zeros((1, 200)))

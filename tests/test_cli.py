@@ -70,7 +70,7 @@ def test_critvals_cache(tmp_path):
 
 
 @pytest.mark.parametrize("damage", ["truncated", "foreign"])
-def test_critvals_bad_cache_file_is_a_miss(tmp_path, damage):
+def test_critvals_bad_cache_file_is_a_miss(tmp_path, damage, capsys):
     def critvals(seed, cache):
         out = tmp_path / f"cv_{seed}_{cache.name}.csv"
         assert run_cli(["critvals", "--method", "hill", "-T", "128", "--reps", "120",
@@ -87,8 +87,11 @@ def test_critvals_bad_cache_file_is_a_miss(tmp_path, damage):
         critvals(6, tmp_path / "b")
         [other] = (tmp_path / "b").iterdir()
         path.write_bytes(other.read_bytes())
+    capsys.readouterr()
     assert critvals(5, tmp_path / "a") == fresh
     assert path.read_bytes() == good
+    err = capsys.readouterr().err
+    assert "WARNING" in err and path.name in err
 
 
 def test_power_command(tmp_path):

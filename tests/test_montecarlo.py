@@ -5,19 +5,24 @@ import numpy as np
 import pytest
 
 import selfaffine.methods as methods
+import selfaffine.montecarlo as montecarlo
 from selfaffine.errors import (
     AllReplicationsFailed,
+    ExplosiveModel,
     MissingCutoff,
     NonPositiveTail,
     TooFewValues,
+    ZeroOrdinate,
 )
 from selfaffine.montecarlo import (
     CriticalValueTable,
     EstimateSample,
     build_critical_values,
+    build_tables,
     critical_values,
     load_table,
     power_function,
+    replicate,
     run_replications,
     save_table,
     summarize_sample,
@@ -51,12 +56,9 @@ class TestRunReplications:
         np.testing.assert_array_equal(serial.values, parallel.values)
 
     def test_failures_recorded_not_fatal(self, monkeypatch):
-        from types import SimpleNamespace
-
-        def flaky(r):
-            if float(r.values.sum()) > 0:
-                raise NonPositiveTail("synthetic failure")
-            return SimpleNamespace(value=0.5)
+        def flaky(X):
+            return np.full(len(X), 0.5), {int(i): NonPositiveTail("synthetic failure")
+                                          for i in np.flatnonzero(X.sum(axis=1) > 0)}
 
         monkeypatch.setitem(methods._REGISTRY, "flaky", flaky)
         out = run_replications(niid_spec(64), "flaky", 40, master_seed=11)
@@ -64,12 +66,82 @@ class TestRunReplications:
         assert len(out.values) + out.failures == 40
 
     def test_all_failures_raises(self, monkeypatch):
-        def broken(r):
+        def broken(X):
             raise NonPositiveTail("always")
 
         monkeypatch.setitem(methods._REGISTRY, "broken", broken)
         with pytest.raises(AllReplicationsFailed):
             run_replications(niid_spec(64), "broken", 5, master_seed=1)
+
+    def test_failures_counted_by_exception_type(self, monkeypatch):
+        def mixed(X):
+            errors = {int(i): NonPositiveTail("sum") for i in np.flatnonzero(X.sum(axis=1) > 0)}
+            errors.update({int(i): ZeroOrdinate("first") for i in np.flatnonzero(X[:, 0] > 1)})
+            return np.full(len(X), 0.5), errors
+
+        monkeypatch.setitem(methods._REGISTRY, "mixed", mixed)
+        out = run_replications(niid_spec(64), "mixed", 100, master_seed=11)
+        assert set(out.failures_by_kind) == {"NonPositiveTail", "ZeroOrdinate"}
+        assert sum(out.failures_by_kind.values()) == out.failures
+        assert run_replications(niid_spec(128), "hill", 20, 11).failures_by_kind == {}
+
+    def test_generation_failures_carry_their_type(self, monkeypatch):
+        real = montecarlo.generate
+
+        def picky(spec):
+            r = real(spec)
+            if r.values[0] > 1.0:
+                raise ExplosiveModel("synthetic")
+            return r
+
+        monkeypatch.setattr(montecarlo, "generate", picky)
+        out = run_replications(niid_spec(128), "hill", 60, master_seed=3)
+        assert out.failures > 0
+        assert out.failures_by_kind == {"ExplosiveModel": out.failures}
+
+
+class TestEngineContract:
+    """The replication engine's results do not depend on how rows are grouped."""
+
+    @pytest.mark.parametrize("method", ["rra", "fa2", "robinson", "hill"])
+    def test_identical_across_block_sizes_and_workers(self, monkeypatch, method):
+        spec, reps = niid_spec(150), 20
+        reference = run_replications(spec, method, reps, master_seed=2)
+        for block_rows in (1, 7, reps):
+            monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", block_rows)
+            for workers in (1, 2):
+                got = run_replications(spec, method, reps, 2, workers=workers)
+                assert got.values.tobytes() == reference.values.tobytes()
+                assert got.failures_by_kind == reference.failures_by_kind
+
+    def test_multi_method_run_equals_one_method_runs(self):
+        model = ARModel(order=1, intercept=0.0, coefficients=np.array([0.3]),
+                        residual_sd=1.0)
+        spec = ar_recursive_spec(model, 130)
+        together = replicate(spec, methods.METHODS, 70, master_seed=9)
+        assert list(together) == list(methods.METHODS)
+        for method in methods.METHODS:
+            alone = run_replications(spec, method, 70, 9)
+            assert together[method].values.tobytes() == alone.values.tobytes()
+            assert together[method].failures_by_kind == alone.failures_by_kind
+
+    def test_build_tables_simulates_only_the_uncached_methods(self, tmp_path, monkeypatch):
+        spec = niid_spec(128)
+        build_critical_values(spec, "hill", 120, 4, cache_dir=tmp_path)
+        passes = []
+        real = montecarlo.replicate
+
+        def recording(spec, methods, *args, **kwargs):
+            passes.append(tuple(methods))
+            return real(spec, methods, *args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "replicate", recording)
+        tables = build_tables(spec, ("hill", "hr", "pickands"), 120, 4, cache_dir=tmp_path)
+        assert passes == [("hr", "pickands")]
+        assert list(tables) == ["hill", "hr", "pickands"]
+        monkeypatch.setattr(montecarlo, "replicate", real)
+        for method, table in tables.items():
+            assert table == build_critical_values(spec, method, 120, 4)
 
 
 class TestSummaries:
@@ -180,6 +252,13 @@ class TestCache:
             build_critical_values(ar_recursive_spec(model, 128), "hill", 100, 0,
                                   cache_dir=tmp_path)
         assert len(list(tmp_path.iterdir())) == 2
+
+    def test_int_and_float_spellings_share_one_file(self, tmp_path):
+        # the float spelling keeps the file name it had before specs coerced
+        for alpha in (2, 2.0):
+            build_critical_values(lstable_spec(alpha, 500), "hill", 200, 0,
+                                  cache_dir=tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["cv_hill_T500_f5e4159679d4db1f.json"]
 
     def test_save_leaves_no_temp_file(self, tmp_path):
         spec = niid_spec(128)

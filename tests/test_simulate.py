@@ -131,6 +131,11 @@ class TestLStable:
         spec = lstable_spec_for_hurst(0.62, 1000)
         assert spec.alpha == pytest.approx(1.0 / 0.62, rel=0, abs=0)
 
+    def test_int_parameters_are_coerced_to_float(self):
+        spec = lstable_spec(2, 500, beta=0, mu=1, sigma=3)
+        assert spec == lstable_spec(2.0, 500, beta=0.0, mu=1.0, sigma=3.0)
+        assert all(type(getattr(spec, f)) is float for f in ("d", "alpha", "beta", "mu", "sigma"))
+
     def test_parameter_validation(self):
         with pytest.raises(BadAlpha):
             lstable_spec(2.5, 100)
