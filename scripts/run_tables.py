@@ -9,7 +9,7 @@ import argparse
 import sys
 import time
 
-from selfaffine.montecarlo import critical_values, replicate
+from selfaffine.montecarlo import build_tables, replicate
 from selfaffine.simulate import arfima_spec, lstable_spec_for_hurst, niid_spec
 
 SCALING_METHODS = ("rra", "fa1", "fa2", "fa3")
@@ -21,11 +21,6 @@ def alternatives(H, T):
     return (("arfima", arfima_spec(H - 0.5, T)), ("lstable", lstable_spec_for_hurst(H, T)))
 
 
-def null_tables(T, reps, seed):
-    samples = replicate(niid_spec(T), SCALING_METHODS, reps, seed)
-    return {m: critical_values(s) for m, s in samples.items()}
-
-
 def alternative_samples(T, reps, seed):
     """{(H, model): {method: sample}}: each alternative runs once for every method."""
     return {(H, model): replicate(spec, SCALING_METHODS, reps, seed)
@@ -35,7 +30,7 @@ def alternative_samples(T, reps, seed):
 def table_critvals(lengths, reps, seed, out):
     print("table,method,T,mean,sd,c10,c05,c01", file=out)
     for T in lengths:
-        for method, t in null_tables(T, reps, seed).items():
+        for method, t in build_tables(niid_spec(T), SCALING_METHODS, reps, seed).items():
             print(f"critvals,{method},{T},{t.mean:.4f},{t.sd:.4f},"
                   f"{t.cutoff(0.10):.4f},{t.cutoff(0.05):.4f},{t.cutoff(0.01):.4f}",
                   file=out)
@@ -57,7 +52,7 @@ def table_bias(lengths, reps, seed, out):
 def table_power(lengths, reps, seed, out):
     print("table,model,H,method,T,level,power", file=out)
     for T in lengths:
-        tables = null_tables(T, reps, seed)
+        tables = build_tables(niid_spec(T), SCALING_METHODS, reps, seed)
         samples = alternative_samples(T, reps, seed + 1)
         for H in HURSTS:
             for method in SCALING_METHODS:

@@ -15,7 +15,7 @@ from .montecarlo import CriticalValueTable, build_tables
 # which rebinds analysis.build_critical_values, still finds it
 from .montecarlo import build_critical_values  # noqa: F401
 from .rng import derive_seed
-from .simulate import ar_recursive_spec, niid_spec
+from .simulate import SimulationSpec, ar_recursive_spec, niid_spec
 from .timeseries import (
     ARModel,
     PriceSeries,
@@ -143,20 +143,17 @@ def analyze_index(prices: PriceSeries, config: AnalyzeConfig) -> TestReport:
     except SelfAffineError as exc:
         ar_error = f"{type(exc).__name__}: {exc}"
 
-    def niid_tables(length: int, methods) -> dict[str, CriticalValueTable]:
-        return build_tables(niid_spec(length), methods, config.reps, seed_niid,
-                            levels=config.levels, workers=config.workers,
-                            cache_dir=config.cache_dir)
+    def null_tables(spec: SimulationSpec, seed: int, methods) -> dict[str, CriticalValueTable]:
+        return build_tables(spec, methods, config.reps, seed, levels=config.levels,
+                            workers=config.workers, cache_dir=config.cache_dir)
 
     # three engine passes: each spec's replications are shared by its methods
     cells: list[CellResult] = []
     if ar_model is not None:
-        rec_tables = build_tables(ar_recursive_spec(ar_model, T), BATTERY, config.reps,
-                                  seed_rec, levels=config.levels,
-                                  workers=config.workers, cache_dir=None)
-        filtered_tables = niid_tables(len(filtered), BATTERY)
+        rec_tables = null_tables(ar_recursive_spec(ar_model, T), seed_rec, BATTERY)
+        filtered_tables = null_tables(niid_spec(len(filtered)), seed_niid, BATTERY)
         niid_T = (filtered_tables if len(filtered) == T
-                  else niid_tables(T, ("fa1",)))
+                  else null_tables(niid_spec(T), seed_niid, ("fa1",)))
         for method in BATTERY:
             cells.append(_make_cell(method, UNFILTERED, returns, rec_tables[method],
                                     "ar-recursive"))
@@ -164,7 +161,7 @@ def analyze_index(prices: PriceSeries, config: AnalyzeConfig) -> TestReport:
                                     "niid"))
     else:
         # no fitted model: unfiltered cells fall back to NIID cutoffs
-        niid_T = niid_tables(T, BATTERY)
+        niid_T = null_tables(niid_spec(T), seed_niid, BATTERY)
         for method in BATTERY:
             cells.append(_make_cell(method, UNFILTERED, returns, niid_T[method], "niid"))
 

@@ -19,6 +19,10 @@ class NonPositivePrice(SelfAffineError):
     """A price is zero or negative; log returns are undefined."""
 
 
+class NonFiniteValue(SelfAffineError):
+    """A series or an estimate holds a NaN or an infinite value, e.g. after overflow."""
+
+
 class DegenerateSeries(SelfAffineError):
     """Series has zero dispersion; higher moments are undefined."""
 

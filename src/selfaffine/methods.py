@@ -12,7 +12,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import SelfAffineError
+from .errors import NonFiniteValue, SelfAffineError
 from .scaling import HurstEstimate, estimate_fa, estimate_rra, fa_block, qgrid, rra_block
 from .spectral_tail import (
     TAIL_METHODS,
@@ -50,12 +50,15 @@ def _kernel(method: str) -> BlockKernel:
 
 
 def estimate_block(method: str, X: np.ndarray) -> tuple[np.ndarray, dict[int, SelfAffineError]]:
-    """Point estimates of every row of X and the errors of the rows that fail."""
-    values, errors = _kernel(method)(X)
-    ok = np.ones(len(values), dtype=bool)
-    ok[list(errors)] = False
-    if not np.all(np.isfinite(values[ok])):
-        raise ValueError("estimate must be finite")
+    """Point estimates of every row of X and the errors of the rows that fail.
+
+    A row whose estimate is not finite (its arithmetic overflowed) fails
+    alone with NonFiniteValue.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # caught below, per row
+        values, errors = _kernel(method)(X)
+    for i in np.flatnonzero(~np.isfinite(values)):
+        errors.setdefault(int(i), NonFiniteValue("estimate must be finite"))
     return values, errors
 
 

@@ -68,6 +68,7 @@ class CriticalValueTable:
     reps: int
     master_seed: int
     failures: int = 0
+    failures_by_kind: dict[str, int] = field(default_factory=dict)  # exception name -> count
 
     def __post_init__(self):
         cuts = tuple(sorted(((float(l), float(c)) for l, c in self.cutoffs),
@@ -78,6 +79,10 @@ class CriticalValueTable:
             raise ValueError("cutoffs must be non-decreasing as the level shrinks")
         if self.sd < 0:
             raise ValueError("sd must be non-negative")
+        # also turns a cache file written before the field existed, for a
+        # table with failures, into a miss
+        if sum(self.failures_by_kind.values()) != self.failures:
+            raise ValueError("failures_by_kind must add up to failures")
 
     def cutoff(self, level: float) -> float:
         for l, c in self.cutoffs:
@@ -209,7 +214,8 @@ def critical_values(s: EstimateSample, levels=DEFAULT_LEVELS) -> CriticalValueTa
     mean, sd = summarize_sample(s)
     return CriticalValueTable(
         method=s.method, T=s.spec.T, mean=mean, sd=sd, cutoffs=tuple(cuts),
-        reps=s.reps, master_seed=s.master_seed, failures=s.failures)
+        reps=s.reps, master_seed=s.master_seed, failures=s.failures,
+        failures_by_kind=s.failures_by_kind)
 
 
 def build_tables(spec: SimulationSpec, methods, reps: int, master_seed: int,
@@ -217,19 +223,24 @@ def build_tables(spec: SimulationSpec, methods, reps: int, master_seed: int,
                  cache_dir: str | Path | None = None) -> dict[str, CriticalValueTable]:
     """Monte Carlo critical values for every method under `spec`, with caching.
 
-    Cached tables are loaded first; the missing methods are simulated in one
-    `replicate` pass over shared replications, and each table is cached in
-    its own file.
+    This is the one way to a null table. Cached tables are loaded first and
+    served at exactly `levels`, so a file holding more levels still serves the
+    request and the cache's contents never change a result; the missing
+    methods are simulated in one `replicate` pass over shared replications,
+    and each table is cached in its own file.
     """
     methods = tuple(methods)
     tables = {}
     if cache_dir is not None:
         for method in methods:
             cached = load_table(cache_dir, spec, method, reps, master_seed)
-            if cached is not None and all(
-                    any(math.isclose(l, lv, abs_tol=1e-12) for lv in cached.levels)
-                    for l in levels):
-                tables[method] = cached
+            if cached is None:
+                continue
+            try:
+                tables[method] = replace(
+                    cached, cutoffs=tuple((l, cached.cutoff(l)) for l in levels))
+            except MissingCutoff:  # the file lacks a requested level: simulate again
+                pass
     missing = [m for m in methods if m not in tables]
     if missing:
         for method, sample in replicate(spec, missing, reps, master_seed,

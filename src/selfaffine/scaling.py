@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AllZeroIncrements, TooShort, ZeroDispersion, ZeroPartition
+from .errors import AllZeroIncrements, NonFiniteValue, TooShort, ZeroDispersion, ZeroPartition
 from .timeseries import LogPricePath, ReturnsSeries, _freeze
 
 #: log-grid start, step, and the fraction of T capping the largest scale
@@ -99,7 +99,7 @@ class HurstEstimate:
 
     def __post_init__(self):
         if not math.isfinite(self.H):
-            raise ValueError("estimate must be finite")
+            raise NonFiniteValue("estimate must be finite")
 
     @property
     def value(self) -> float:

@@ -79,6 +79,7 @@ class SimulationSpec:
                 raise ValueError("ar_recursive needs a fitted ARModel")
             if self.burn_in < 1000:
                 raise ValueError("burn_in must be at least 1000")
+            _check_stationary(self.ar)
 
 
 def niid_spec(T: int, seed: int = 0) -> SimulationSpec:
@@ -222,7 +223,6 @@ def gen_ar_recursive(spec: SimulationSpec) -> ReturnsSeries:
     if spec.model != AR_RECURSIVE:
         raise ValueError("spec.model must be 'ar_recursive'")
     model = spec.ar
-    _check_stationary(model)
     rng = rng_from_seed(spec.seed)
     u = rng.standard_normal(spec.burn_in + spec.T)
     if model.order == 0:

@@ -8,6 +8,7 @@ import numpy as np
 
 from .errors import (
     BadOrdinateCount,
+    NonFiniteValue,
     NonPositiveTail,
     TooShort,
     ZeroOrdinate,
@@ -50,7 +51,7 @@ class DEstimate:
 
     def __post_init__(self):
         if not math.isfinite(self.d):
-            raise ValueError("estimate must be finite")
+            raise NonFiniteValue("estimate must be finite")
         if self.m < 3:
             raise ValueError("need at least three ordinates")
 

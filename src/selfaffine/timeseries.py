@@ -12,6 +12,7 @@ from scipy.special import ndtri
 
 from .errors import (
     DegenerateSeries,
+    NonFiniteValue,
     NonPositivePrice,
     OrderTooLarge,
     SingularDesign,
@@ -59,7 +60,7 @@ class ReturnsSeries:
         if self.values.ndim != 1 or len(self.values) < 1:
             raise TooShort("returns series is empty")
         if not np.all(np.isfinite(self.values)):
-            raise ValueError("returns must be finite")
+            raise NonFiniteValue("returns must be finite")
 
     def __len__(self) -> int:
         return len(self.values)

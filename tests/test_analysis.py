@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import selfaffine.montecarlo as montecarlo
 from selfaffine.analysis import (
     BATTERY,
     FILTERED,
@@ -145,6 +146,26 @@ class TestAnalyzeIndex:
         config = AnalyzeConfig(reps=120, seed=7, series_id="prices_demo")
         again = analyze_index(prices, config)
         assert report_csv_rows(again) == report_csv_rows(demo_report)
+
+    def test_warm_cache_simulates_nothing(self, demo_report, tmp_path, monkeypatch):
+        prices = read_prices_csv(DATA / "prices_demo.csv")
+        cache = tmp_path / "cache"
+        config = AnalyzeConfig(reps=120, seed=7, series_id="prices_demo",
+                               cache_dir=str(cache))
+        cold = analyze_index(prices, config)
+        assert len(list(cache.iterdir())) == 13  # every null table is cached
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a cached table was simulated again")
+
+        monkeypatch.setattr(montecarlo, "replicate", no_simulation)
+        warm = analyze_index(prices, config)
+        for report in (cold, warm):
+            write_report_csv(report, tmp_path / "report.csv")
+            assert (tmp_path / "report.csv").read_bytes() == \
+                (DATA / "golden_report.csv").read_bytes()
+        assert report_json(warm, classify_source(warm)) == \
+            report_json(demo_report, classify_source(demo_report))
 
     def test_levels_must_include_classification_level(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import pytest
 
 from selfaffine import methods
 from selfaffine.errors import (
+    NonFiniteValue,
     NonPositiveTail,
     SelfAffineError,
     ZeroDispersion,
@@ -13,7 +14,10 @@ from selfaffine.errors import (
 )
 from selfaffine.timeseries import ReturnsSeries
 
-CONSTANT_ROW, NEGATIVE_ROW = 2, 5
+CONSTANT_ROW, OVERFLOW_ROW, NEGATIVE_ROW = 2, 3, 5
+#: methods whose arithmetic overflows on OVERFLOW_ROW (the others work on logs
+#: or on first powers, which stay finite)
+OVERFLOWS = ("rra", "fa2", "fa3", "gph", "robinson")
 
 CONSTANT_ERROR = {"rra": ZeroDispersion, "fa1": ZeroPartition, "fa2": ZeroPartition,
                   "fa3": ZeroPartition, "gph": ZeroOrdinate, "robinson": ZeroOrdinate,
@@ -25,6 +29,7 @@ def block(T):
     rng = np.random.default_rng(T)
     X = rng.standard_normal((9, T))
     X[CONSTANT_ROW] = 0.0
+    X[OVERFLOW_ROW] *= 1e200
     X[NEGATIVE_ROW] = -np.abs(X[NEGATIVE_ROW]) - 0.01
     X[7] = rng.standard_t(2, T)
     return X
@@ -45,9 +50,14 @@ def test_block_row_equals_one_row_estimate(method, T):
     for i, x in enumerate(X):
         got = type(errors[i]) if i in errors else float(values[i])
         assert got == scalar_outcome(method, x), f"row {i}"
-    failing = {CONSTANT_ROW} | ({NEGATIVE_ROW} if method in ("hill", "hr") else set())
+    failing = ({CONSTANT_ROW} | ({NEGATIVE_ROW} if method in ("hill", "hr") else set())
+               | ({OVERFLOW_ROW} if method in OVERFLOWS else set()))
     assert set(errors) == failing
     assert type(errors[CONSTANT_ROW]) is CONSTANT_ERROR[method]
+    if method in OVERFLOWS:
+        assert type(errors[OVERFLOW_ROW]) is NonFiniteValue
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteValue):
+            methods.estimate(method, ReturnsSeries(X[OVERFLOW_ROW]))
 
 
 def test_unknown_method():

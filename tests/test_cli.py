@@ -69,6 +69,21 @@ def test_critvals_cache(tmp_path):
     assert run_cli(args) == 0  # second run served from cache
 
 
+def test_critvals_cache_serves_the_requested_levels(tmp_path):
+    def critvals(name, cache, *levels):
+        out = tmp_path / f"{name}.csv"
+        assert run_cli(["critvals", "--method", "hill", "-T", "128", "--reps", "120",
+                        "--seed", "5", "--cache-dir", str(cache), "--out", str(out),
+                        *levels]) == 0
+        return out.read_bytes()
+
+    cold = critvals("cold", tmp_path / "a", "--levels", "0.05")
+    critvals("full", tmp_path / "b")
+    assert critvals("warm", tmp_path / "b", "--levels", "0.05") == cold
+    assert cold.decode().splitlines()[0].split(",")[-1] == "cutoff_0.05"
+    assert len(list((tmp_path / "b").iterdir())) == 1  # the 3-level file served it
+
+
 @pytest.mark.parametrize("damage", ["truncated", "foreign"])
 def test_critvals_bad_cache_file_is_a_miss(tmp_path, damage, capsys):
     def critvals(seed, cache):
@@ -94,6 +109,13 @@ def test_critvals_bad_cache_file_is_a_miss(tmp_path, damage, capsys):
     assert "WARNING" in err and path.name in err
 
 
+def test_power_explosive_ar_model_is_a_data_error(capsys):
+    assert run_cli(["power", "--model", "ar-recursive", "--ar-coefficients", "1.2",
+                    "-T", "200", "--method", "hill", "--reps", "130",
+                    "--null-reps", "130"]) == 2
+    assert "ExplosiveModel" in capsys.readouterr().err
+
+
 def test_power_command(tmp_path):
     out = tmp_path / "p.csv"
     assert run_cli(["power", "--model", "arfima", "--d", "0.3", "-T", "256",
@@ -114,6 +136,21 @@ def test_analyze_happy_path(tmp_path, capsys):
     assert (out_dir / "prices_demo_report.json").exists()
     printed = capsys.readouterr().out
     assert "classification:" in printed
+
+
+def test_analyze_cache_serves_the_requested_levels(tmp_path, capsys):
+    def analyze(cache, *levels):
+        out_dir = tmp_path / "reports"
+        assert run_cli(["analyze", "--input", str(DATA / "prices_demo.csv"),
+                        "--reps", "120", "--seed", "3", "--cache-dir", str(cache),
+                        "--out-dir", str(out_dir), "--json", *levels]) == 0
+        return (capsys.readouterr().out,
+                (out_dir / "prices_demo_report.csv").read_bytes(),
+                (out_dir / "prices_demo_report.json").read_bytes())
+
+    cold = analyze(tmp_path / "a", "--levels", "0.05")
+    analyze(tmp_path / "b")  # fills the cache at the default three levels
+    assert analyze(tmp_path / "b", "--levels", "0.05") == cold
 
 
 def test_analyze_too_short_is_data_error(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -98,6 +99,17 @@ class TestRunReplications:
         out = run_replications(niid_spec(128), "hill", 60, master_seed=3)
         assert out.failures > 0
         assert out.failures_by_kind == {"ExplosiveModel": out.failures}
+
+    @pytest.mark.parametrize("spec, method", [
+        (lstable_spec(0.05, 1000), "fa3"),  # finite series, overflowing estimates
+        (lstable_spec(0.01, 500), "hill"),  # overflowing series
+    ], ids=["estimate-overflows", "series-overflows"])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:divide by zero:RuntimeWarning")
+    def test_non_finite_rows_fail_alone(self, spec, method):
+        out = run_replications(spec, method, 64, master_seed=0)
+        assert 0 < out.failures < 64
+        assert out.failures_by_kind == {"NonFiniteValue": out.failures}
 
 
 class TestEngineContract:
@@ -259,6 +271,43 @@ class TestCache:
             build_critical_values(lstable_spec(alpha, 500), "hill", 200, 0,
                                   cache_dir=tmp_path)
         assert [p.name for p in tmp_path.iterdir()] == ["cv_hill_T500_f5e4159679d4db1f.json"]
+
+    def test_failures_by_kind_round_trip(self, tmp_path, monkeypatch):
+        def flaky(X):
+            return X.mean(axis=1), {int(i): NonPositiveTail("synthetic failure")
+                                    for i in np.flatnonzero(X[:, 0] > 1.0)}
+
+        monkeypatch.setitem(methods._REGISTRY, "flaky", flaky)
+        spec = niid_spec(128)
+        cold = build_critical_values(spec, "flaky", 150, 4, cache_dir=tmp_path)
+        assert cold.failures > 0
+        assert cold.failures_by_kind == {"NonPositiveTail": cold.failures}
+        assert load_table(tmp_path, spec, "flaky", 150, 4).failures_by_kind == \
+            cold.failures_by_kind
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a cached table was simulated again")
+
+        monkeypatch.setattr(montecarlo, "replicate", no_simulation)
+        assert build_critical_values(spec, "flaky", 150, 4, cache_dir=tmp_path) == cold
+
+    @pytest.mark.parametrize("failures", [0, 3])
+    def test_file_without_failures_by_kind(self, tmp_path, caplog, failures):
+        spec = niid_spec(128)
+        by_kind = {"NonPositiveTail": failures} if failures else {}
+        table = CriticalValueTable(method="hill", T=128, mean=0.2, sd=0.05,
+                                   cutoffs=((0.05, 0.3),), reps=150, master_seed=4,
+                                   failures=failures, failures_by_kind=by_kind)
+        path = save_table(table, spec, tmp_path)
+        fields = json.loads(path.read_text())
+        del fields["failures_by_kind"]
+        path.write_text(json.dumps(fields))
+        back = load_table(tmp_path, spec, "hill", 150, 4)
+        if failures:  # its failures cannot be told apart by kind: simulate again
+            assert back is None
+            assert path.name in caplog.text
+        else:
+            assert back == table and back.failures_by_kind == {}
 
     def test_save_leaves_no_temp_file(self, tmp_path):
         spec = niid_spec(128)
