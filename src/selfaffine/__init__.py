@@ -43,11 +43,8 @@ from .simulate import (
     arfima_acf,
     arfima_spec,
     arfima_weights,
-    gen_ar_recursive,
-    gen_arfima,
-    gen_iid,
-    gen_lstable,
     generate,
+    generate_block,
     lstable_spec,
     lstable_spec_for_hurst,
     niid_spec,

@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .errors import IncompleteReport, SelfAffineError, TooShort
 from .methods import estimate_point
-from .montecarlo import CriticalValueTable, build_tables
+from .montecarlo import DEFAULT_LEVELS, CriticalValueTable, build_tables
 # not called here: kept as a module attribute so that perfbench's traced run,
 # which rebinds analysis.build_critical_values, still finds it
 from .montecarlo import build_critical_values  # noqa: F401
@@ -45,7 +45,7 @@ class AnalyzeConfig:
 
     reps: int = 1000
     seed: int = 0
-    levels: tuple[float, ...] = (0.10, 0.05, 0.01)
+    levels: tuple[float, ...] = DEFAULT_LEVELS
     max_lag: int = 10
     criterion: str = "aic"
     workers: int = 1
@@ -292,13 +292,12 @@ def _stars(cell: CellResult | None) -> str:
 
 def table_text(report: TestReport) -> str:
     """Star-flagged battery table, one row per variant."""
-    methods = ["rra", "fa1", "fa2", "fa3", "robinson", "hill"]
     titles = {"rra": "RRA H", "fa1": "FA(1) H", "fa2": "FA(2) H",
               "fa3": "FA(3) H", "robinson": "Robinson d", "hill": "Hill H"}
     width = 12
-    lines = [report.series_id.ljust(12) + "".join(titles[m].rjust(width) for m in methods)]
+    lines = [report.series_id.ljust(12) + "".join(titles[m].rjust(width) for m in BATTERY)]
     for variant in (UNFILTERED, FILTERED):
-        cells = [report.cell(m, variant) for m in methods]
+        cells = [report.cell(m, variant) for m in BATTERY]
         if all(c is None for c in cells):
             continue
         lines.append(variant.ljust(12) + "".join(_stars(c).rjust(width) for c in cells))

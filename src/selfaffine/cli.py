@@ -23,8 +23,10 @@ from .analysis import (
 )
 from .errors import SelfAffineError
 from .methods import D_METHODS, METHODS, estimate
-from .montecarlo import build_critical_values, power_function
+from .montecarlo import DEFAULT_LEVELS, DEFAULT_REPS, build_critical_values, power_function
 from .simulate import (
+    DEFAULT_BURN_IN,
+    DEFAULT_TRUNCATION,
     MODELS,
     SimulationSpec,
     ar_recursive_spec,
@@ -81,8 +83,8 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
                    help="comma-separated AR coefficients")
     p.add_argument("--ar-intercept", type=float, default=0.0)
     p.add_argument("--ar-sd", type=float, default=1.0)
-    p.add_argument("--burn-in", type=int, default=1000)
-    p.add_argument("--truncation", type=int, default=4999,
+    p.add_argument("--burn-in", type=int, default=DEFAULT_BURN_IN)
+    p.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION,
                    help="ARFIMA moving-average truncation lag")
 
 
@@ -108,9 +110,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("critvals", help="Monte Carlo critical values (NIID null)")
     p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("-T", "--length", type=int, required=True)
-    p.add_argument("--reps", type=int, default=5000)
+    p.add_argument("--reps", type=int, default=DEFAULT_REPS)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--levels", type=_levels, default=(0.10, 0.05, 0.01))
+    p.add_argument("--levels", type=_levels, default=DEFAULT_LEVELS)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--cache-dir", default=None)
     p.add_argument("--out", default="-")
@@ -118,8 +120,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("power", help="rejection rate against an alternative")
     _add_model_flags(p)
     p.add_argument("--method", required=True, choices=METHODS)
-    p.add_argument("--reps", type=int, default=5000)
-    p.add_argument("--null-reps", type=int, default=5000)
+    p.add_argument("--reps", type=int, default=DEFAULT_REPS)
+    p.add_argument("--null-reps", type=int, default=DEFAULT_REPS)
     p.add_argument("--level", type=float, default=0.05)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--cache-dir", default=None)
@@ -127,11 +129,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("analyze", help="full battery + classification for prices")
     p.add_argument("--input", required=True, help="price CSV with date,close columns")
-    p.add_argument("--reps", type=int, default=1000)
+    p.add_argument("--reps", type=int, default=AnalyzeConfig.reps)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--levels", type=_levels, default=(0.10, 0.05, 0.01))
-    p.add_argument("--max-lag", type=int, default=10)
-    p.add_argument("--criterion", choices=("aic", "bic"), default="aic")
+    p.add_argument("--levels", type=_levels, default=DEFAULT_LEVELS)
+    p.add_argument("--max-lag", type=int, default=AnalyzeConfig.max_lag)
+    p.add_argument("--criterion", choices=("aic", "bic"), default=AnalyzeConfig.criterion)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--cache-dir", default=None)
     p.add_argument("--out-dir", default=".")

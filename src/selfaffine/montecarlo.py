@@ -21,11 +21,12 @@ from .errors import (
     TooFewValues,
 )
 from .methods import estimate_block
-# not called here: kept as a module attribute so that perfbench's traced run,
-# which rebinds montecarlo.estimate_point, still finds it
+# not called here: kept as module attributes so that perfbench's traced run,
+# which rebinds montecarlo.estimate_point and montecarlo.generate, still finds them
 from .methods import estimate_point  # noqa: F401
 from .rng import derive_seed
-from .simulate import SimulationSpec, generate
+from .simulate import SimulationSpec, generate_block
+from .simulate import generate  # noqa: F401
 from .timeseries import _freeze
 
 DEFAULT_LEVELS = (0.10, 0.05, 0.01)
@@ -124,15 +125,10 @@ def _run_block(spec: SimulationSpec, methods: tuple[str, ...], master_seed: int,
     Per method: the rows' estimates and, per row, None or the name of the
     exception that failed it (its estimate is then meaningless).
     """
-    rows, kinds = [], []
-    for i in range(lo, hi):
-        try:
-            rows.append(generate(replace(spec, seed=derive_seed(master_seed, i))).values)
-            kinds.append(None)
-        except SelfAffineError as exc:
-            kinds.append(type(exc).__name__)
+    X, errors = generate_block(spec, [derive_seed(master_seed, i) for i in range(lo, hi)])
+    kinds = [type(errors[j]).__name__ if j in errors else None for j in range(hi - lo)]
     generated = np.flatnonzero([k is None for k in kinds])
-    X = np.array(rows).reshape(len(rows), spec.T)
+    X = X[generated]
     out = {}
     for method in methods:
         values, failed = np.full(hi - lo, np.nan), list(kinds)
@@ -227,27 +223,32 @@ def build_tables(spec: SimulationSpec, methods, reps: int, master_seed: int,
     served at exactly `levels`, so a file holding more levels still serves the
     request and the cache's contents never change a result; the missing
     methods are simulated in one `replicate` pass over shared replications,
-    and each table is cached in its own file.
+    and each table is cached in its own file. A file that lacks a requested
+    level is rewritten at the union of its levels and the requested ones.
     """
+    def at_levels(table: CriticalValueTable) -> CriticalValueTable:
+        return replace(table, cutoffs=tuple((l, table.cutoff(l)) for l in levels))
+
     methods = tuple(methods)
-    tables = {}
+    tables, cached_levels = {}, {}
     if cache_dir is not None:
         for method in methods:
             cached = load_table(cache_dir, spec, method, reps, master_seed)
             if cached is None:
                 continue
             try:
-                tables[method] = replace(
-                    cached, cutoffs=tuple((l, cached.cutoff(l)) for l in levels))
+                tables[method] = at_levels(cached)
             except MissingCutoff:  # the file lacks a requested level: simulate again
-                pass
+                cached_levels[method] = cached.levels
     missing = [m for m in methods if m not in tables]
     if missing:
         for method, sample in replicate(spec, missing, reps, master_seed,
                                         workers=workers).items():
-            tables[method] = critical_values(sample, levels=levels)
+            table = critical_values(
+                sample, levels=set(levels).union(cached_levels.get(method, ())))
             if cache_dir is not None:
-                save_table(tables[method], spec, cache_dir)
+                save_table(table, spec, cache_dir)
+            tables[method] = at_levels(table)
     return {m: tables[m] for m in methods}
 
 

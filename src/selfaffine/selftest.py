@@ -9,7 +9,7 @@ from .methods import METHODS, estimate_point
 from .montecarlo import replicate, run_replications
 from .rng import derive_seed
 from .scaling import ScaleGrid, estimate_fa, partition_function, qgrid, rs_statistic, time_scale_grid
-from .simulate import arfima_spec, arfima_weights, gen_iid, generate, niid_spec
+from .simulate import arfima_spec, arfima_weights, generate, niid_spec
 from .timeseries import LogPricePath, PriceSeries, ReturnsSeries, log_returns, normalize_transform
 
 
@@ -40,7 +40,7 @@ def _checks():
                [0.0, -0.6744897501960817, 0.6744897501960817], atol=1e-9))
     yield ("ARFIMA with d=0 reproduces the NIID stream",
            lambda: np.array_equal(generate(arfima_spec(0.0, 64, seed=7)).values,
-                                  gen_iid(niid_spec(64, seed=7)).values))
+                                  generate(niid_spec(64, seed=7)).values))
     yield ("log returns of (1, e, e^2) are (1, 1)",
            lambda: np.allclose(log_returns(PriceSeries([1.0, math.e, math.e ** 2])).values,
                                [1.0, 1.0], atol=1e-12))

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve, lfilter
 
 from .errors import (
     BadAlpha,
@@ -19,6 +18,7 @@ from .errors import (
     BadDF,
     BadSigma,
     ExplosiveModel,
+    NonFiniteValue,
 )
 from .rng import rng_from_seed
 from .timeseries import ARModel, ReturnsSeries, _freeze
@@ -136,72 +136,8 @@ def arfima_weights(d: float, J: int) -> MAWeights:
     return MAWeights(d, np.concatenate([[1.0], np.cumprod((d + j - 1.0) / j)]))
 
 
-def gen_arfima(spec: SimulationSpec, convolution: str = "fft") -> ReturnsSeries:
-    """ARFIMA(0,d,0) series: truncated MA filter applied to N(0,1) innovations.
-
-    Innovations for times 1..T are drawn first and the pre-sample history
-    after them, so d=0 reproduces the NIID generator draw-for-draw on the
-    same seed. `convolution` picks the fast transform path ("fft") or the
-    direct O(J*T) sum ("direct"), which serves as the oracle for the former.
-    """
-    if spec.model != ARFIMA:
-        raise ValueError("spec.model must be 'arfima'")
-    rng = rng_from_seed(spec.seed)
-    T, J = spec.T, spec.truncation
-    sample = rng.standard_normal(T)            # u_1..u_T
-    if spec.d == 0.0:
-        return ReturnsSeries(sample)
-    history = rng.standard_normal(J + 1)[::-1]  # u_{-J}..u_0, drawn newest-last
-    u = np.concatenate([history, sample])       # time order u_{-J}..u_T
-    g = arfima_weights(spec.d, J).values
-    if convolution == "fft":
-        y = fftconvolve(u, g)[J + 1 : J + 1 + T]
-    elif convolution == "direct":
-        y = np.convolve(u, g)[J + 1 : J + 1 + T]
-    else:
-        raise ValueError(f"unknown convolution {convolution!r}")
-    return ReturnsSeries(y)
-
-
 #: below this distance from 1, alpha is routed to the alpha=1 branch
 ALPHA_ONE_BAND = 1e-6
-
-
-def gen_lstable(spec: SimulationSpec) -> ReturnsSeries:
-    """Levy-stable draws via the Chambers-Mallows-Stuck transformation.
-
-    V ~ U(-pi/2, pi/2) and W ~ exp(1) feed the alpha != 1 and alpha = 1
-    branches; the output is rescaled by (sigma, mu).
-    """
-    if spec.model != LSTABLE:
-        raise ValueError("spec.model must be 'lstable'")
-    rng = rng_from_seed(spec.seed)
-    alpha, beta, mu, sigma = spec.alpha, spec.beta, spec.mu, spec.sigma
-    V = rng.uniform(-math.pi / 2, math.pi / 2, spec.T)
-    W = rng.standard_exponential(spec.T)
-    if abs(alpha - 1.0) < ALPHA_ONE_BAND:
-        half_pi = math.pi / 2
-        X = (1.0 / half_pi) * ((half_pi + beta * V) * np.tan(V)
-                               - beta * np.log((W * np.cos(V)) / (half_pi + beta * V)))
-        Y = sigma * X + (1.0 / half_pi) * beta * sigma * math.log(sigma) + mu
-    else:
-        ta = math.tan(math.pi * alpha / 2.0)
-        B = math.atan(beta * ta) / alpha
-        S = (1.0 + beta * beta * ta * ta) ** (1.0 / (2.0 * alpha))
-        X = (S * np.sin(alpha * (V + B)) / np.cos(V) ** (1.0 / alpha)
-             * (np.cos(V - alpha * (V + B)) / W) ** ((1.0 - alpha) / alpha))
-        Y = sigma * X + mu
-    return ReturnsSeries(Y)
-
-
-def gen_iid(spec: SimulationSpec) -> ReturnsSeries:
-    """Independent standard-normal or Student-t draws."""
-    rng = rng_from_seed(spec.seed)
-    if spec.model == NIID:
-        return ReturnsSeries(rng.standard_normal(spec.T))
-    if spec.model == STUDENT_T:
-        return ReturnsSeries(rng.standard_t(spec.df, spec.T))
-    raise ValueError("spec.model must be 'niid' or 'student_t'")
 
 
 def _check_stationary(model: ARModel) -> None:
@@ -218,33 +154,94 @@ def _check_stationary(model: ARModel) -> None:
         raise ExplosiveModel(f"AR root modulus {1.0 / radius:.6g} within the unit band")
 
 
-def gen_ar_recursive(spec: SimulationSpec) -> ReturnsSeries:
-    """AR(p) recursion with Gaussian innovations; burn-in is discarded."""
-    if spec.model != AR_RECURSIVE:
-        raise ValueError("spec.model must be 'ar_recursive'")
+def _fast_len(n: int) -> int:
+    """Smallest 2*3*5-smooth integer >= n, as `scipy.fft.next_fast_len(n, True)`:
+    the convolution length the ARFIMA series are pinned to, since another
+    length changes their low-order bits."""
+    odd = (3 ** i * 5 ** j for i in range(n.bit_length()) for j in range(n.bit_length()))
+    return min(c << (-(-n // c) - 1).bit_length() for c in odd)  # c * 2**k >= n
+
+
+def _arfima(spec: SimulationSpec, rngs) -> np.ndarray:
+    # innovations for times 1..T come first and the pre-sample history after
+    # them, so d=0 reproduces the NIID generator draw-for-draw on the same seed
+    T, J = spec.T, spec.truncation
+    if spec.d == 0.0:
+        return np.array([rng.standard_normal(T) for rng in rngs])
+    U = np.empty((len(rngs), J + 1 + T))  # time order u_{-J}..u_T
+    for row, rng in zip(U, rngs):
+        row[J + 1:] = rng.standard_normal(T)  # u_1..u_T
+        row[:J + 1] = rng.standard_normal(J + 1)[::-1]  # u_{-J}..u_0, drawn newest-last
+    # the truncated MA filter as a full linear convolution by real FFT
+    L = _fast_len(U.shape[1] + J)
+    F = np.fft.rfft(U, L, axis=1)
+    F *= np.fft.rfft(arfima_weights(spec.d, J).values, L)
+    return np.fft.irfft(F, L, axis=1)[:, J + 1:J + 1 + T]
+
+
+def _lstable(spec: SimulationSpec, rngs) -> np.ndarray:
+    # Chambers-Mallows-Stuck: V ~ U(-pi/2, pi/2) and W ~ exp(1) feed the
+    # alpha != 1 and alpha = 1 branches; the output is rescaled by (sigma, mu)
+    alpha, beta, mu, sigma = spec.alpha, spec.beta, spec.mu, spec.sigma
+    V, W = np.empty((2, len(rngs), spec.T))
+    for i, rng in enumerate(rngs):
+        V[i] = rng.uniform(-math.pi / 2, math.pi / 2, spec.T)
+        W[i] = rng.standard_exponential(spec.T)
+    if abs(alpha - 1.0) < ALPHA_ONE_BAND:
+        half_pi = math.pi / 2
+        X = (1.0 / half_pi) * ((half_pi + beta * V) * np.tan(V)
+                               - beta * np.log((W * np.cos(V)) / (half_pi + beta * V)))
+        return sigma * X + (1.0 / half_pi) * beta * sigma * math.log(sigma) + mu
+    ta = math.tan(math.pi * alpha / 2.0)
+    B = math.atan(beta * ta) / alpha
+    S = (1.0 + beta * beta * ta * ta) ** (1.0 / (2.0 * alpha))
+    X = (S * np.sin(alpha * (V + B)) / np.cos(V) ** (1.0 / alpha)
+         * (np.cos(V - alpha * (V + B)) / W) ** ((1.0 - alpha) / alpha))
+    return sigma * X + mu
+
+
+def _ar_recursive(spec: SimulationSpec, rngs) -> np.ndarray:
+    # AR(p) recursion with Gaussian innovations; the burn-in is discarded
     model = spec.ar
-    rng = rng_from_seed(spec.seed)
-    u = rng.standard_normal(spec.burn_in + spec.T)
-    if model.order == 0:
-        z = model.intercept + model.residual_sd * u
-    else:
+    Z = model.intercept + model.residual_sd * np.array(
+        [rng.standard_normal(spec.burn_in + spec.T) for rng in rngs])
+    if model.order > 0:
+        from scipy.signal import lfilter
+
         # z_t = (c + sd*u_t) + sum(phi_i z_{t-i}) is an IIR filter from zero state
-        a = np.concatenate([[1.0], -model.coefficients])
-        z = lfilter([1.0], a, model.intercept + model.residual_sd * u)
-    return ReturnsSeries(z[spec.burn_in :])
+        Z = lfilter([1.0], np.concatenate([[1.0], -model.coefficients]), Z, axis=1)
+    return Z[:, spec.burn_in:]
+
+
+_GENERATORS = {
+    NIID: lambda spec, rngs: np.array([rng.standard_normal(spec.T) for rng in rngs]),
+    STUDENT_T: lambda spec, rngs: np.array([rng.standard_t(spec.df, spec.T) for rng in rngs]),
+    ARFIMA: _arfima,
+    LSTABLE: _lstable,
+    AR_RECURSIVE: _ar_recursive,
+}
+
+
+def generate_block(spec: SimulationSpec, seeds) -> tuple[np.ndarray, dict[int, NonFiniteValue]]:
+    """One series of `spec` per seed, as the rows of a `(len(seeds), T)` array.
+
+    Row i draws from `rng_from_seed(seeds[i])`, and the model's transform runs
+    once on the whole block, so row i is bit-identical to `generate` on that
+    seed. A row that is not finite fails alone: it is listed in the returned
+    {row: error} map, and its values are meaningless.
+    """
+    with np.errstate(all="ignore"):
+        X = _GENERATORS[spec.model](spec, [rng_from_seed(s) for s in seeds])
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    return X, {int(i): NonFiniteValue("returns must be finite") for i in bad}
 
 
 def generate(spec: SimulationSpec) -> ReturnsSeries:
-    """Dispatch a spec to its generator; bit-identical for identical specs."""
-    if spec.model == ARFIMA:
-        return gen_arfima(spec)
-    if spec.model == LSTABLE:
-        return gen_lstable(spec)
-    if spec.model in (NIID, STUDENT_T):
-        return gen_iid(spec)
-    if spec.model == AR_RECURSIVE:
-        return gen_ar_recursive(spec)
-    raise ValueError(f"unknown model {spec.model!r}")
+    """The series of `spec` at `spec.seed`: the one-row case of `generate_block`."""
+    X, errors = generate_block(spec, (spec.seed,))
+    if errors:
+        raise errors[0]
+    return ReturnsSeries(X[0])
 
 
 def arfima_acf(d: float, max_lag: int) -> np.ndarray:

@@ -8,7 +8,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import (
     DegenerateSeries,
@@ -162,6 +161,8 @@ def normalize_transform(r: ReturnsSeries) -> ReturnsSeries:
     Output[t] = ndtri(rank(t) / (T+1)) with ascending ranks and ties broken by
     original index, so the rank ordering of the output equals the input's.
     """
+    from scipy.special import ndtri
+
     z = r.values
     order = np.argsort(z, kind="stable")
     ranks = np.empty(len(z), dtype=np.int64)

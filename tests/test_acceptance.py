@@ -61,9 +61,7 @@ from selfaffine.scaling import (
 from selfaffine.simulate import (
     arfima_acf,
     arfima_spec,
-    gen_arfima,
-    gen_iid,
-    gen_lstable,
+    generate,
     lstable_spec,
     lstable_spec_for_hurst,
     niid_spec,
@@ -393,14 +391,14 @@ def test_criterion_8_property_suite(mc):
     c.check("determinism across worker counts",
             np.array_equal(serial.values, parallel.values))
 
-    same = np.array_equal(gen_arfima(arfima_spec(0.0, 400, seed=5)).values,
-                          gen_iid(niid_spec(400, seed=5)).values)
+    same = np.array_equal(generate(arfima_spec(0.0, 400, seed=5)).values,
+                          generate(niid_spec(400, seed=5)).values)
     c.check("ARFIMA d=0 identical to NIID stream", same)
 
     d, reps = 0.2, 20
     rhos = []
     for s in range(reps):
-        z = gen_arfima(arfima_spec(d, 100000, seed=900 + s)).values
+        z = generate(arfima_spec(d, 100000, seed=900 + s)).values
         dev = z - z.mean()
         rhos.append(float((dev[:-1] @ dev[1:]) / (dev @ dev)))
     se = np.std(rhos, ddof=1) / math.sqrt(reps)
@@ -410,7 +408,7 @@ def test_criterion_8_property_suite(mc):
 
     from scipy import stats
     passes = sum(
-        stats.kstest(gen_lstable(lstable_spec(2.0, 10000, seed=s)).values,
+        stats.kstest(generate(lstable_spec(2.0, 10000, seed=s)).values,
                      "norm", args=(0.0, math.sqrt(2.0)))[0] < 1.63 / 100.0
         for s in range(40))
     c.check("CMS alpha=2 KS pass rate >= 95%", passes >= 38, f"{passes}/40")
@@ -469,7 +467,7 @@ def test_criterion_9_pipeline_layout_and_closed_loop():
 
     # closed loop: strong long memory must be flagged on both variants; a
     # small max_lag keeps the AR filter from absorbing the fractional signal
-    rng_returns = gen_arfima(arfima_spec(0.3, 1000, seed=31)).values * 0.01
+    rng_returns = generate(arfima_spec(0.3, 1000, seed=31)).values * 0.01
     lrd_prices = PriceSeries(100.0 * np.exp(np.concatenate([[0.0],
                                                             np.cumsum(rng_returns)])))
     lrd_report = analyze_index(lrd_prices, AnalyzeConfig(reps=150, seed=9,
@@ -485,7 +483,7 @@ def test_criterion_9_pipeline_layout_and_closed_loop():
             classify_source(lrd_report).verdict == VERDICT_LRD)
 
     # closed loop: a null input on a representative seed stays unflagged
-    null_returns = gen_iid(niid_spec(500, seed=17)).values * 0.01
+    null_returns = generate(niid_spec(500, seed=17)).values * 0.01
     null_prices = PriceSeries(100.0 * np.exp(np.concatenate([[0.0],
                                                              np.cumsum(null_returns)])))
     null_report = analyze_index(null_prices, AnalyzeConfig(reps=150, seed=9,

@@ -1,9 +1,13 @@
 import csv
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import selfaffine
 from selfaffine.cli import run_cli
 from selfaffine.timeseries import read_values_csv
 
@@ -175,3 +179,13 @@ def test_selftest_passes(capsys):
     assert run_cli(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
+
+
+def test_import_loads_no_scipy():
+    # scipy costs about a second of start-up; only the functions that use it import it
+    env = dict(os.environ, PYTHONPATH=str(Path(selfaffine.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, selfaffine; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

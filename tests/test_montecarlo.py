@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +30,13 @@ from selfaffine.montecarlo import (
     summarize_sample,
 )
 from selfaffine.rng import derive_seed
-from selfaffine.simulate import ar_recursive_spec, generate, lstable_spec, niid_spec
+from selfaffine.simulate import (
+    ar_recursive_spec,
+    arfima_spec,
+    generate,
+    lstable_spec,
+    niid_spec,
+)
 from selfaffine.timeseries import ARModel, ReturnsSeries
 
 
@@ -87,15 +94,15 @@ class TestRunReplications:
         assert run_replications(niid_spec(128), "hill", 20, 11).failures_by_kind == {}
 
     def test_generation_failures_carry_their_type(self, monkeypatch):
-        real = montecarlo.generate
+        real = montecarlo.generate_block
 
-        def picky(spec):
-            r = real(spec)
-            if r.values[0] > 1.0:
-                raise ExplosiveModel("synthetic")
-            return r
+        def picky(spec, seeds):
+            X, errors = real(spec, seeds)
+            errors.update({int(i): ExplosiveModel("synthetic")
+                           for i in np.flatnonzero(X[:, 0] > 1.0)})
+            return X, errors
 
-        monkeypatch.setattr(montecarlo, "generate", picky)
+        monkeypatch.setattr(montecarlo, "generate_block", picky)
         out = run_replications(niid_spec(128), "hill", 60, master_seed=3)
         assert out.failures > 0
         assert out.failures_by_kind == {"ExplosiveModel": out.failures}
@@ -111,20 +118,29 @@ class TestRunReplications:
         assert 0 < out.failures < 64
         assert out.failures_by_kind == {"NonFiniteValue": out.failures}
 
+    def test_overflowing_generation_prints_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = run_replications(lstable_spec(0.01, 500), "hill", 64, 0)
+        assert out.failures_by_kind == {"NonFiniteValue": 29}
+
 
 class TestEngineContract:
     """The replication engine's results do not depend on how rows are grouped."""
 
     @pytest.mark.parametrize("method", ["rra", "fa2", "robinson", "hill"])
     def test_identical_across_block_sizes_and_workers(self, monkeypatch, method):
-        spec, reps = niid_spec(150), 20
-        reference = run_replications(spec, method, reps, master_seed=2)
+        model = ARModel(order=2, intercept=0.0, coefficients=np.array([0.3, -0.2]),
+                        residual_sd=1.0)
+        specs, reps = (niid_spec(150), arfima_spec(0.2, 150), ar_recursive_spec(model, 150)), 20
+        references = [run_replications(spec, method, reps, master_seed=2) for spec in specs]
         for block_rows in (1, 7, reps):
             monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", block_rows)
             for workers in (1, 2):
-                got = run_replications(spec, method, reps, 2, workers=workers)
-                assert got.values.tobytes() == reference.values.tobytes()
-                assert got.failures_by_kind == reference.failures_by_kind
+                for spec, reference in zip(specs, references):
+                    got = run_replications(spec, method, reps, 2, workers=workers)
+                    assert got.values.tobytes() == reference.values.tobytes()
+                    assert got.failures_by_kind == reference.failures_by_kind
 
     def test_multi_method_run_equals_one_method_runs(self):
         model = ARModel(order=1, intercept=0.0, coefficients=np.array([0.3]),
@@ -154,6 +170,25 @@ class TestEngineContract:
         monkeypatch.setattr(montecarlo, "replicate", real)
         for method, table in tables.items():
             assert table == build_critical_values(spec, method, 120, 4)
+
+    def test_cache_keeps_the_union_of_levels(self, tmp_path, monkeypatch):
+        calls = []
+        real = montecarlo.replicate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "replicate", counting)
+        spec = niid_spec(128)
+        default = build_critical_values(spec, "hill", 120, 5, cache_dir=tmp_path)
+        narrow = build_critical_values(spec, "hill", 120, 5, levels=(0.02,), cache_dir=tmp_path)
+        again = build_critical_values(spec, "hill", 120, 5, cache_dir=tmp_path)
+        assert len(calls) == 2
+        assert narrow.levels == (0.02,)
+        assert again == default
+        stored = load_table(tmp_path, spec, "hill", 120, 5)
+        assert stored.levels == (0.10, 0.05, 0.02, 0.01)
 
 
 class TestSummaries:

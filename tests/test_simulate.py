@@ -1,21 +1,28 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import fft, stats
 
-from selfaffine.errors import BadAlpha, BadBeta, BadD, BadDF, BadSigma, ExplosiveModel
+from selfaffine.errors import (
+    BadAlpha,
+    BadBeta,
+    BadD,
+    BadDF,
+    BadSigma,
+    ExplosiveModel,
+    NonFiniteValue,
+)
 from selfaffine.rng import derive_seed, rng_from_seed, substream
 from selfaffine.simulate import (
+    _fast_len,
     ar_recursive_spec,
     arfima_acf,
     arfima_spec,
     arfima_weights,
-    gen_ar_recursive,
-    gen_arfima,
-    gen_iid,
-    gen_lstable,
     generate,
+    generate_block,
     lstable_spec,
     lstable_spec_for_hurst,
     niid_spec,
@@ -65,24 +72,28 @@ class TestWeights:
 
 class TestArfima:
     def test_d_zero_equals_niid_stream(self):
-        a = gen_arfima(arfima_spec(0.0, 500, seed=3))
-        b = gen_iid(niid_spec(500, seed=3))
+        a = generate(arfima_spec(0.0, 500, seed=3))
+        b = generate(niid_spec(500, seed=3))
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_fft_matches_direct_convolution(self):
         spec = arfima_spec(0.3, 300, seed=11)
-        fast = gen_arfima(spec, convolution="fft")
-        slow = gen_arfima(spec, convolution="direct")
-        np.testing.assert_allclose(fast.values, slow.values, atol=1e-9)
+        fast = generate(spec)
+        # the same draws, filtered by the direct O(J*T) sum
+        J, rng = spec.truncation, rng_from_seed(11)
+        sample = rng.standard_normal(300)
+        u = np.concatenate([rng.standard_normal(J + 1)[::-1], sample])
+        slow = np.convolve(u, arfima_weights(0.3, J).values)[J + 1 : J + 1 + 300]
+        np.testing.assert_allclose(fast.values, slow, atol=1e-9)
 
     def test_lag_one_autocorrelation(self):
-        z = gen_arfima(arfima_spec(0.2, 100000, seed=5)).values
+        z = generate(arfima_spec(0.2, 100000, seed=5)).values
         assert sample_acf(z, 1) == pytest.approx(0.2 / 0.8, abs=0.02)
 
     def test_acf_matches_theory_first_five_lags(self):
         d, reps, T = 0.1, 30, 100000
         theory = arfima_acf(d, 5)
-        acfs = np.array([[sample_acf(gen_arfima(arfima_spec(d, T, seed=s)).values, k)
+        acfs = np.array([[sample_acf(generate(arfima_spec(d, T, seed=s)).values, k)
                           for k in range(1, 6)] for s in range(reps)])
         mean = acfs.mean(axis=0)
         se = acfs.std(axis=0, ddof=1) / math.sqrt(reps)
@@ -90,7 +101,7 @@ class TestArfima:
 
     def test_deterministic(self):
         spec = arfima_spec(0.12, 200, seed=42)
-        np.testing.assert_array_equal(gen_arfima(spec).values, gen_arfima(spec).values)
+        np.testing.assert_array_equal(generate(spec).values, generate(spec).values)
 
     def test_rejects_bad_d(self):
         with pytest.raises(BadD):
@@ -99,31 +110,31 @@ class TestArfima:
 
 class TestLStable:
     def test_gaussian_limit_variance(self):
-        z = gen_lstable(lstable_spec(2.0, 100000, seed=9)).values
+        z = generate(lstable_spec(2.0, 100000, seed=9)).values
         assert z.var() == pytest.approx(2.0, abs=0.05)
 
     def test_gaussian_limit_ks(self):
         # at alpha=2 the draws are N(mu, sd=sigma*sqrt(2)); 1% KS level
         passes = 0
         for seed in range(40):
-            z = gen_lstable(lstable_spec(2.0, 10000, seed=seed)).values
+            z = generate(lstable_spec(2.0, 10000, seed=seed)).values
             stat, _ = stats.kstest(z, "norm", args=(0.0, math.sqrt(2.0)))
             passes += stat < 1.63 / math.sqrt(10000)
         assert passes >= 38  # >= 95% of seeds
 
     def test_symmetric_median_near_zero(self):
-        z = gen_lstable(lstable_spec(1.5, 20000, seed=2)).values
+        z = generate(lstable_spec(1.5, 20000, seed=2)).values
         iqr = np.percentile(z, 75) - np.percentile(z, 25)
         assert abs(np.median(z)) < 3.0 * iqr / math.sqrt(len(z))
 
     def test_location_scale(self):
-        base = gen_lstable(lstable_spec(1.7, 1000, seed=4)).values
-        moved = gen_lstable(lstable_spec(1.7, 1000, seed=4, mu=3.0, sigma=2.0)).values
+        base = generate(lstable_spec(1.7, 1000, seed=4)).values
+        moved = generate(lstable_spec(1.7, 1000, seed=4, mu=3.0, sigma=2.0)).values
         np.testing.assert_allclose(moved, 2.0 * base + 3.0, atol=1e-12)
 
     def test_alpha_one_guard_band(self):
-        exact = gen_lstable(lstable_spec(1.0, 500, seed=6, beta=0.5)).values
-        banded = gen_lstable(lstable_spec(1.0 + 1e-8, 500, seed=6, beta=0.5)).values
+        exact = generate(lstable_spec(1.0, 500, seed=6, beta=0.5)).values
+        banded = generate(lstable_spec(1.0 + 1e-8, 500, seed=6, beta=0.5)).values
         np.testing.assert_array_equal(exact, banded)
         assert np.all(np.isfinite(exact))
 
@@ -149,12 +160,12 @@ class TestLStable:
 
 class TestIid:
     def test_niid_moments(self):
-        z = gen_iid(niid_spec(200000, seed=1)).values
+        z = generate(niid_spec(200000, seed=1)).values
         assert z.mean() == pytest.approx(0.0, abs=0.01)
         assert z.var() == pytest.approx(1.0, abs=0.02)
 
     def test_student_t_variance(self):
-        z = gen_iid(student_t_spec(10, 200000, seed=2)).values
+        z = generate(student_t_spec(10, 200000, seed=2)).values
         assert z.var() == pytest.approx(10.0 / 8.0, abs=0.05)
 
     def test_rejects_bad_df(self):
@@ -167,20 +178,20 @@ class TestArRecursive:
         model = ARModel(order=0, intercept=0.0, coefficients=np.empty(0),
                         residual_sd=1.0)
         spec = ar_recursive_spec(model, 300, seed=13, burn_in=1000)
-        out = gen_ar_recursive(spec).values
+        out = generate(spec).values
         expected = rng_from_seed(13).standard_normal(1300)[1000:]
         np.testing.assert_array_equal(out, expected)
 
     def test_ar1_autocorrelation(self):
         model = ARModel(order=1, intercept=0.0, coefficients=np.array([0.5]),
                         residual_sd=1.0)
-        z = gen_ar_recursive(ar_recursive_spec(model, 100000, seed=3)).values
+        z = generate(ar_recursive_spec(model, 100000, seed=3)).values
         assert sample_acf(z, 1) == pytest.approx(0.5, abs=0.01)
 
     def test_intercept_shifts_mean(self):
         model = ARModel(order=1, intercept=1.0, coefficients=np.array([0.5]),
                         residual_sd=0.5)
-        z = gen_ar_recursive(ar_recursive_spec(model, 50000, seed=4)).values
+        z = generate(ar_recursive_spec(model, 50000, seed=4)).values
         assert z.mean() == pytest.approx(1.0 / (1 - 0.5), abs=0.05)
 
     @pytest.mark.parametrize("phi", [1.01, 1.0])
@@ -188,7 +199,7 @@ class TestArRecursive:
         model = ARModel(order=1, intercept=0.0, coefficients=np.array([phi]),
                         residual_sd=1.0)
         with pytest.raises(ExplosiveModel):
-            gen_ar_recursive(ar_recursive_spec(model, 100, seed=1))
+            generate(ar_recursive_spec(model, 100, seed=1))
 
 
 class TestDeterminismAndStreams:
@@ -218,3 +229,48 @@ class TestDeterminismAndStreams:
         np.testing.assert_allclose(
             got, [-1.4238250364546312, 1.2637284581291104, -0.8706617379590857],
             atol=1e-15)
+
+
+AR4 = ARModel(order=4, intercept=0.01, coefficients=np.array([0.2, -0.1, 0.05, 0.03]),
+              residual_sd=0.7)
+AR0 = ARModel(order=0, intercept=0.1, coefficients=np.empty(0), residual_sd=2.0)
+
+
+class TestBlockContract:
+    """Row i of a block is the one-row series of the same seed, bit for bit."""
+
+    @pytest.mark.parametrize("spec", [
+        niid_spec(150),
+        student_t_spec(5, 150),
+        arfima_spec(0.0, 150),
+        arfima_spec(0.2, 150),
+        lstable_spec(1.0 + 1e-8, 150, beta=0.5),
+        lstable_spec(1.5, 150, beta=0.3),
+        ar_recursive_spec(AR4, 150),
+        ar_recursive_spec(AR0, 150),
+    ], ids=["niid", "student-t", "arfima-d0", "arfima-d0.2", "lstable-alpha1",
+            "lstable-1.5", "ar4", "ar0"])
+    def test_rows_equal_one_row_series(self, spec):
+        seeds = [derive_seed(4, i) for i in range(9)]
+        X, errors = generate_block(spec, seeds)
+        assert X.shape == (9, 150) and errors == {}
+        for row, seed in zip(X, seeds):
+            assert row.tobytes() == generate(replace(spec, seed=seed)).values.tobytes()
+
+    def test_overflowing_row_fails_alone(self):
+        spec = lstable_spec(0.01, 500)
+        seeds = [derive_seed(0, i) for i in range(64)]
+        X, errors = generate_block(spec, seeds)
+        assert 0 < len(errors) < 64
+        for i, seed in enumerate(seeds):
+            one = replace(spec, seed=seed)
+            if i in errors:
+                assert isinstance(errors[i], NonFiniteValue)
+                with pytest.raises(NonFiniteValue):
+                    generate(one)
+            else:
+                assert X[i].tobytes() == generate(one).values.tobytes()
+
+    def test_fft_length_is_scipys_real_fast_length(self):
+        assert [_fast_len(n) for n in range(1, 20000)] == [
+            fft.next_fast_len(n, True) for n in range(1, 20000)]
