@@ -117,13 +117,25 @@ def _block_ratios(seg: np.ndarray, M: int, n: int) -> tuple[np.ndarray, np.ndarr
     mu = b.mean(axis=2)
     dev = b - mu[:, :, None]
     S = np.sqrt((dev * dev).mean(axis=2))
-    x = np.cumsum(dev, axis=2)
     # the full-block cumulative deviation is analytically zero; pin it so the
     # range always includes that endpoint
-    x[:, :, -1] = 0.0
-    R = x.max(axis=2) - x.min(axis=2)
+    if 8 * n <= len(seg) * M:
+        # many short blocks: the reductions below would pay one inner loop per
+        # block, so step over the block offset instead, updating every block's
+        # partial sum and running extremes at once (the same left fold as
+        # cumsum, so the same bits)
+        x = dev[:, :, 0].copy()
+        hi, lo = np.maximum(x, 0.0), np.minimum(x, 0.0)
+        for k in range(1, n - 1):
+            x += dev[:, :, k]
+            np.maximum(hi, x, out=hi)
+            np.minimum(lo, x, out=lo)
+    else:
+        x = np.cumsum(dev, axis=2)
+        x[:, :, -1] = 0.0
+        hi, lo = x.max(axis=2), x.min(axis=2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return R / S, np.any(S == 0.0, axis=1)
+        return (hi - lo) / S, np.any(S == 0.0, axis=1)
 
 
 def _rs_rows(X: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

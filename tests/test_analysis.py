@@ -179,6 +179,11 @@ class TestRendering:
         golden = (DATA / "golden_report.csv").read_bytes()
         assert out.read_bytes() == golden
 
+    def test_json_matches_golden(self, demo_report):
+        # every estimate and cutoff at full precision, where the CSV prints six decimals
+        got = report_json(demo_report, classify_source(demo_report)).encode()
+        assert got == (DATA / "golden_report.json").read_bytes()
+
     def test_csv_header(self, demo_report):
         rows = report_csv_rows(demo_report)
         assert rows[0] == ["series_id", "method", "variant", "estimate",

@@ -111,8 +111,6 @@ class TestRunReplications:
         (lstable_spec(0.05, 1000), "fa3"),  # finite series, overflowing estimates
         (lstable_spec(0.01, 500), "hill"),  # overflowing series
     ], ids=["estimate-overflows", "series-overflows"])
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:divide by zero:RuntimeWarning")
     def test_non_finite_rows_fail_alone(self, spec, method):
         out = run_replications(spec, method, 64, master_seed=0)
         assert 0 < out.failures < 64
@@ -123,6 +121,12 @@ class TestRunReplications:
             warnings.simplefilter("error", RuntimeWarning)
             out = run_replications(lstable_spec(0.01, 500), "hill", 64, 0)
         assert out.failures_by_kind == {"NonFiniteValue": 29}
+
+    def test_overflowing_estimate_prints_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = run_replications(lstable_spec(0.05, 1000), "fa3", 64, 0)
+        assert out.failures_by_kind == {"NonFiniteValue": 35}
 
 
 class TestEngineContract:
