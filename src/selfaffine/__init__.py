@@ -28,7 +28,6 @@ from .scaling import (
     HurstEstimate,
     QGrid,
     ScaleGrid,
-    custom_qgrid,
     estimate_fa,
     estimate_rra,
     partition_function,
@@ -37,7 +36,6 @@ from .scaling import (
     time_scale_grid,
 )
 from .simulate import (
-    MAWeights,
     SimulationSpec,
     ar_recursive_spec,
     arfima_acf,

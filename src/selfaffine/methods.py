@@ -71,11 +71,16 @@ def estimate_point(method: str, r: ReturnsSeries) -> float:
 
 
 def estimate(method: str, r: ReturnsSeries) -> Estimate:
-    """Run one estimator by tag, returning its full diagnostic object."""
+    """Run one estimator by tag, returning its full diagnostic object.
+
+    Like `estimate_block`, it prints no warning when the arithmetic
+    overflows: the estimate then fails with NonFiniteValue.
+    """
     _kernel(method)
-    if method in FA_METHODS:
-        return estimate_fa(r, qgrid(method))
-    if method in TAIL_METHODS:
-        return estimate_tail(r, method)
-    return {"rra": estimate_rra, "gph": estimate_gph,
-            "robinson": estimate_robinson}[method](r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if method in FA_METHODS:
+            return estimate_fa(r, qgrid(method))
+        if method in TAIL_METHODS:
+            return estimate_tail(r, method)
+        return {"rra": estimate_rra, "gph": estimate_gph,
+                "robinson": estimate_robinson}[method](r)

@@ -119,27 +119,26 @@ _BLOCK_ROWS = 64
 
 
 def _run_block(spec: SimulationSpec, methods: tuple[str, ...], master_seed: int,
-               lo: int, hi: int) -> dict[str, tuple[np.ndarray, list[str | None]]]:
+               lo: int, hi: int) -> dict[str, tuple[np.ndarray, Counter]]:
     """Replications lo..hi-1 of `spec`, each estimated by every method.
 
-    Per method: the rows' estimates and, per row, None or the name of the
-    exception that failed it (its estimate is then meaningless).
+    Per method: the estimates of the rows that succeed, in row order, and the
+    count of the others by the name of the exception that failed them. A row
+    that fails generation keeps that failure, whatever its estimate.
     """
-    X, errors = generate_block(spec, [derive_seed(master_seed, i) for i in range(lo, hi)])
-    kinds = [type(errors[j]).__name__ if j in errors else None for j in range(hi - lo)]
-    generated = np.flatnonzero([k is None for k in kinds])
-    X = X[generated]
+    X, lost = generate_block(spec, [derive_seed(master_seed, i) for i in range(lo, hi)])
+    # AR and ARFIMA rows are slices of longer ones; every kernel runs faster
+    # on one contiguous copy
+    X = np.ascontiguousarray(X)
     out = {}
     for method in methods:
-        values, failed = np.full(hi - lo, np.nan), list(kinds)
-        if len(X):
-            try:
-                values[generated], errors = estimate_block(method, X)
-            except SelfAffineError as exc:  # fails every row alike, e.g. T too short
-                errors = dict.fromkeys(range(len(X)), exc)
-            for j, exc in errors.items():
-                failed[generated[j]] = type(exc).__name__
-        out[method] = (values, failed)
+        try:
+            values, errors = estimate_block(method, X)
+        except SelfAffineError as exc:  # fails every row alike, e.g. T too short
+            values, errors = np.full(len(X), np.nan), dict.fromkeys(range(len(X)), exc)
+        errors.update(lost)
+        out[method] = (np.delete(values, list(errors)),
+                       Counter(type(exc).__name__ for exc in errors.values()))
     return out
 
 
@@ -169,14 +168,12 @@ def replicate(spec: SimulationSpec, methods, reps: int, master_seed: int,
     samples = {}
     for method in methods:
         values = np.concatenate([part[method][0] for part in parts])
-        kinds = [k for part in parts for k in part[method][1]]
-        ok = np.array([k is None for k in kinds])
-        if not ok.any():
+        if not len(values):
             raise AllReplicationsFailed(f"all {reps} replications of {method} failed")
-        by_kind = Counter(k for k in kinds if k is not None)
+        by_kind = sum((part[method][1] for part in parts), Counter())
         samples[method] = EstimateSample(
             method=method, spec=spec, reps=reps, master_seed=master_seed,
-            values=values[ok], failures=reps - int(ok.sum()),
+            values=values, failures=reps - len(values),
             failures_by_kind=dict(sorted(by_kind.items())))
     return samples
 
@@ -284,8 +281,10 @@ def power_function(alt: SimulationSpec, method: str, table: CriticalValueTable,
 
 def _cache_path(cache_dir: str | Path, spec: SimulationSpec, method: str, reps: int,
                 master_seed: int) -> Path:
-    # asdict covers every spec field; tolist() keeps full-precision AR coefficients
-    key = json.dumps([CACHE_SCHEMA_VERSION, asdict(replace(spec, seed=0)), method,
+    # asdict covers every spec field; tolist() keeps full-precision AR coefficients.
+    # The seed is zeroed in the dict, not through `replace`, which would rerun
+    # the spec's validation on every lookup
+    key = json.dumps([CACHE_SCHEMA_VERSION, {**asdict(spec), "seed": 0}, method,
                       reps, master_seed], sort_keys=True, default=lambda o: o.tolist())
     digest = hashlib.sha256(key.encode()).hexdigest()[:16]
     return Path(cache_dir) / f"cv_{method}_T{spec.T}_{digest}.json"

@@ -19,8 +19,3 @@ def derive_seed(master_seed: int, index: int) -> int:
     """Pure-function sub-seed for replication `index` under `master_seed`."""
     ss = np.random.SeedSequence([int(master_seed), int(index)])
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-def substream(master_seed: int, index: int) -> np.random.Generator:
-    """Independent generator for one replication of a Monte Carlo run."""
-    return rng_from_seed(derive_seed(master_seed, index))

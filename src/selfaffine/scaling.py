@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -83,10 +82,6 @@ def qgrid(variant: str) -> QGrid:
         raise ValueError(f"unknown q-grid variant {variant!r}") from None
 
 
-def custom_qgrid(values: Sequence[float]) -> QGrid:
-    return QGrid(variant="custom", values=tuple(values))
-
-
 @dataclass(frozen=True)
 class HurstEstimate:
     """Point estimate with its regression diagnostics."""
@@ -110,9 +105,10 @@ class HurstEstimate:
         return self.intercepts[0] if self.intercepts else math.nan
 
 
-def _block_ratios(seg: np.ndarray, M: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _block_ratios(seg: np.ndarray, M: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """R_m/S_m over M contiguous blocks of one subdivision pass, per row of
-    `seg`, and which rows hold a constant block (their ratios are not finite)."""
+    `seg`, which rows hold a constant block (their ratios are not finite), and
+    which hold a block whose dispersion overflows (its ratio reads 0)."""
     b = seg.reshape(len(seg), M, n)
     mu = b.mean(axis=2)
     dev = b - mu[:, :, None]
@@ -135,21 +131,21 @@ def _block_ratios(seg: np.ndarray, M: int, n: int) -> tuple[np.ndarray, np.ndarr
         x[:, :, -1] = 0.0
         hi, lo = x.max(axis=2), x.min(axis=2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return (hi - lo) / S, np.any(S == 0.0, axis=1)
+        return (hi - lo) / S, np.any(S == 0.0, axis=1), np.any(np.isinf(S), axis=1)
 
 
-def _rs_rows(X: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two-pass average R/S at scale n for every row of X, and the rows with a
-    constant block."""
+def _rs_rows(X: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two-pass average R/S at scale n for every row of X, the rows with a
+    constant block, and the rows with a block whose dispersion overflows."""
     T = X.shape[1]
     M = T // n
-    first, zero = _block_ratios(X[:, : M * n], M, n)
+    first, zero, overflow = _block_ratios(X[:, : M * n], M, n)
     L = T - M * n
     second = first
     if L:
-        second, zero2 = _block_ratios(X[:, L : L + M * n], M, n)
-        zero = zero | zero2
-    return (first.sum(axis=1) + second.sum(axis=1)) / (2 * M), zero
+        second, zero2, overflow2 = _block_ratios(X[:, L : L + M * n], M, n)
+        zero, overflow = zero | zero2, overflow | overflow2
+    return (first.sum(axis=1) + second.sum(axis=1)) / (2 * M), zero, overflow
 
 
 def rs_statistic(r: ReturnsSeries, n: int) -> float:
@@ -162,9 +158,12 @@ def rs_statistic(r: ReturnsSeries, n: int) -> float:
     T = len(r)
     if not 2 <= n <= T:
         raise ValueError(f"scale n={n} out of range for T={T}")
-    rs, zero = _rs_rows(r.values[None, :], n)
+    with np.errstate(over="ignore"):  # raised below as NonFiniteValue
+        rs, zero, overflow = _rs_rows(r.values[None, :], n)
     if zero[0]:
         raise ZeroDispersion(f"constant block at scale {n}")
+    if overflow[0]:
+        raise NonFiniteValue(f"block dispersion overflows at scale {n}")
     return float(rs[0])
 
 
@@ -179,9 +178,11 @@ def _rra_points(X: np.ndarray, grid: ScaleGrid) -> tuple[np.ndarray, dict]:
     """ln[(R/S)_n] over the grid for every row of X, and each failed row's error."""
     cols, errors = [], {}
     for n in grid.scales:
-        rs, zero = _rs_rows(X, n)
+        rs, zero, overflow = _rs_rows(X, n)
         for i in np.flatnonzero(zero):
             errors.setdefault(int(i), ZeroDispersion(f"constant block at scale {n}"))
+        for i in np.flatnonzero(overflow):
+            errors.setdefault(int(i), NonFiniteValue(f"block dispersion overflows at scale {n}"))
         cols.append(rs)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.log(np.stack(cols, axis=1)), errors

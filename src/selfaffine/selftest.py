@@ -32,7 +32,7 @@ def _checks():
                LogPricePath.from_returns(ReturnsSeries([0.5] * 4)), 2, 2.0)
                - 2.0 * 1.0 ** 2) < 1e-12)
     yield ("fractional weights recursion at d close to 0.5",
-           lambda: np.allclose(arfima_weights(0.5 - 1e-12, 3).values,
+           lambda: np.allclose(arfima_weights(0.5 - 1e-12, 3),
                                [1.0, 0.5, 0.375, 0.3125], atol=1e-9))
     yield ("normalize transform hits the quartile quantiles",
            lambda: np.allclose(

@@ -113,27 +113,15 @@ def ar_recursive_spec(ar: ARModel, T: int, seed: int = 0,
     return SimulationSpec(model=AR_RECURSIVE, T=T, seed=seed, ar=ar, burn_in=burn_in)
 
 
-@dataclass(frozen=True)
-class MAWeights:
-    """Moving-average weights of (1-L)^(-d): gamma_j = gamma_{j-1} (d+j-1)/j."""
-
-    d: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _freeze(self.values))
-
-
-def arfima_weights(d: float, J: int) -> MAWeights:
-    """Weights gamma_0..gamma_J of the fractional-integration MA expansion."""
+def arfima_weights(d: float, J: int) -> np.ndarray:
+    """Read-only weights gamma_0..gamma_J of the fractional-integration MA
+    expansion of (1-L)^(-d): gamma_0 = 1, gamma_j = gamma_{j-1} (d+j-1)/j."""
     if not abs(d) < 0.5:
         raise BadD(f"|d| must be below 0.5, got {d}")
     if J < 0:
         raise ValueError("J must be non-negative")
-    if J == 0:
-        return MAWeights(d, np.ones(1))
     j = np.arange(1, J + 1, dtype=float)
-    return MAWeights(d, np.concatenate([[1.0], np.cumprod((d + j - 1.0) / j)]))
+    return _freeze(np.concatenate([[1.0], np.cumprod((d + j - 1.0) / j)]))
 
 
 #: below this distance from 1, alpha is routed to the alpha=1 branch
@@ -175,7 +163,7 @@ def _arfima(spec: SimulationSpec, rngs) -> np.ndarray:
     # the truncated MA filter as a full linear convolution by real FFT
     L = _fast_len(U.shape[1] + J)
     F = np.fft.rfft(U, L, axis=1)
-    F *= np.fft.rfft(arfima_weights(spec.d, J).values, L)
+    F *= np.fft.rfft(arfima_weights(spec.d, J), L)
     return np.fft.irfft(F, L, axis=1)[:, J + 1:J + 1 + T]
 
 

@@ -35,9 +35,6 @@ class Periodogram:
         if np.any(~np.isfinite(self.ordinates)) or np.any(self.ordinates < 0):
             raise ValueError("ordinates must be finite and non-negative")
 
-    def frequencies(self) -> np.ndarray:
-        return 2.0 * math.pi * np.arange(1, len(self.ordinates) + 1) / self.T
-
 
 @dataclass(frozen=True)
 class DEstimate:

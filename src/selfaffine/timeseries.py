@@ -86,9 +86,6 @@ class LogPricePath:
         p = np.concatenate([[0.0], np.cumsum(r.values)])
         return cls(p)
 
-    def to_returns(self) -> ReturnsSeries:
-        return ReturnsSeries(np.diff(self.values))
-
 
 @dataclass(frozen=True)
 class SummaryStats:

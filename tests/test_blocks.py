@@ -57,7 +57,7 @@ def test_block_row_equals_one_row_estimate(method, T):
     assert type(errors[CONSTANT_ROW]) is CONSTANT_ERROR[method]
     if method in OVERFLOWS:
         assert type(errors[OVERFLOW_ROW]) is NonFiniteValue
-        with np.errstate(all="ignore"), pytest.raises(NonFiniteValue):
+        with pytest.raises(NonFiniteValue):
             methods.estimate(method, ReturnsSeries(X[OVERFLOW_ROW]))
 
 

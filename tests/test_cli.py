@@ -9,7 +9,8 @@ import pytest
 
 import selfaffine
 from selfaffine.cli import run_cli
-from selfaffine.timeseries import read_values_csv
+from selfaffine.simulate import generate, niid_spec
+from selfaffine.timeseries import read_values_csv, write_values_csv
 
 DATA = Path(__file__).parent / "data"
 
@@ -40,6 +41,21 @@ def test_estimate_every_method(tmp_path, method):
                     "--out", str(est)]) == 0
     rows = list(csv.reader(est.open()))
     assert rows[1][0] == method
+
+
+def test_estimate_overflow_is_a_quiet_data_error(tmp_path):
+    # fa3 raises the outlier to the power 5; numpy's overflow warning is not
+    # printed, the typed error is
+    x = generate(niid_spec(500)).values.copy()
+    x[3] = 1e200
+    write_values_csv(tmp_path / "outlier.csv", x)
+    env = dict(os.environ, PYTHONPATH=str(Path(selfaffine.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "selfaffine.cli", "estimate", "--method", "fa3",
+         "--input", str(tmp_path / "outlier.csv")], env=env, capture_output=True, text=True)
+    assert done.returncode == 2
+    assert "NonFiniteValue" in done.stderr
+    assert "RuntimeWarning" not in done.stderr
 
 
 def test_simulate_lstable_and_ar(tmp_path):

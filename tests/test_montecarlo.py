@@ -8,6 +8,7 @@ import pytest
 
 import selfaffine.methods as methods
 import selfaffine.montecarlo as montecarlo
+import selfaffine.simulate as simulate
 from selfaffine.errors import (
     AllReplicationsFailed,
     ExplosiveModel,
@@ -127,6 +128,12 @@ class TestRunReplications:
             warnings.simplefilter("error", RuntimeWarning)
             out = run_replications(lstable_spec(0.05, 1000), "fa3", 64, 0)
         assert out.failures_by_kind == {"NonFiniteValue": 35}
+
+    def test_overflowing_dispersion_fails_the_row(self):
+        # the failing rows are finite and their R/S averages stay finite, so
+        # only the dispersion flag can fail them
+        out = run_replications(lstable_spec(0.02, 500), "rra", 64, 0)
+        assert out.failures_by_kind == {"NonFiniteValue": 20}
 
 
 class TestEngineContract:
@@ -303,6 +310,18 @@ class TestCache:
             build_critical_values(ar_recursive_spec(model, 128), "hill", 100, 0,
                                   cache_dir=tmp_path)
         assert len(list(tmp_path.iterdir())) == 2
+
+    def test_lookup_keys_on_the_spec_without_rebuilding_it(self, tmp_path, monkeypatch):
+        # the name the key has always given this spec: files already cached stay valid
+        spec = ar_recursive_spec(ARModel(1, 0.0, [0.3], 1.0), 128)
+        build_critical_values(spec, "hill", 100, 0, cache_dir=tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["cv_hill_T128_6685bea351665f16.json"]
+        checks = []
+        real = simulate._check_stationary
+        monkeypatch.setattr(simulate, "_check_stationary",
+                            lambda model: checks.append(model) or real(model))
+        build_critical_values(spec, "hill", 100, 0, cache_dir=tmp_path)
+        assert checks == []
 
     def test_int_and_float_spellings_share_one_file(self, tmp_path):
         # the float spelling keeps the file name it had before specs coerced

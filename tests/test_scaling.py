@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfaffine.errors import AllZeroIncrements, TooShort, ZeroDispersion, ZeroPartition
+from selfaffine.errors import (
+    AllZeroIncrements,
+    NonFiniteValue,
+    TooShort,
+    ZeroDispersion,
+    ZeroPartition,
+)
+from selfaffine.methods import estimate_point
 from selfaffine.scaling import (
     QGrid,
     ScaleGrid,
@@ -16,6 +23,7 @@ from selfaffine.scaling import (
     rs_statistic,
     time_scale_grid,
 )
+from selfaffine.simulate import generate, niid_spec
 from selfaffine.timeseries import LogPricePath
 
 from conftest import make_returns
@@ -127,6 +135,11 @@ class TestRsStatistic:
         with pytest.raises(ValueError):
             rs_statistic(make_returns([1.0, 2.0]), 3)
 
+    def test_overflowing_dispersion_raises(self):
+        # the squared deviations overflow, so S is inf and R/S would read 0
+        with pytest.raises(NonFiniteValue):
+            rs_statistic(make_returns([1e200, -1e200] * 5), 5)
+
     @given(st.lists(st.floats(-5, 5), min_size=6, max_size=40),
            st.integers(2, 6))
     @settings(max_examples=80)
@@ -172,6 +185,14 @@ class TestEstimateRra:
     def test_short_series_propagates(self, rng):
         with pytest.raises(TooShort):
             estimate_rra(make_returns(rng.standard_normal(50)))
+
+    def test_overflowing_dispersion_fails(self):
+        # one block's dispersion overflows; the other blocks keep H finite
+        # (0.557699), so only the flag fails the series
+        x = generate(niid_spec(500)).values.copy()
+        x[3] = 1e200
+        with pytest.raises(NonFiniteValue):
+            estimate_point("rra", make_returns(x))
 
 
 class TestPartitionFunction:
