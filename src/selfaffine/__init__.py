@@ -11,7 +11,7 @@ from .analysis import (
     classify_source,
 )
 from .errors import SelfAffineError
-from .methods import METHODS, estimate, estimate_block, estimate_point
+from .methods import METHODS, Estimate, estimate, estimate_block, estimate_point
 from .montecarlo import (
     CriticalValueTable,
     EstimateSample,
@@ -24,17 +24,7 @@ from .montecarlo import (
     run_replications,
     summarize_sample,
 )
-from .scaling import (
-    HurstEstimate,
-    QGrid,
-    ScaleGrid,
-    estimate_fa,
-    estimate_rra,
-    partition_function,
-    qgrid,
-    rs_statistic,
-    time_scale_grid,
-)
+from .scaling import Q_GRIDS, partition_function, rs_statistic, time_scale_grid
 from .simulate import (
     SimulationSpec,
     ar_recursive_spec,
@@ -48,14 +38,7 @@ from .simulate import (
     niid_spec,
     student_t_spec,
 )
-from .spectral_tail import (
-    DEstimate,
-    Periodogram,
-    estimate_gph,
-    estimate_robinson,
-    estimate_tail,
-    periodogram,
-)
+from .spectral_tail import periodogram
 from .timeseries import (
     ARModel,
     LogPricePath,

@@ -55,6 +55,10 @@ class AnalyzeConfig:
     def __post_init__(self):
         if not any(math.isclose(l, 0.05, abs_tol=1e-12) for l in self.levels):
             raise ValueError("levels must include 0.05 (classification level)")
+        columns = [_percent(l) for l in self.levels]
+        if len(set(columns)) != len(columns):
+            raise ValueError(f"levels {self.levels} share a rounded percent, which names "
+                             "their report columns")
 
 
 @dataclass(frozen=True)
@@ -253,12 +257,17 @@ def _fmt(x: float | None) -> str:
     return "" if x is None else f"{x:.6f}"
 
 
+def _percent(level: float) -> int:
+    """A level's percent, rounded: it names the level's report columns."""
+    return int(round(level * 100))
+
+
 def report_csv_rows(report: TestReport) -> list[list[str]]:
     header = ["series_id", "method", "variant", "estimate", "cutoff_source"]
     for level in report.levels:
-        header.append(f"cutoff_{int(round(level * 100)):02d}")
+        header.append(f"cutoff_{_percent(level):02d}")
     for level in report.levels:
-        header.append(f"reject_{int(round(level * 100)):02d}")
+        header.append(f"reject_{_percent(level):02d}")
     header.append("error")
     rows = [header]
     for cell in report.cells:

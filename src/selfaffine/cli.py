@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -162,12 +163,9 @@ def _cmd_estimate(args) -> int:
     r = read_values_csv(args.input)
     est = estimate(args.method, r)
     label = "d" if args.method in D_METHODS else "H"
-    intercept = getattr(est, "intercept", None)
-    n_points = est.n_points if hasattr(est, "n_points") else est.m
     rows = [["method", "H_or_d", "intercept", "n_points"],
             [args.method, f"{est.value:.6f}",
-             "" if intercept is None or intercept != intercept else f"{intercept:.6f}",
-             n_points]]
+             "" if math.isnan(est.intercept) else f"{est.intercept:.6f}", est.n_points]]
     _write_csv(args.out, rows)
     if args.out != "-":
         print(f"{args.method}: {label} = {est.value:.6f}")

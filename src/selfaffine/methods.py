@@ -7,34 +7,34 @@ estimator raises. The scalar API is the one-row case of the same kernel.
 """
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
 from .errors import NonFiniteValue, SelfAffineError
-from .scaling import HurstEstimate, estimate_fa, estimate_rra, fa_block, qgrid, rra_block
+from .scaling import Q_GRIDS, _fa_points, _rra_points, fa_block, rra_block, time_scale_grid
 from .spectral_tail import (
     TAIL_METHODS,
-    DEstimate,
-    estimate_gph,
-    estimate_robinson,
-    estimate_tail,
+    _log_periodogram,
+    _regression,
+    _tail_size,
     log_periodogram_block,
     tail_block,
 )
 from .timeseries import ReturnsSeries
 
-Estimate = Union[HurstEstimate, DEstimate]
 BlockKernel = Callable[[np.ndarray], tuple[np.ndarray, dict[int, SelfAffineError]]]
 
-FA_METHODS = ("fa1", "fa2", "fa3")
+FA_METHODS = tuple(Q_GRIDS)
 #: methods whose point value is d rather than H
 D_METHODS = ("gph", "robinson")
 
 _REGISTRY: dict[str, BlockKernel] = {
     "rra": rra_block,
-    **{v: partial(fa_block, qs=qgrid(v)) for v in FA_METHODS},
+    **{v: partial(fa_block, q=Q_GRIDS[v]) for v in FA_METHODS},
     **{s: partial(log_periodogram_block, method=s) for s in D_METHODS},
     **{t: partial(tail_block, method=t) for t in TAIL_METHODS},
 }
@@ -70,17 +70,36 @@ def estimate_point(method: str, r: ReturnsSeries) -> float:
     return float(values[0])
 
 
-def estimate(method: str, r: ReturnsSeries) -> Estimate:
-    """Run one estimator by tag, returning its full diagnostic object.
+@dataclass(frozen=True)
+class Estimate:
+    """A point estimate with the intercept and point count of its regression
+    line; the order-statistic methods fit no line, so their intercept is NaN
+    and their point count is the number of tail observations."""
 
-    Like `estimate_block`, it prints no warning when the arithmetic
-    overflows: the estimate then fails with NonFiniteValue.
-    """
-    _kernel(method)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if method in FA_METHODS:
-            return estimate_fa(r, qgrid(method))
-        if method in TAIL_METHODS:
-            return estimate_tail(r, method)
-        return {"rra": estimate_rra, "gph": estimate_gph,
-                "robinson": estimate_robinson}[method](r)
+    method: str
+    value: float
+    intercept: float
+    n_points: int
+
+
+def estimate(method: str, r: ReturnsSeries) -> Estimate:
+    """`estimate_point` plus its regression line, from the points it fits."""
+    value = estimate_point(method, r)
+    X, T = r.values[None, :], len(r)
+    if method in TAIL_METHODS:
+        return Estimate(method, value, math.nan, _tail_size(method, T))
+    if method in D_METHODS:  # the Robinson slope is -2d
+        m, x = _regression(method, T)
+        y = _log_periodogram(X, m)[0][0]
+        slope = value if method == "gph" else -2.0 * value
+        return Estimate(method, value, float(y.mean() - slope * x.mean()), m)
+    scales = time_scale_grid(T)
+    lnn = np.log(scales)
+    if method == "rra":
+        y = _rra_points(X, scales)[0][0]
+        return Estimate(method, value, float(y.mean() - value * lnn.mean()), len(scales))
+    # the FA line of the smallest moment order, q_1: intercept a(q_1)
+    q = Q_GRIDS[method]
+    lnS = _fa_points(X, q, scales)[0][0]
+    return Estimate(method, value, float(lnS[0].mean() - (value * q[0] - 1.0) * lnn.mean()),
+                    lnS.size)

@@ -80,6 +80,8 @@ class CriticalValueTable:
             raise ValueError("cutoffs must be non-decreasing as the level shrinks")
         if self.sd < 0:
             raise ValueError("sd must be non-negative")
+        # a damaged cache file's field raises TypeError or ValueError here
+        object.__setattr__(self, "failures_by_kind", dict(self.failures_by_kind))
         # also turns a cache file written before the field existed, for a
         # table with failures, into a miss
         if sum(self.failures_by_kind.values()) != self.failures:
@@ -192,16 +194,20 @@ def summarize_sample(s: EstimateSample) -> tuple[float, float]:
     return float(s.values.mean()), float(s.values.std(ddof=1))
 
 
+def _check_levels(levels) -> None:
+    if not all(0.0 < level < 1.0 for level in levels):
+        raise ValueError("levels must lie in (0, 1)")
+
+
 def critical_values(s: EstimateSample, levels=DEFAULT_LEVELS) -> CriticalValueTable:
     """Nearest-rank percentile cutoffs: rank ceil((1-level)*count) ascending."""
     count = len(s.values)
     if count < 100:
         raise TooFewValues("need at least 100 successful replications")
+    _check_levels(levels)
     ordered = np.sort(s.values)
     cuts = []
     for level in levels:
-        if not 0.0 < level < 1.0:
-            raise ValueError("levels must lie in (0, 1)")
         rank = math.ceil((1.0 - level) * count)
         cuts.append((level, float(ordered[rank - 1])))
     mean, sd = summarize_sample(s)
@@ -226,6 +232,10 @@ def build_tables(spec: SimulationSpec, methods, reps: int, master_seed: int,
     def at_levels(table: CriticalValueTable) -> CriticalValueTable:
         return replace(table, cutoffs=tuple((l, table.cutoff(l)) for l in levels))
 
+    # critical_values rejects these too, but only after a full simulation
+    _check_levels(levels)
+    if reps < 100:  # fewer cannot give the 100 successful replications it needs
+        raise TooFewValues("need at least 100 replications")
     methods = tuple(methods)
     tables, cached_levels = {}, {}
     if cache_dir is not None:

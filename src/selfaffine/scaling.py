@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,24 +14,7 @@ GRID_STEP = 0.15
 GRID_CAP = 0.1
 
 
-@dataclass(frozen=True)
-class ScaleGrid:
-    """Ascending block sizes used for one scaling regression."""
-
-    T: int
-    scales: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "scales", tuple(int(n) for n in self.scales))
-        if len(self.scales) < 3:
-            raise TooShort("scale grid needs at least three scales")
-        if any(b <= a for a, b in zip(self.scales, self.scales[1:])):
-            raise ValueError("scales must be strictly ascending")
-        if self.scales[0] < 5 or self.scales[-1] > GRID_CAP * self.T:
-            raise ValueError("scales must lie in [5, 0.1*T]")
-
-
-def time_scale_grid(T: int) -> ScaleGrid:
+def time_scale_grid(T: int) -> tuple[int, ...]:
     """Scale grid on ln(n) = 1.6, 1.75, ... up to the quantized cap ln(0.1*T).
 
     The cap is 0.15*int(ln(0.1*T)/0.15) with int rounding down; each grid
@@ -49,60 +31,12 @@ def time_scale_grid(T: int) -> ScaleGrid:
     scales = sorted(set(scales))
     if len(scales) < 3:
         raise TooShort(f"grid for T={T} has fewer than three scales")
-    return ScaleGrid(T=T, scales=tuple(scales))
+    return tuple(scales)
 
 
-@dataclass(frozen=True)
-class QGrid:
-    """Moment orders for the partition function."""
-
-    variant: str
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(q) for q in self.values))
-        if not self.values or any(q <= 0 for q in self.values):
-            raise ValueError("q values must be positive")
-        if any(b <= a for a, b in zip(self.values, self.values[1:])):
-            raise ValueError("q values must be strictly ascending")
-
-
-_Q_VARIANTS = {
-    "fa1": tuple(round(0.1 * k, 10) for k in range(1, 11)),
-    "fa2": tuple(round(0.3 * k, 10) for k in range(1, 11)),
-    "fa3": tuple(round(0.5 * k, 10) for k in range(1, 11)),
-}
-
-
-def qgrid(variant: str) -> QGrid:
-    """The preset moment grids fa1/fa2/fa3."""
-    try:
-        return QGrid(variant=variant, values=_Q_VARIANTS[variant])
-    except KeyError:
-        raise ValueError(f"unknown q-grid variant {variant!r}") from None
-
-
-@dataclass(frozen=True)
-class HurstEstimate:
-    """Point estimate with its regression diagnostics."""
-
-    H: float
-    method: str
-    intercepts: tuple[float, ...]
-    n_points: int
-    residual_sse: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.H):
-            raise NonFiniteValue("estimate must be finite")
-
-    @property
-    def value(self) -> float:
-        return self.H
-
-    @property
-    def intercept(self) -> float:
-        return self.intercepts[0] if self.intercepts else math.nan
+#: moment orders q of the partition-function estimators FA(1)-FA(3)
+Q_GRIDS = {v: _freeze([round(step * k, 10) for k in range(1, 11)])
+           for v, step in (("fa1", 0.1), ("fa2", 0.3), ("fa3", 0.5))}
 
 
 def _block_ratios(seg: np.ndarray, M: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -174,10 +108,10 @@ def _ols_slopes(x: np.ndarray, Y: np.ndarray) -> np.ndarray:
         return np.sum(xd * (Y - Y.mean(axis=1, keepdims=True)), axis=1) / np.sum(xd * xd)
 
 
-def _rra_points(X: np.ndarray, grid: ScaleGrid) -> tuple[np.ndarray, dict]:
-    """ln[(R/S)_n] over the grid for every row of X, and each failed row's error."""
+def _rra_points(X: np.ndarray, scales: tuple[int, ...]) -> tuple[np.ndarray, dict]:
+    """ln[(R/S)_n] over the scales for every row of X, and each failed row's error."""
     cols, errors = [], {}
-    for n in grid.scales:
+    for n in scales:
         rs, zero, overflow = _rs_rows(X, n)
         for i in np.flatnonzero(zero):
             errors.setdefault(int(i), ZeroDispersion(f"constant block at scale {n}"))
@@ -189,26 +123,11 @@ def _rra_points(X: np.ndarray, grid: ScaleGrid) -> tuple[np.ndarray, dict]:
 
 
 def rra_block(X: np.ndarray) -> tuple[np.ndarray, dict]:
-    """RRA Hurst exponent of every row of X, and each failed row's error."""
-    grid = time_scale_grid(X.shape[1])
-    Y, errors = _rra_points(X, grid)
-    return _ols_slopes(np.log(grid.scales), Y), errors
-
-
-def estimate_rra(r: ReturnsSeries, grid: ScaleGrid | None = None) -> HurstEstimate:
-    """Hurst exponent: OLS slope of ln[(R/S)_n] on ln(n) over the grid."""
-    if grid is None:
-        grid = time_scale_grid(len(r))
-    Y, errors = _rra_points(r.values[None, :], grid)
-    if errors:
-        raise errors[0]
-    x = np.log(grid.scales)
-    H = float(_ols_slopes(x, Y)[0])
-    y = Y[0]
-    intercept = float(y.mean() - H * x.mean())
-    resid = y - intercept - H * x
-    return HurstEstimate(H=H, method="rra", intercepts=(intercept,),
-                         n_points=len(grid.scales), residual_sse=float(resid @ resid))
+    """RRA Hurst exponent of every row of X, and each failed row's error: the
+    OLS slope of ln[(R/S)_n] on ln(n) over the time-scale grid."""
+    scales = time_scale_grid(X.shape[1])
+    Y, errors = _rra_points(X, scales)
+    return _ols_slopes(np.log(scales), Y), errors
 
 
 def _block_increments(P: np.ndarray, n: int) -> np.ndarray:
@@ -234,13 +153,14 @@ def partition_function(p: LogPricePath, n: int, q: float) -> float:
     return float(0.5 * np.sum(v ** q))
 
 
-def _fa_points(X: np.ndarray, q: np.ndarray, grid: ScaleGrid) -> tuple[np.ndarray, dict]:
+def _fa_points(X: np.ndarray, q: np.ndarray,
+               scales: tuple[int, ...]) -> tuple[np.ndarray, dict]:
     """ln S_q(T,n) over the (q, n) grid for every row of X, shape (rows, q, n),
     and each failed row's error."""
     P = np.concatenate([np.zeros((len(X), 1)), np.cumsum(X, axis=1)], axis=1)
-    lnS = np.empty((len(X), len(q), len(grid.scales)))
+    lnS = np.empty((len(X), len(q), len(scales)))
     errors = {}
-    for j, n in enumerate(grid.scales):
+    for j, n in enumerate(scales):
         v = _block_increments(P, n)
         S = 0.5 * np.power(v[:, None, :], q[None, :, None]).sum(axis=2)
         for i in np.flatnonzero(np.any(S <= 0.0, axis=1)):
@@ -260,33 +180,14 @@ def _fa_slopes(lnS: np.ndarray, q: np.ndarray, lnn: np.ndarray) -> np.ndarray:
         return np.sum(Xd * Yd, axis=(1, 2)) / np.sum(Xd * Xd)
 
 
-def fa_block(X: np.ndarray, qs: QGrid) -> tuple[np.ndarray, dict]:
+def fa_block(X: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, dict]:
     """Fluctuation-analysis Hurst exponent of every row of X, and each failed
-    row's error."""
-    grid = time_scale_grid(X.shape[1])
-    q = np.asarray(qs.values)
-    lnS, errors = _fa_points(X, q, grid)
-    return _fa_slopes(lnS, q, np.log(grid.scales)), errors
+    row's error.
 
-
-def estimate_fa(r: ReturnsSeries, qs: QGrid,
-                grid: ScaleGrid | None = None) -> HurstEstimate:
-    """Fluctuation-analysis Hurst exponent from the fixed-effects fit.
-
-    Stacks ln S_q(T,n) over the full (q, n) grid and fits per-q intercepts
-    a(q) with one slope parameter through slope(q) = -1 + H*q, solved in
-    closed form by within-q demeaned OLS of (ln S_q + ln n) on q*ln n.
+    Stacks ln S_q(T,n) over the (q, n) grid and fits per-q intercepts a(q)
+    with one slope parameter through slope(q) = -1 + H*q, solved in closed
+    form by within-q demeaned OLS of (ln S_q + ln n) on q*ln n.
     """
-    if grid is None:
-        grid = time_scale_grid(len(r))
-    q = np.asarray(qs.values)
-    lnn = np.log(grid.scales)
-    lnS, errors = _fa_points(r.values[None, :], q, grid)
-    if errors:
-        raise errors[0]
-    H = float(_fa_slopes(lnS, q, lnn)[0])
-    lnS = lnS[0]
-    a = lnS.mean(axis=1) - (H * q - 1.0) * lnn.mean()
-    resid = lnS - a[:, None] - (H * q[:, None] - 1.0) * lnn[None, :]
-    return HurstEstimate(H=H, method=f"fa:{qs.variant}", intercepts=tuple(a),
-                         n_points=lnS.size, residual_sse=float(np.sum(resid * resid)))
+    scales = time_scale_grid(X.shape[1])
+    lnS, errors = _fa_points(X, q, scales)
+    return _fa_slopes(lnS, q, np.log(scales)), errors

@@ -2,18 +2,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadOrdinateCount,
-    NonFiniteValue,
-    NonPositiveTail,
-    TooShort,
-    ZeroOrdinate,
-)
-from .scaling import HurstEstimate
+from .errors import BadOrdinateCount, NonFiniteValue, NonPositiveTail, TooShort, ZeroOrdinate
 from .timeseries import ReturnsSeries, _freeze
 
 #: bandwidth exponents: m = T^0.5 ordinates for GPH, m = T^0.9 for Robinson
@@ -23,52 +15,23 @@ ROBINSON_EXPONENT = 0.9
 TAIL_FRACTION = 0.05
 
 
-@dataclass(frozen=True)
-class Periodogram:
-    """Ordinates I(lambda_j) at the harmonic frequencies j = 1..m."""
-
-    T: int
-    ordinates: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "ordinates", _freeze(self.ordinates))
-        if np.any(~np.isfinite(self.ordinates)) or np.any(self.ordinates < 0):
-            raise ValueError("ordinates must be finite and non-negative")
-
-
-@dataclass(frozen=True)
-class DEstimate:
-    """Fractional-integration order estimate with its regression diagnostics."""
-
-    d: float
-    method: str
-    m: int
-    standard_error: float
-    intercept: float = float("nan")
-
-    def __post_init__(self):
-        if not math.isfinite(self.d):
-            raise NonFiniteValue("estimate must be finite")
-        if self.m < 3:
-            raise ValueError("need at least three ordinates")
-
-    @property
-    def value(self) -> float:
-        return self.d
-
-
 def _ordinates(X: np.ndarray, m: int) -> np.ndarray:
-    """Periodogram ordinates j = 1..m of every row of X."""
+    """The periodogram ordinates j = 1..m of every row of X."""
     T = X.shape[1]
     return np.abs(np.fft.rfft(X, axis=1)[:, 1 : m + 1]) ** 2 / (2.0 * math.pi * T)
 
 
-def periodogram(r: ReturnsSeries, m: int) -> Periodogram:
-    """I(lambda_j) = |sum_t x_t exp(-i lambda_j t)|^2 / (2 pi T), j = 1..m."""
+def periodogram(r: ReturnsSeries, m: int) -> np.ndarray:
+    """I(lambda_j) = |sum_t x_t exp(-i lambda_j t)|^2 / (2 pi T), j = 1..m,
+    read-only."""
     T = len(r)
     if not 1 <= m <= (T - 1) // 2:
         raise BadOrdinateCount(f"m must lie in [1, {(T - 1) // 2}], got {m}")
-    return Periodogram(T=T, ordinates=_ordinates(r.values[None, :], m)[0])
+    with np.errstate(over="ignore"):  # raised below as NonFiniteValue
+        I = _ordinates(r.values[None, :], m)[0]
+    if not np.all(np.isfinite(I)):
+        raise NonFiniteValue("periodogram ordinate overflows")
+    return _freeze(I)
 
 
 def _log_periodogram(X: np.ndarray, m: int) -> tuple[np.ndarray, dict]:
@@ -119,41 +82,6 @@ def log_periodogram_block(X: np.ndarray, method: str) -> tuple[np.ndarray, dict]
     return (slopes if method == "gph" else -slopes / 2.0), errors
 
 
-def _log_periodogram_fit(r: ReturnsSeries, method: str) -> tuple[int, float, float, float]:
-    """m, and the OLS slope, intercept and slope standard error of ln I on the
-    method's regressor for one series."""
-    m, x = _regression(method, len(r))
-    Y, errors = _log_periodogram(r.values[None, :], m)
-    if errors:
-        raise errors[0]
-    slope = float(_dot_slopes(x, Y)[0])
-    y = Y[0]
-    xd = x - x.mean()
-    intercept = float(y.mean() - slope * x.mean())
-    resid = y - intercept - slope * x
-    dof = max(len(y) - 2, 1)
-    se = math.sqrt(float(resid @ resid) / dof / float(xd @ xd))
-    return m, slope, intercept, se
-
-
-def estimate_gph(r: ReturnsSeries) -> DEstimate:
-    """Log-periodogram estimate of d over m = T^0.5 ordinates."""
-    m, slope, intercept, se = _log_periodogram_fit(r, "gph")
-    return DEstimate(d=slope, method="gph", m=m, standard_error=se,
-                     intercept=intercept)
-
-
-def estimate_robinson(r: ReturnsSeries) -> DEstimate:
-    """Log-periodogram regression on ln(lambda_j) over m = T^0.9 ordinates.
-
-    The slope b estimates -2d; m is capped at the largest usable harmonic
-    index (T-1)/2.
-    """
-    m, slope, intercept, se = _log_periodogram_fit(r, "robinson")
-    return DEstimate(d=-slope / 2.0, method="robinson", m=m,
-                     standard_error=se / 2.0, intercept=intercept)
-
-
 TAIL_METHODS = ("pickands", "hill", "hr")
 
 
@@ -174,7 +102,12 @@ def _log(a: np.ndarray) -> np.ndarray:
 
 def tail_block(X: np.ndarray, method: str) -> tuple[np.ndarray, dict]:
     """Order-statistic estimate of H for every row of X, and each failed row's
-    error; see `estimate_tail`."""
+    error.
+
+    Values are sorted descending (ties broken by original index) and the
+    Pickands, Hill or de Haan-Resnick formula is applied with m = 0.05*T
+    tail observations; alpha is recoverable as 1/H.
+    """
     m = _tail_size(method, X.shape[1])
     # descending, ties kept in their original order
     x = -np.sort(-X, axis=1, kind="stable")  # x[:, 0] = x_(1) >= x[:, 1] = x_(2) >= ...
@@ -195,18 +128,3 @@ def tail_block(X: np.ndarray, method: str) -> tuple[np.ndarray, dict]:
         H = (_log(np.where(bad, 1.0, x[:, 0]))
              - _log(np.where(bad, 1.0, x[:, m - 1]))) / math.log(m)
     return H, {int(i): NonPositiveTail(message) for i in np.flatnonzero(bad)}
-
-
-def estimate_tail(r: ReturnsSeries, method: str) -> HurstEstimate:
-    """Order-statistic estimate of H from the upper tail of raw returns.
-
-    Values are sorted descending (ties broken by original index) and the
-    Pickands, Hill or de Haan-Resnick formula is applied with m = 0.05*T
-    tail observations; alpha is recoverable as 1/H.
-    """
-    m = _tail_size(method, len(r))
-    H, errors = tail_block(r.values[None, :], method)
-    if errors:
-        raise errors[0]
-    return HurstEstimate(H=float(H[0]), method=method, intercepts=(),
-                         n_points=m, residual_sse=0.0)

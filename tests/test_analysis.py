@@ -168,8 +168,10 @@ class TestAnalyzeIndex:
             report_json(demo_report, classify_source(demo_report))
 
     def test_levels_must_include_classification_level(self):
-        with pytest.raises(ValueError):
-            AnalyzeConfig(levels=(0.10, 0.01))
+        # the second set would name two report columns cutoff_02
+        for levels in ((0.10, 0.01), (0.05, 0.025, 0.02)):
+            with pytest.raises(ValueError):
+                AnalyzeConfig(levels=levels)
 
 
 class TestRendering:

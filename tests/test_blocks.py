@@ -51,6 +51,9 @@ def test_block_row_equals_one_row_estimate(method, T):
     for i, x in enumerate(X):
         got = type(errors[i]) if i in errors else float(values[i])
         assert got == scalar_outcome(method, x), f"row {i}"
+        if i not in errors:  # the record's value is the one-row estimate's bits
+            r = ReturnsSeries(x)
+            assert methods.estimate(method, r).value == methods.estimate_point(method, r)
     failing = ({CONSTANT_ROW} | ({NEGATIVE_ROW} if method in ("hill", "hr") else set())
                | ({OVERFLOW_ROW} if method in OVERFLOWS else set()))
     assert set(errors) == failing
@@ -84,7 +87,7 @@ def reduction_block_ratios(seg, M, n):
 def test_block_ratios_equal_the_reduction_formula(T, rows):
     X = np.resize(block(T), (max(rows, 9), T))  # block(T)'s rows, cyclically
     for first in range(0, len(X), rows):
-        for n in time_scale_grid(T).scales:
+        for n in time_scale_grid(T):
             M = T // n
             for start in {0, T - M * n}:  # both subdivision passes
                 seg = X[first:first + rows, start:start + M * n]

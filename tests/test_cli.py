@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -30,8 +31,22 @@ def test_simulate_then_estimate_roundtrip(tmp_path, capsys):
     assert 0.4 < float(rows[1][1]) < 1.0
 
 
-@pytest.mark.parametrize("method", ["fa1", "fa2", "fa3", "gph", "robinson",
-                                    "pickands", "hill", "hr"])
+#: `estimate` rows for NIID T=400 seed 8: value, intercept of the regression
+#: line (a(q_1) for FA, none for the tail methods) and its point count
+ESTIMATE_ROWS = {
+    "rra": "0.633980,-0.365809,14",
+    "fa1": "0.448823,5.931423,140",
+    "fa2": "0.456702,5.858422,140",
+    "fa3": "0.476531,5.795930,140",
+    "gph": "-0.040495,-2.001942,20",
+    "robinson": "0.047299,-2.315310,199",
+    "pickands": "-0.971213,,20",
+    "hill": "0.185840,,20",
+    "hr": "0.206706,,20",
+}
+
+
+@pytest.mark.parametrize("method", ESTIMATE_ROWS)
 def test_estimate_every_method(tmp_path, method):
     out = tmp_path / "sim.csv"
     run_cli(["simulate", "--model", "niid", "-T", "400", "--seed", "8",
@@ -40,7 +55,7 @@ def test_estimate_every_method(tmp_path, method):
     assert run_cli(["estimate", "--method", method, "--input", str(out),
                     "--out", str(est)]) == 0
     rows = list(csv.reader(est.open()))
-    assert rows[1][0] == method
+    assert rows[1] == [method, *ESTIMATE_ROWS[method].split(",")]
 
 
 def test_estimate_overflow_is_a_quiet_data_error(tmp_path):
@@ -104,7 +119,9 @@ def test_critvals_cache_serves_the_requested_levels(tmp_path):
     assert len(list((tmp_path / "b").iterdir())) == 1  # the 3-level file served it
 
 
-@pytest.mark.parametrize("damage", ["truncated", "foreign"])
+@pytest.mark.parametrize("damage", [
+    "truncated", "foreign", pytest.param(None, id="kinds-null"),
+    pytest.param([1], id="kinds-list"), pytest.param("none", id="kinds-string")])
 def test_critvals_bad_cache_file_is_a_miss(tmp_path, damage, capsys):
     def critvals(seed, cache):
         out = tmp_path / f"cv_{seed}_{cache.name}.csv"
@@ -118,10 +135,12 @@ def test_critvals_bad_cache_file_is_a_miss(tmp_path, damage, capsys):
     good = path.read_bytes()
     if damage == "truncated":
         path.write_bytes(good[:len(good) // 2])
-    else:  # another request's table under this request's name
+    elif damage == "foreign":  # another request's table under this request's name
         critvals(6, tmp_path / "b")
         [other] = (tmp_path / "b").iterdir()
         path.write_bytes(other.read_bytes())
+    else:  # a failures_by_kind that is not a mapping
+        path.write_text(json.dumps({**json.loads(good), "failures_by_kind": damage}))
     capsys.readouterr()
     assert critvals(5, tmp_path / "a") == fresh
     assert path.read_bytes() == good

@@ -237,6 +237,19 @@ class TestCriticalValues:
         with pytest.raises(ValueError):
             critical_values(sample_from(np.arange(200.0)), levels=(1.5,))
 
+    @pytest.mark.parametrize("reps, levels, error", [(2000, (0.05, 1.5), ValueError),
+                                                     (99, (0.05,), TooFewValues)],
+                             ids=["bad-level", "too-few-reps"])
+    def test_build_tables_checks_before_simulating(self, tmp_path, monkeypatch,
+                                                   reps, levels, error):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before the arguments were checked")
+
+        monkeypatch.setattr(montecarlo, "replicate", no_simulation)
+        with pytest.raises(error):
+            build_tables(niid_spec(2000), ("rra",), reps, 0, levels=levels,
+                         cache_dir=tmp_path)
+
     def test_missing_cutoff_lookup(self):
         table = critical_values(sample_from(np.arange(200.0)), levels=(0.05,))
         with pytest.raises(MissingCutoff):

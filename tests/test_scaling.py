@@ -12,14 +12,12 @@ from selfaffine.errors import (
     ZeroDispersion,
     ZeroPartition,
 )
-from selfaffine.methods import estimate_point
+from selfaffine.methods import estimate, estimate_point
 from selfaffine.scaling import (
-    QGrid,
-    ScaleGrid,
-    estimate_fa,
-    estimate_rra,
+    Q_GRIDS,
+    _fa_points,
+    _fa_slopes,
     partition_function,
-    qgrid,
     rs_statistic,
     time_scale_grid,
 )
@@ -75,11 +73,11 @@ def partition_oracle(p, n, q):
 class TestTimeScaleGrid:
     def test_grid_at_1000(self):
         grid = time_scale_grid(1000)
-        assert grid.scales == GRID_1000
-        assert len(grid.scales) == 20
+        assert grid == GRID_1000
+        assert len(grid) == 20
 
     def test_grid_at_100(self):
-        assert time_scale_grid(100).scales == (5, 6, 7, 8, 9)
+        assert time_scale_grid(100) == (5, 6, 7, 8, 9)
 
     @pytest.mark.parametrize("T", [50, 99])
     def test_too_short(self, T):
@@ -90,36 +88,18 @@ class TestTimeScaleGrid:
     @settings(max_examples=60)
     def test_grid_invariants(self, T):
         grid = time_scale_grid(T)
-        scales = np.array(grid.scales)
+        scales = np.array(grid)
         assert len(scales) >= 3
         assert np.all(np.diff(scales) > 0)
         assert scales[0] >= 5
         assert scales[-1] <= 0.1 * T
 
-    def test_custom_grid_validation(self):
-        with pytest.raises(ValueError):
-            ScaleGrid(1000, (5, 5, 7))
-        with pytest.raises(ValueError):
-            ScaleGrid(1000, (4, 8, 16))
-        with pytest.raises(ValueError):
-            ScaleGrid(1000, (5, 8, 200))
-        with pytest.raises(TooShort):
-            ScaleGrid(1000, (5, 8))
-
 
 class TestQGrid:
     def test_presets(self):
-        assert qgrid("fa1").values == tuple(round(0.1 * k, 10) for k in range(1, 11))
-        assert qgrid("fa2").values[-1] == 3.0
-        assert qgrid("fa3").values[0] == 0.5
-
-    def test_rejects_nonpositive_or_unsorted(self):
-        with pytest.raises(ValueError):
-            QGrid("custom", (0.0, 1.0))
-        with pytest.raises(ValueError):
-            QGrid("custom", (2.0, 1.0))
-        with pytest.raises(ValueError):
-            qgrid("fa9")
+        assert tuple(Q_GRIDS["fa1"]) == tuple(round(0.1 * k, 10) for k in range(1, 11))
+        assert Q_GRIDS["fa2"][-1] == 3.0
+        assert Q_GRIDS["fa3"][0] == 0.5
 
 
 class TestRsStatistic:
@@ -170,21 +150,20 @@ class TestRsStatistic:
 
 class TestEstimateRra:
     def test_diagnostics_shape(self, rng):
-        est = estimate_rra(make_returns(rng.standard_normal(1000)))
+        est = estimate("rra", make_returns(rng.standard_normal(1000)))
         assert est.method == "rra"
         assert est.n_points == 20
-        assert est.residual_sse >= 0.0
-        assert 0.0 < est.H < 1.0
+        assert 0.0 < est.value < 1.0
 
     def test_affine_invariance(self, rng):
         z = rng.standard_normal(500)
-        base = estimate_rra(make_returns(z))
-        moved = estimate_rra(make_returns(-2.5 * z + 0.3))
-        assert moved.H == pytest.approx(base.H, abs=1e-9)
+        base = estimate_point("rra", make_returns(z))
+        moved = estimate_point("rra", make_returns(-2.5 * z + 0.3))
+        assert moved == pytest.approx(base, abs=1e-9)
 
     def test_short_series_propagates(self, rng):
         with pytest.raises(TooShort):
-            estimate_rra(make_returns(rng.standard_normal(50)))
+            estimate_point("rra", make_returns(rng.standard_normal(50)))
 
     def test_overflowing_dispersion_fails(self):
         # one block's dispersion overflows; the other blocks keep H finite
@@ -237,34 +216,33 @@ class TestPartitionFunction:
 class TestEstimateFa:
     def test_trend_has_unit_hurst(self):
         # scales dividing T keep the block count exact, making the fit exact
-        r = make_returns([0.25] * 1024)
-        est = estimate_fa(r, qgrid("fa1"), grid=ScaleGrid(1024, (8, 16, 32, 64)))
-        assert est.H == pytest.approx(1.0, abs=1e-9)
-        assert est.residual_sse == pytest.approx(0.0, abs=1e-12)
+        scales, q = (8, 16, 32, 64), Q_GRIDS["fa1"]
+        lnS, errors = _fa_points(np.full((1, 1024), 0.25), q, scales)
+        assert not errors
+        assert _fa_slopes(lnS, q, np.log(scales))[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_scale_invariance_and_intercept_shift(self, rng):
         z = rng.standard_normal(600)
         a = 3.5
-        base = estimate_fa(make_returns(z), qgrid("fa2"))
-        scaled = estimate_fa(make_returns(a * z), qgrid("fa2"))
-        assert scaled.H == pytest.approx(base.H, abs=1e-9)
-        shifts = np.array(scaled.intercepts) - np.array(base.intercepts)
-        np.testing.assert_allclose(shifts, np.array(qgrid("fa2").values) * math.log(a),
-                                   atol=1e-8)
+        base = estimate("fa2", make_returns(z))
+        scaled = estimate("fa2", make_returns(a * z))
+        assert scaled.value == pytest.approx(base.value, abs=1e-9)
+        # the intercept is a(q_1), which moves by q_1 ln a
+        np.testing.assert_allclose(scaled.intercept - base.intercept,
+                                   Q_GRIDS["fa2"][0] * math.log(a), atol=1e-8)
 
     def test_zero_partition_aborts(self):
         with pytest.raises((ZeroPartition, AllZeroIncrements)):
-            estimate_fa(make_returns([0.0] * 500), qgrid("fa1"))
+            estimate_point("fa1", make_returns([0.0] * 500))
 
     def test_diagnostics_shape(self, rng):
-        est = estimate_fa(make_returns(rng.standard_normal(1000)), qgrid("fa3"))
-        assert est.method == "fa:fa3"
+        est = estimate("fa3", make_returns(rng.standard_normal(1000)))
+        assert est.method == "fa3"
         assert est.n_points == 10 * 20
-        assert len(est.intercepts) == 10
 
     def test_estimates_near_half_for_white_noise(self, rng):
         z = rng.standard_normal(5000)
-        assert estimate_fa(make_returns(z), qgrid("fa1")).H == \
+        assert estimate_point("fa1", make_returns(z)) == \
             pytest.approx(0.5, abs=0.15)
 
 
@@ -275,8 +253,8 @@ class TestExchangeability:
         from selfaffine.simulate import arfima_spec, generate, niid_spec
         from selfaffine.timeseries import random_reorder
 
-        ref = np.array([estimate_rra(generate(niid_spec(1000, seed=2000 + i))).H
+        ref = np.array([estimate_point("rra", generate(niid_spec(1000, seed=2000 + i)))
                         for i in range(150)])
         shuffled = random_reorder(generate(arfima_spec(0.12, 1000, seed=5)), seed=3)
-        h = estimate_rra(shuffled).H
+        h = estimate_point("rra", shuffled)
         assert abs(h - ref.mean()) < 3.0 * ref.std(ddof=1)
