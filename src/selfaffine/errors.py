@@ -95,10 +95,6 @@ class TooFewValues(SelfAffineError):
     """Not enough estimates to compute the requested summary."""
 
 
-class MissingCutoff(SelfAffineError):
-    """Critical value table has no cutoff at the requested level."""
-
-
 class AllReplicationsFailed(SelfAffineError):
     """Every Monte Carlo replication raised an estimation error."""
 

@@ -1,6 +1,7 @@
 """Replication engine, empirical critical values and power functions."""
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import logging
@@ -14,12 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    AllReplicationsFailed,
-    MissingCutoff,
-    SelfAffineError,
-    TooFewValues,
-)
+from .errors import AllReplicationsFailed, SelfAffineError, TooFewValues
 from .methods import estimate_block
 # not called here: kept as module attributes so that perfbench's traced run,
 # which rebinds montecarlo.estimate_point and montecarlo.generate, still finds them
@@ -59,25 +55,21 @@ class EstimateSample:
 
 @dataclass(frozen=True)
 class CriticalValueTable:
-    """Empirical percentile cutoffs of an estimator under a null spec."""
+    """The null distribution of an estimator under a null spec, served at any level."""
 
     method: str
     T: int
-    mean: float
+    mean: float  # mean and sd keep the replication order's bits; `null` is sorted
     sd: float
-    cutoffs: tuple[tuple[float, float], ...]  # (level, cutoff), level descending
+    null: bytes = field(repr=False)  # ascending successful estimates, little-endian float64
     reps: int
     master_seed: int
     failures: int = 0
     failures_by_kind: dict[str, int] = field(default_factory=dict)  # exception name -> count
+    levels: tuple[float, ...] = DEFAULT_LEVELS  # the request's; never cached
 
     def __post_init__(self):
-        cuts = tuple(sorted(((float(l), float(c)) for l, c in self.cutoffs),
-                            key=lambda lc: -lc[0]))
-        object.__setattr__(self, "cutoffs", cuts)
-        values = [c for _, c in cuts]
-        if any(b < a for a, b in zip(values, values[1:])):
-            raise ValueError("cutoffs must be non-decreasing as the level shrinks")
+        object.__setattr__(self, "levels", tuple(sorted(map(float, self.levels), reverse=True)))
         if self.sd < 0:
             raise ValueError("sd must be non-negative")
         # a damaged cache file's field raises TypeError or ValueError here
@@ -88,14 +80,16 @@ class CriticalValueTable:
             raise ValueError("failures_by_kind must add up to failures")
 
     def cutoff(self, level: float) -> float:
-        for l, c in self.cutoffs:
-            if math.isclose(l, level, rel_tol=0, abs_tol=1e-12):
-                return c
-        raise MissingCutoff(f"no cutoff at level {level} for {self.method}/T={self.T}")
+        """Nearest-rank percentile: rank ceil((1-level)*count) of the ascending sample."""
+        if not 0.0 < level < 1.0:
+            raise ValueError(f"level {level} does not lie in (0, 1)")
+        null = np.frombuffer(self.null, dtype="<f8")
+        return float(null[math.ceil((1.0 - level) * len(null)) - 1])
 
     @property
-    def levels(self) -> tuple[float, ...]:
-        return tuple(l for l, _ in self.cutoffs)
+    def cutoffs(self) -> tuple[tuple[float, float], ...]:
+        """(level, cutoff) at each of `levels`, largest level first."""
+        return tuple((level, self.cutoff(level)) for level in self.levels)
 
 
 @dataclass(frozen=True)
@@ -195,26 +189,21 @@ def summarize_sample(s: EstimateSample) -> tuple[float, float]:
 
 
 def _check_levels(levels) -> None:
-    if not all(0.0 < level < 1.0 for level in levels):
-        raise ValueError("levels must lie in (0, 1)")
+    if not all(0.0 < level < 1.0 for level in levels) or len(set(levels)) != len(levels):
+        raise ValueError(f"levels {tuple(levels)} must be distinct and lie in (0, 1)")
 
 
 def critical_values(s: EstimateSample, levels=DEFAULT_LEVELS) -> CriticalValueTable:
-    """Nearest-rank percentile cutoffs: rank ceil((1-level)*count) ascending."""
-    count = len(s.values)
-    if count < 100:
+    """The null table of `s`, served at `levels`; see `CriticalValueTable.cutoff`."""
+    if len(s.values) < 100:
         raise TooFewValues("need at least 100 successful replications")
     _check_levels(levels)
-    ordered = np.sort(s.values)
-    cuts = []
-    for level in levels:
-        rank = math.ceil((1.0 - level) * count)
-        cuts.append((level, float(ordered[rank - 1])))
     mean, sd = summarize_sample(s)
     return CriticalValueTable(
-        method=s.method, T=s.spec.T, mean=mean, sd=sd, cutoffs=tuple(cuts),
-        reps=s.reps, master_seed=s.master_seed, failures=s.failures,
-        failures_by_kind=s.failures_by_kind)
+        method=s.method, T=s.spec.T, mean=mean, sd=sd,
+        null=np.sort(s.values).astype("<f8").tobytes(), reps=s.reps,
+        master_seed=s.master_seed, failures=s.failures,
+        failures_by_kind=s.failures_by_kind, levels=levels)
 
 
 def build_tables(spec: SimulationSpec, methods, reps: int, master_seed: int,
@@ -222,41 +211,31 @@ def build_tables(spec: SimulationSpec, methods, reps: int, master_seed: int,
                  cache_dir: str | Path | None = None) -> dict[str, CriticalValueTable]:
     """Monte Carlo critical values for every method under `spec`, with caching.
 
-    This is the one way to a null table. Cached tables are loaded first and
-    served at exactly `levels`, so a file holding more levels still serves the
-    request and the cache's contents never change a result; the missing
-    methods are simulated in one `replicate` pass over shared replications,
-    and each table is cached in its own file. A file that lacks a requested
-    level is rewritten at the union of its levels and the requested ones.
+    This is the one way to a null table. Cached tables are loaded first; the
+    missing methods are simulated in one `replicate` pass over shared
+    replications, and each table is cached in its own file. A table holds
+    its whole null sample, so any level is served from the cache, and every
+    table is returned at `levels`.
     """
-    def at_levels(table: CriticalValueTable) -> CriticalValueTable:
-        return replace(table, cutoffs=tuple((l, table.cutoff(l)) for l in levels))
-
     # critical_values rejects these too, but only after a full simulation
     _check_levels(levels)
     if reps < 100:  # fewer cannot give the 100 successful replications it needs
         raise TooFewValues("need at least 100 replications")
     methods = tuple(methods)
-    tables, cached_levels = {}, {}
+    tables = {}
     if cache_dir is not None:
         for method in methods:
-            cached = load_table(cache_dir, spec, method, reps, master_seed)
-            if cached is None:
-                continue
-            try:
-                tables[method] = at_levels(cached)
-            except MissingCutoff:  # the file lacks a requested level: simulate again
-                cached_levels[method] = cached.levels
+            table = load_table(cache_dir, spec, method, reps, master_seed)
+            if table is not None:
+                tables[method] = table
     missing = [m for m in methods if m not in tables]
     if missing:
         for method, sample in replicate(spec, missing, reps, master_seed,
                                         workers=workers).items():
-            table = critical_values(
-                sample, levels=set(levels).union(cached_levels.get(method, ())))
+            tables[method] = critical_values(sample)
             if cache_dir is not None:
-                save_table(table, spec, cache_dir)
-            tables[method] = at_levels(table)
-    return {m: tables[m] for m in methods}
+                save_table(tables[method], spec, cache_dir)
+    return {m: replace(tables[m], levels=levels) for m in methods}
 
 
 def build_critical_values(spec: SimulationSpec, method: str, reps: int,
@@ -306,7 +285,10 @@ def save_table(table: CriticalValueTable, spec: SimulationSpec,
     path = _cache_path(cache_dir, spec, table.method, table.reps, table.master_seed)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(json.dumps(asdict(table)))
+    # the sample as a JSON list would take several times longer to load
+    fields = dict(vars(table), null=base64.b64encode(table.null).decode("ascii"))
+    del fields["levels"]
+    tmp.write_text(json.dumps(fields))
     os.replace(tmp, path)
     return path
 
@@ -320,10 +302,18 @@ def load_table(cache_dir: str | Path, spec: SimulationSpec, method: str, reps: i
     """
     path = _cache_path(cache_dir, spec, method, reps, master_seed)
     try:
-        table = CriticalValueTable(**json.loads(path.read_text()))
+        fields = json.loads(path.read_text())
+        # a file of the cutoffs-only format has no "null": KeyError
+        null = base64.b64decode(fields["null"], validate=True)
+        table = CriticalValueTable(**{**fields, "null": null})
+        values = np.frombuffer(null, dtype="<f8")  # ValueError unless whole float64s
+        if not 100 <= len(values) == table.reps - table.failures:
+            raise ValueError(f"{len(values)} null values, not reps - failures >= 100")
+        if not (np.isfinite(values).all() and (values[1:] >= values[:-1]).all()):
+            raise ValueError("the null sample is not finite and ascending")
     except FileNotFoundError:
         return None
-    except (OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError, KeyError) as exc:
         problem = f"{type(exc).__name__}: {exc}"
     else:
         if (table.method, table.T, table.reps, table.master_seed) == (

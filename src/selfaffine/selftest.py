@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 import math
+import tempfile
 
 import numpy as np
 
 from .methods import METHODS, estimate_point
-from .montecarlo import replicate, run_replications
+from .montecarlo import critical_values, load_table, replicate, run_replications, save_table
 from .rng import derive_seed
 from .scaling import (
     Q_GRIDS,
@@ -32,6 +33,15 @@ def _trend_has_unit_fa_hurst() -> bool:
     scales, q = (8, 16, 32, 64), Q_GRIDS["fa1"]
     lnS, errors = _fa_points(np.full((1, 1024), 0.3), q, scales)
     return not errors and abs(_fa_slopes(lnS, q, np.log(scales))[0] - 1.0) < 1e-9
+
+
+def _saved_table_loads_back() -> bool:
+    spec, sample = niid_spec(128), run_replications(niid_spec(128), "hill", 100, 42)
+    with tempfile.TemporaryDirectory() as cache:
+        save_table(critical_values(sample), spec, cache)
+        back = load_table(cache, spec, "hill", 100, 42)
+    return back == critical_values(sample) and \
+        critical_values(sample, levels=(0.025,)).cutoffs == ((0.025, back.cutoff(0.025)),)
 
 
 def _checks():
@@ -65,6 +75,8 @@ def _checks():
     yield ("a 5-row engine run equals five one-row estimates on its sub-streams",
            _engine_matches_one_row_estimates)
     yield ("trend series has FA Hurst exponent 1", _trend_has_unit_fa_hurst)
+    yield ("a null table saved to the cache loads back equal, at any level",
+           _saved_table_loads_back)
 
 
 def run_selftest() -> bool:

@@ -160,6 +160,10 @@ class TestAnalyzeIndex:
 
         monkeypatch.setattr(montecarlo, "replicate", no_simulation)
         warm = analyze_index(prices, config)
+        # a table holds its null sample, so a level never asked for is served too
+        other = analyze_index(prices, AnalyzeConfig(reps=120, seed=7, levels=(0.05, 0.02),
+                                                    cache_dir=str(cache)))
+        assert [c.cutoffs[:1] for c in other.cells] == [c.cutoffs[1:2] for c in warm.cells]
         for report in (cold, warm):
             write_report_csv(report, tmp_path / "report.csv")
             assert (tmp_path / "report.csv").read_bytes() == \

@@ -1,3 +1,4 @@
+import base64
 import csv
 import json
 import os
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import selfaffine
+import selfaffine.montecarlo as montecarlo
 from selfaffine.cli import run_cli
 from selfaffine.simulate import generate, niid_spec
 from selfaffine.timeseries import read_values_csv, write_values_csv
@@ -119,9 +121,29 @@ def test_critvals_cache_serves_the_requested_levels(tmp_path):
     assert len(list((tmp_path / "b").iterdir())) == 1  # the 3-level file served it
 
 
+def _resample(change):
+    """A damage that replaces a cache file's null sample by `change(sample)` bytes."""
+    def damage(fields):
+        null = np.frombuffer(base64.b64decode(fields["null"]), dtype="<f8")
+        return {**fields, "null": base64.b64encode(change(null)).decode()}
+    return damage
+
+
 @pytest.mark.parametrize("damage", [
-    "truncated", "foreign", pytest.param(None, id="kinds-null"),
-    pytest.param([1], id="kinds-list"), pytest.param("none", id="kinds-string")])
+    "truncated", "foreign",
+    pytest.param(lambda f: {**f, "failures_by_kind": None}, id="kinds-null"),
+    pytest.param(lambda f: {**f, "failures_by_kind": [1]}, id="kinds-list"),
+    pytest.param(lambda f: {**f, "failures_by_kind": "none"}, id="kinds-string"),
+    pytest.param(lambda f: {**f, "null": "not base64!"}, id="null-not-base64"),
+    pytest.param(_resample(lambda v: v.tobytes()[:-3]), id="null-ragged"),
+    pytest.param(_resample(lambda v: v[:-1].tobytes()), id="null-short"),
+    pytest.param(_resample(lambda v: np.append(v[:-1], np.inf).tobytes()), id="null-inf"),
+    pytest.param(_resample(lambda v: v[::-1].tobytes()), id="null-unsorted"),
+    pytest.param(lambda f: {**f, "null": "", "failures": 120,
+                            "failures_by_kind": {"ZeroDispersion": 120}}, id="null-empty"),
+    pytest.param(lambda f: {**{k: v for k, v in f.items() if k != "null"},
+                            "cutoffs": [[0.1, 0.2], [0.05, 0.25], [0.01, 0.3]]},
+                 id="cutoffs-only")])
 def test_critvals_bad_cache_file_is_a_miss(tmp_path, damage, capsys):
     def critvals(seed, cache):
         out = tmp_path / f"cv_{seed}_{cache.name}.csv"
@@ -139,13 +161,28 @@ def test_critvals_bad_cache_file_is_a_miss(tmp_path, damage, capsys):
         critvals(6, tmp_path / "b")
         [other] = (tmp_path / "b").iterdir()
         path.write_bytes(other.read_bytes())
-    else:  # a failures_by_kind that is not a mapping
-        path.write_text(json.dumps({**json.loads(good), "failures_by_kind": damage}))
+    else:
+        path.write_text(json.dumps(damage(json.loads(good))))
     capsys.readouterr()
     assert critvals(5, tmp_path / "a") == fresh
     assert path.read_bytes() == good
     err = capsys.readouterr().err
     assert "WARNING" in err and path.name in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["critvals", "--reps", "120", "--levels", "0.05,0.05"],
+    ["power", "--model", "arfima", "--d", "0.3", "--reps", "60", "--null-reps", "120",
+     "--level", "1.5"]], ids=["critvals-repeated-level", "power-level-out-of-range"])
+def test_bad_level_is_a_data_error_before_simulating(tmp_path, monkeypatch, capsys, argv):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before the levels were checked")
+
+    monkeypatch.setattr(montecarlo, "replicate", no_simulation)
+    assert run_cli([*argv, "--method", "hill", "-T", "128", "--cache-dir", str(tmp_path),
+                    "--out", str(tmp_path / "out.csv")]) == 2
+    assert "level" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_power_explosive_ar_model_is_a_data_error(capsys):

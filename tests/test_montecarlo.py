@@ -12,11 +12,11 @@ import selfaffine.simulate as simulate
 from selfaffine.errors import (
     AllReplicationsFailed,
     ExplosiveModel,
-    MissingCutoff,
     NonPositiveTail,
     TooFewValues,
     ZeroOrdinate,
 )
+from selfaffine.cli import run_cli
 from selfaffine.montecarlo import (
     CriticalValueTable,
     EstimateSample,
@@ -182,24 +182,31 @@ class TestEngineContract:
         for method, table in tables.items():
             assert table == build_critical_values(spec, method, 120, 4)
 
-    def test_cache_keeps_the_union_of_levels(self, tmp_path, monkeypatch):
-        calls = []
+    def test_cache_serves_a_level_it_was_not_built_at(self, tmp_path, monkeypatch):
+        def cli(command, name, *args):
+            assert run_cli([command, "--method", "hill", "-T", "128", "--seed", "5",
+                            "--out", str(tmp_path / name), *args]) == 0
+            return (tmp_path / name).read_bytes()
+
+        def power(name, *cache):
+            return cli("power", name, "--model", "arfima", "--d", "0.3", "--reps", "60",
+                       "--null-reps", "120", "--level", "0.02", *cache)
+
+        fresh = build_critical_values(niid_spec(128), "hill", 120, 5, levels=(0.02,))
+        fresh_power = power("fresh.csv")
+        cli("critvals", "cv.csv", "--reps", "120", "--cache-dir", str(tmp_path / "cache"))
         real = montecarlo.replicate
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+        def no_null_simulation(spec, methods, reps, master_seed, **kwargs):
+            # power simulates its alternative under master seed 6
+            if master_seed == 5:
+                raise AssertionError("the cached null table was simulated again")
+            return real(spec, methods, reps, master_seed, **kwargs)
 
-        monkeypatch.setattr(montecarlo, "replicate", counting)
-        spec = niid_spec(128)
-        default = build_critical_values(spec, "hill", 120, 5, cache_dir=tmp_path)
-        narrow = build_critical_values(spec, "hill", 120, 5, levels=(0.02,), cache_dir=tmp_path)
-        again = build_critical_values(spec, "hill", 120, 5, cache_dir=tmp_path)
-        assert len(calls) == 2
-        assert narrow.levels == (0.02,)
-        assert again == default
-        stored = load_table(tmp_path, spec, "hill", 120, 5)
-        assert stored.levels == (0.10, 0.05, 0.02, 0.01)
+        monkeypatch.setattr(montecarlo, "replicate", no_null_simulation)
+        assert build_critical_values(niid_spec(128), "hill", 120, 5, levels=(0.02,),
+                                     cache_dir=tmp_path / "cache") == fresh
+        assert power("warm.csv", "--cache-dir", str(tmp_path / "cache")) == fresh_power
 
 
 class TestSummaries:
@@ -238,8 +245,9 @@ class TestCriticalValues:
             critical_values(sample_from(np.arange(200.0)), levels=(1.5,))
 
     @pytest.mark.parametrize("reps, levels, error", [(2000, (0.05, 1.5), ValueError),
-                                                     (99, (0.05,), TooFewValues)],
-                             ids=["bad-level", "too-few-reps"])
+                                                     (99, (0.05,), TooFewValues),
+                                                     (2000, (0.05, 0.05), ValueError)],
+                             ids=["bad-level", "too-few-reps", "repeated-level"])
     def test_build_tables_checks_before_simulating(self, tmp_path, monkeypatch,
                                                    reps, levels, error):
         def no_simulation(*args, **kwargs):
@@ -251,9 +259,12 @@ class TestCriticalValues:
                          cache_dir=tmp_path)
 
     def test_missing_cutoff_lookup(self):
-        table = critical_values(sample_from(np.arange(200.0)), levels=(0.05,))
-        with pytest.raises(MissingCutoff):
-            table.cutoff(0.01)
+        sample = sample_from(np.random.default_rng(1).standard_normal(200))
+        table = critical_values(sample, levels=(0.05,))
+        assert table.cutoff(0.02) == critical_values(sample, levels=(0.02,)).cutoff(0.02)
+        for level in (0.0, 1.0, 1.5, -0.05):
+            with pytest.raises(ValueError):
+                table.cutoff(level)
 
     def test_table_records_the_run_master_seed(self):
         sample = run_replications(niid_spec(128), "hill", 150, master_seed=4)
@@ -261,8 +272,8 @@ class TestCriticalValues:
 
     def test_table_invariant_enforced(self):
         with pytest.raises(ValueError):
-            CriticalValueTable(method="rra", T=100, mean=0.5, sd=0.1,
-                               cutoffs=((0.10, 0.7), (0.05, 0.6)),
+            CriticalValueTable(method="rra", T=100, mean=0.5, sd=-0.1,
+                               null=np.linspace(0.0, 1.0, 100).tobytes(),
                                reps=100, master_seed=0)
 
 
@@ -283,11 +294,18 @@ class TestPower:
             power_function(niid_spec(256), "hr", table, reps=10, master_seed=1)
 
     def test_missing_level(self):
-        table = build_critical_values(niid_spec(256), "hill", 120, master_seed=5,
-                                      levels=(0.05,))
-        with pytest.raises(MissingCutoff):
-            power_function(niid_spec(256), "hill", table, reps=10,
-                           master_seed=1, level=0.01)
+        def table(levels):
+            return build_critical_values(niid_spec(256), "hill", 120, master_seed=5,
+                                         levels=levels)
+
+        assert table((0.05,)).cutoff(0.02) == table((0.02,)).cutoff(0.02)
+        assert power_function(niid_spec(256), "hill", table((0.05,)), reps=10,
+                              master_seed=1, level=0.02) == \
+            power_function(niid_spec(256), "hill", table((0.02,)), reps=10,
+                           master_seed=1, level=0.02)
+        with pytest.raises(ValueError):
+            power_function(niid_spec(256), "hill", table((0.05,)), reps=10,
+                           master_seed=1, level=1.5)
 
 
 class TestCache:
@@ -367,7 +385,8 @@ class TestCache:
         spec = niid_spec(128)
         by_kind = {"NonPositiveTail": failures} if failures else {}
         table = CriticalValueTable(method="hill", T=128, mean=0.2, sd=0.05,
-                                   cutoffs=((0.05, 0.3),), reps=150, master_seed=4,
+                                   null=np.linspace(0.1, 0.3, 150 - failures).tobytes(),
+                                   reps=150, master_seed=4,
                                    failures=failures, failures_by_kind=by_kind)
         path = save_table(table, spec, tmp_path)
         fields = json.loads(path.read_text())
