@@ -90,13 +90,12 @@ class TestReport:
     T: int
     levels: tuple[float, ...]
     summary: SummaryStats
-    ar_model: ARModel | None
-    ar_error: str | None
-    filtered_T: int | None
+    ar_model: ARModel
+    filtered_T: int
     cells: tuple[CellResult, ...]
     fa1_reordered: float | None
     fa1_normalized: float | None
-    niid_fa1_sd: float | None
+    niid_fa1_sd: float
 
     def cell(self, method: str, variant: str) -> CellResult | None:
         for c in self.cells:
@@ -127,47 +126,36 @@ def _make_cell(method: str, variant: str, series: ReturnsSeries,
 def analyze_index(prices: PriceSeries, config: AnalyzeConfig) -> TestReport:
     """Run the estimator battery on unfiltered returns (against AR-recursive
     critical values) and on AR residuals (against NIID critical values), plus
-    the FA(1) re-order/normalize diagnostics."""
+    the FA(1) re-order/normalize diagnostics.
+
+    A failed AR fit, or fewer than 100 AR residuals, raises its typed error
+    before any null table is built."""
     returns = log_returns(prices)
     summary = summary_stats(returns)
     T = len(returns)
-    if T < 100:
-        raise TooShort(f"need at least 100 returns for the battery, got {T}")
+    ar_model = fit_ar(returns, config.max_lag, config.criterion)
+    filtered = ar_filter(returns, ar_model)
+    if len(filtered) < 100:
+        raise TooShort(f"need at least 100 AR residuals for the battery, got {len(filtered)}")
 
     seed_niid = derive_seed(config.seed, 1)
     seed_rec = derive_seed(config.seed, 2)
     seed_reorder = derive_seed(config.seed, 3)
-
-    ar_model: ARModel | None = None
-    ar_error: str | None = None
-    filtered: ReturnsSeries | None = None
-    try:
-        ar_model = fit_ar(returns, config.max_lag, config.criterion)
-        filtered = ar_filter(returns, ar_model)
-    except SelfAffineError as exc:
-        ar_error = f"{type(exc).__name__}: {exc}"
 
     def null_tables(spec: SimulationSpec, seed: int, methods) -> dict[str, CriticalValueTable]:
         return build_tables(spec, methods, config.reps, seed, levels=config.levels,
                             workers=config.workers, cache_dir=config.cache_dir)
 
     # three engine passes: each spec's replications are shared by its methods
+    rec_tables = null_tables(ar_recursive_spec(ar_model, T), seed_rec, BATTERY)
+    filtered_tables = null_tables(niid_spec(len(filtered)), seed_niid, BATTERY)
+    niid_T = (filtered_tables if len(filtered) == T
+              else null_tables(niid_spec(T), seed_niid, ("fa1",)))
     cells: list[CellResult] = []
-    if ar_model is not None:
-        rec_tables = null_tables(ar_recursive_spec(ar_model, T), seed_rec, BATTERY)
-        filtered_tables = null_tables(niid_spec(len(filtered)), seed_niid, BATTERY)
-        niid_T = (filtered_tables if len(filtered) == T
-                  else null_tables(niid_spec(T), seed_niid, ("fa1",)))
-        for method in BATTERY:
-            cells.append(_make_cell(method, UNFILTERED, returns, rec_tables[method],
-                                    "ar-recursive"))
-            cells.append(_make_cell(method, FILTERED, filtered, filtered_tables[method],
-                                    "niid"))
-    else:
-        # no fitted model: unfiltered cells fall back to NIID cutoffs
-        niid_T = null_tables(niid_spec(T), seed_niid, BATTERY)
-        for method in BATTERY:
-            cells.append(_make_cell(method, UNFILTERED, returns, niid_T[method], "niid"))
+    for method in BATTERY:
+        cells.append(_make_cell(method, UNFILTERED, returns, rec_tables[method],
+                                "ar-recursive"))
+        cells.append(_make_cell(method, FILTERED, filtered, filtered_tables[method], "niid"))
 
     fa1_reordered = fa1_normalized = None
     try:
@@ -178,11 +166,9 @@ def analyze_index(prices: PriceSeries, config: AnalyzeConfig) -> TestReport:
 
     return TestReport(
         series_id=config.series_id, T=T, levels=tuple(config.levels),
-        summary=summary, ar_model=ar_model, ar_error=ar_error,
-        filtered_T=len(filtered) if filtered is not None else None,
+        summary=summary, ar_model=ar_model, filtered_T=len(filtered),
         cells=tuple(cells), fa1_reordered=fa1_reordered,
-        fa1_normalized=fa1_normalized,
-        niid_fa1_sd=niid_T["fa1"].sd)
+        fa1_normalized=fa1_normalized, niid_fa1_sd=niid_T["fa1"].sd)
 
 
 def _required_rejects(report: TestReport) -> dict[tuple[str, str], bool]:
@@ -191,8 +177,10 @@ def _required_rejects(report: TestReport) -> dict[tuple[str, str], bool]:
     flags: dict[tuple[str, str], bool] = {}
     for method, variant in need:
         cell = report.cell(method, variant)
-        if cell is None or cell.estimate is None:
+        if cell is None:
             raise IncompleteReport(f"missing {method}/{variant} cell")
+        if cell.estimate is None:
+            raise IncompleteReport(f"{method}/{variant} cell failed: {cell.error}")
         flags[(method, variant)] = cell.reject_at(0.05)
     return flags
 
@@ -234,16 +222,16 @@ def classify_source(report: TestReport) -> Classification:
 
 
 def _gap_notes(report: TestReport) -> str:
-    """Re-order / normalize FA(1) gap diagnostics, sized against the NIID sd."""
-    cell = report.cell("fa1", UNFILTERED)
-    if (cell is None or cell.estimate is None or report.niid_fa1_sd is None
-            or report.fa1_reordered is None or report.fa1_normalized is None):
+    """Re-order / normalize FA(1) gap diagnostics, sized against the NIID sd;
+    `classify_source` calls it once the unfiltered FA(1) cell holds an estimate."""
+    if report.fa1_reordered is None or report.fa1_normalized is None:
         return "transform diagnostics unavailable"
+    estimate = report.cell("fa1", UNFILTERED).estimate
     threshold = 2.0 * report.niid_fa1_sd
     notes = []
     for name, other in (("re-order", report.fa1_reordered),
                         ("normalize", report.fa1_normalized)):
-        gap = abs(cell.estimate - other)
+        gap = abs(estimate - other)
         size = "large" if gap > threshold else "small"
         notes.append(f"{name} gap {gap:.3f} ({size})")
     notes.append("large re-order gap supports long-range dependence, "
@@ -307,8 +295,6 @@ def table_text(report: TestReport) -> str:
     lines = [report.series_id.ljust(12) + "".join(titles[m].rjust(width) for m in BATTERY)]
     for variant in (UNFILTERED, FILTERED):
         cells = [report.cell(m, variant) for m in BATTERY]
-        if all(c is None for c in cells):
-            continue
         lines.append(variant.ljust(12) + "".join(_stars(c).rjust(width) for c in cells))
     lines.append("rejection of H0 at: * 0.10  ** 0.05  *** 0.01")
     return "\n".join(lines)
@@ -325,13 +311,14 @@ def report_json(report: TestReport, classification: Classification) -> str:
             "skewness": report.summary.skewness,
             "kurtosis": report.summary.kurtosis,
         },
-        "ar_model": None if report.ar_model is None else {
+        "ar_model": {
             "order": report.ar_model.order,
             "intercept": report.ar_model.intercept,
             "coefficients": list(report.ar_model.coefficients),
             "residual_sd": report.ar_model.residual_sd,
         },
-        "ar_error": report.ar_error,
+        # always null, as a failed AR fit raises: kept so the report layout holds
+        "ar_error": None,
         "cells": [
             {
                 "method": c.method,

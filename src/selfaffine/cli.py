@@ -218,9 +218,8 @@ def _cmd_analyze(args) -> int:
     s = report.summary
     print(f"T={report.T}  mean {s.mean:.5f}  sd {s.sd:.5f}  "
           f"skewness {s.skewness:.2f}  kurtosis {s.kurtosis:.2f}")
-    if report.ar_model is not None:
-        print(f"fitted AR order: {report.ar_model.order} "
-              f"(residual sd {report.ar_model.residual_sd:.5f})")
+    print(f"fitted AR order: {report.ar_model.order} "
+          f"(residual sd {report.ar_model.residual_sd:.5f})")
     print(table_text(report))
     print(f"classification: {classification.verdict} "
           f"(evidence: {classification.evidence})")

@@ -55,7 +55,7 @@ def estimate_block(method: str, X: np.ndarray) -> tuple[np.ndarray, dict[int, Se
     A row whose estimate is not finite (its arithmetic overflowed) fails
     alone with NonFiniteValue.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # caught below, per row
+    with np.errstate(all="ignore"):  # caught below and in the kernels, per row
         values, errors = _kernel(method)(X)
     for i in np.flatnonzero(~np.isfinite(values)):
         errors.setdefault(int(i), NonFiniteValue("estimate must be finite"))

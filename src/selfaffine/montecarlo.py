@@ -9,7 +9,7 @@ import math
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from itertools import repeat
 from pathlib import Path
 
@@ -270,11 +270,12 @@ def power_function(alt: SimulationSpec, method: str, table: CriticalValueTable,
 
 def _cache_path(cache_dir: str | Path, spec: SimulationSpec, method: str, reps: int,
                 master_seed: int) -> Path:
-    # asdict covers every spec field; tolist() keeps full-precision AR coefficients.
-    # The seed is zeroed in the dict, not through `replace`, which would rerun
-    # the spec's validation on every lookup
-    key = json.dumps([CACHE_SCHEMA_VERSION, {**asdict(spec), "seed": 0}, method,
-                      reps, master_seed], sort_keys=True, default=lambda o: o.tolist())
+    # vars gives every field of the spec and of its ARModel without copying them;
+    # tolist() keeps full-precision AR coefficients. The seed is zeroed in the
+    # dict, not through `replace`, which would rerun the spec's validation
+    key = json.dumps([CACHE_SCHEMA_VERSION, {**vars(spec), "seed": 0}, method, reps,
+                      master_seed], sort_keys=True,
+                     default=lambda o: o.tolist() if isinstance(o, np.ndarray) else vars(o))
     digest = hashlib.sha256(key.encode()).hexdigest()[:16]
     return Path(cache_dir) / f"cv_{method}_T{spec.T}_{digest}.json"
 

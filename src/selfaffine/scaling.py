@@ -64,8 +64,7 @@ def _block_ratios(seg: np.ndarray, M: int, n: int) -> tuple[np.ndarray, np.ndarr
         x = np.cumsum(dev, axis=2)
         x[:, :, -1] = 0.0
         hi, lo = x.max(axis=2), x.min(axis=2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return (hi - lo) / S, np.any(S == 0.0, axis=1), np.any(np.isinf(S), axis=1)
+    return (hi - lo) / S, np.any(S == 0.0, axis=1), np.any(np.isinf(S), axis=1)
 
 
 def _rs_rows(X: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -92,7 +91,7 @@ def rs_statistic(r: ReturnsSeries, n: int) -> float:
     T = len(r)
     if not 2 <= n <= T:
         raise ValueError(f"scale n={n} out of range for T={T}")
-    with np.errstate(over="ignore"):  # raised below as NonFiniteValue
+    with np.errstate(all="ignore"):  # raised below as typed errors
         rs, zero, overflow = _rs_rows(r.values[None, :], n)
     if zero[0]:
         raise ZeroDispersion(f"constant block at scale {n}")
@@ -104,8 +103,7 @@ def rs_statistic(r: ReturnsSeries, n: int) -> float:
 def _ols_slopes(x: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """OLS slope of each row of Y on the regressor x."""
     xd = x - x.mean()
-    with np.errstate(invalid="ignore"):  # failed rows hold non-finite points
-        return np.sum(xd * (Y - Y.mean(axis=1, keepdims=True)), axis=1) / np.sum(xd * xd)
+    return np.sum(xd * (Y - Y.mean(axis=1, keepdims=True)), axis=1) / np.sum(xd * xd)
 
 
 def _rra_points(X: np.ndarray, scales: tuple[int, ...]) -> tuple[np.ndarray, dict]:
@@ -118,8 +116,7 @@ def _rra_points(X: np.ndarray, scales: tuple[int, ...]) -> tuple[np.ndarray, dic
         for i in np.flatnonzero(overflow):
             errors.setdefault(int(i), NonFiniteValue(f"block dispersion overflows at scale {n}"))
         cols.append(rs)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.log(np.stack(cols, axis=1)), errors
+    return np.log(np.stack(cols, axis=1)), errors
 
 
 def rra_block(X: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -165,8 +162,7 @@ def _fa_points(X: np.ndarray, q: np.ndarray,
         S = 0.5 * np.power(v[:, None, :], q[None, :, None]).sum(axis=2)
         for i in np.flatnonzero(np.any(S <= 0.0, axis=1)):
             errors.setdefault(int(i), ZeroPartition(f"zero partition function at scale {n}"))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lnS[:, :, j] = np.log(S)
+        lnS[:, :, j] = np.log(S)
     return lnS, errors
 
 
@@ -174,10 +170,9 @@ def _fa_slopes(lnS: np.ndarray, q: np.ndarray, lnn: np.ndarray) -> np.ndarray:
     """Within-q demeaned OLS slope of (ln S_q + ln n) on q*ln n, per row."""
     X = q[:, None] * lnn[None, :]
     Xd = X - X.mean(axis=1, keepdims=True)
-    with np.errstate(invalid="ignore"):  # failed rows hold non-finite points
-        Y = lnS + lnn
-        Yd = Y - Y.mean(axis=2, keepdims=True)
-        return np.sum(Xd * Yd, axis=(1, 2)) / np.sum(Xd * Xd)
+    Y = lnS + lnn
+    Yd = Y - Y.mean(axis=2, keepdims=True)
+    return np.sum(Xd * Yd, axis=(1, 2)) / np.sum(Xd * Xd)
 
 
 def fa_block(X: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, dict]:

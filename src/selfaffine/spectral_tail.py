@@ -39,8 +39,7 @@ def _log_periodogram(X: np.ndarray, m: int) -> tuple[np.ndarray, dict]:
     I = _ordinates(X, m)
     errors = {int(i): ZeroOrdinate("zero periodogram ordinate in the regression band")
               for i in np.flatnonzero(np.any(I == 0.0, axis=1))}
-    with np.errstate(divide="ignore"):
-        return np.log(I), errors
+    return np.log(I), errors
 
 
 def _dot_slopes(x: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -50,8 +49,7 @@ def _dot_slopes(x: np.ndarray, Y: np.ndarray) -> np.ndarray:
     the one-row case.
     """
     xd = x - x.mean()
-    with np.errstate(invalid="ignore"):  # failed rows hold non-finite points
-        Yc = Y - Y.mean(axis=1, keepdims=True)
+    Yc = Y - Y.mean(axis=1, keepdims=True)
     return np.array([xd @ y for y in Yc]) / float(xd @ xd)
 
 
@@ -120,8 +118,7 @@ def tail_block(X: np.ndarray, method: str) -> tuple[np.ndarray, dict]:
     elif method == "hill":
         bad = x[:, m - 1] <= 0.0
         message = "x_(m) must be positive"
-        with np.errstate(divide="ignore", invalid="ignore"):
-            H = np.log(x[:, : m - 1]).mean(axis=1) - _log(np.where(bad, 1.0, x[:, m - 1]))
+        H = np.log(x[:, : m - 1]).mean(axis=1) - _log(np.where(bad, 1.0, x[:, m - 1]))
     else:  # hr
         bad = (x[:, 0] <= 0.0) | (x[:, m - 1] <= 0.0)
         message = "x_(1) and x_(m) must be positive"

@@ -189,7 +189,8 @@ def fit_ar(r: ReturnsSeries, max_lag: int = 10, criterion: str = "aic") -> ARMod
         raise ValueError("max_lag must be non-negative")
     z = r.values
     if len(z) <= 10 * max_lag or len(z) <= max_lag + 1:
-        raise TooShort("series too short for the requested max_lag")
+        raise TooShort(f"T={len(z)} is too short for max_lag {max_lag}: the AR fit "
+                       "needs T > 10*max_lag (and T > max_lag + 1)")
 
     n_eff = len(z) - max_lag
     penalty = 2.0 if criterion == "aic" else math.log(n_eff)

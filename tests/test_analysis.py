@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from selfaffine.analysis import (
     write_report_csv,
 )
 from selfaffine.errors import IncompleteReport
-from selfaffine.timeseries import SummaryStats, read_prices_csv
+from selfaffine.timeseries import ARModel, SummaryStats, read_prices_csv
 
 DATA = Path(__file__).parent / "data"
 
@@ -43,7 +44,9 @@ def fake_report(reject_map, fa1_reordered=0.47, fa1_normalized=0.54):
                   for m in BATTERY for v in (UNFILTERED, FILTERED))
     summary = SummaryStats(mean=0.0, sd=0.01, skewness=0.0, kurtosis=3.0)
     return TestReport(series_id="fake", T=1000, levels=LEVELS, summary=summary,
-                      ar_model=None, ar_error=None, filtered_T=995, cells=cells,
+                      ar_model=ARModel(order=1, intercept=0.0, coefficients=[0.1],
+                                       residual_sd=0.01),
+                      filtered_T=995, cells=cells,
                       fa1_reordered=fa1_reordered, fa1_normalized=fa1_normalized,
                       niid_fa1_sd=0.05)
 
@@ -90,13 +93,18 @@ class TestClassification:
 
     def test_incomplete_report(self):
         report = fake_report({})
-        trimmed = TestReport(
-            series_id=report.series_id, T=report.T, levels=report.levels,
-            summary=report.summary, ar_model=None, ar_error=None,
-            filtered_T=None, cells=report.cells[:3],
-            fa1_reordered=None, fa1_normalized=None, niid_fa1_sd=None)
-        with pytest.raises(IncompleteReport):
+        trimmed = replace(report, cells=report.cells[:3])
+        with pytest.raises(IncompleteReport, match="missing"):
             classify_source(trimmed)
+        # a required cell that holds an error is named with that error
+        failed = CellResult(method="rra", variant=FILTERED, estimate=None,
+                            cutoff_source="niid",
+                            error="ZeroDispersion: constant block at scale 5")
+        broken = replace(report, cells=tuple(failed if (c.method, c.variant) == ("rra", FILTERED)
+                                             else c for c in report.cells))
+        with pytest.raises(IncompleteReport, match="ZeroDispersion") as info:
+            classify_source(broken)
+        assert "missing" not in str(info.value)
 
     def test_gap_notes_in_rationale(self):
         rejects = {("fa1", UNFILTERED): True, ("fa1", FILTERED): True,

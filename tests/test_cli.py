@@ -12,8 +12,8 @@ import pytest
 import selfaffine
 import selfaffine.montecarlo as montecarlo
 from selfaffine.cli import run_cli
-from selfaffine.simulate import generate, niid_spec
-from selfaffine.timeseries import read_values_csv, write_values_csv
+from selfaffine.simulate import ar_recursive_spec, generate, niid_spec
+from selfaffine.timeseries import ARModel, read_values_csv, write_values_csv
 
 DATA = Path(__file__).parent / "data"
 
@@ -234,6 +234,35 @@ def test_analyze_too_short_is_data_error(tmp_path, capsys):
     bad.write_text("date,close\n")
     assert run_cli(["analyze", "--input", str(bad)]) == 2
     assert "TooShort" in capsys.readouterr().err
+
+
+def _write_ar1_prices(path):
+    """101 prices whose 100 log returns fit AR(1) at max_lag 2 (by AIC)."""
+    model = ARModel(order=1, intercept=0.0, coefficients=[0.6], residual_sd=0.01)
+    r = generate(ar_recursive_spec(model, 100, seed=1)).values
+    prices = 100.0 * np.exp(np.concatenate([[0.0], np.cumsum(r)]))
+    path.write_text("date,close\n" + "".join(f"d{i},{p!r}\n"
+                                            for i, p in enumerate(prices.tolist())))
+
+
+@pytest.mark.parametrize("extra, named", [
+    ([], "max_lag 10"),  # 100 returns: the AR fit needs more than 10*max_lag
+    (["--max-lag", "2"], "got 99"),  # AR(1) leaves 99 residuals
+], ids=["ar-fit", "residuals"])
+def test_analyze_short_series_stops_before_simulating(tmp_path, monkeypatch, capsys,
+                                                      extra, named):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated a series the protocol cannot test")
+
+    monkeypatch.setattr(montecarlo, "replicate", no_simulation)
+    prices = tmp_path / "short.csv"
+    _write_ar1_prices(prices)
+    out_dir = tmp_path / "reports"
+    assert run_cli(["analyze", "--input", str(prices), "--out-dir", str(out_dir),
+                    "--json", *extra]) == 2
+    err = capsys.readouterr().err
+    assert "TooShort" in err and named in err
+    assert not out_dir.exists()
 
 
 def test_usage_errors_exit_one():
