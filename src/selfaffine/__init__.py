@@ -11,7 +11,7 @@ from .analysis import (
     classify_source,
 )
 from .errors import SelfAffineError
-from .methods import METHODS, Estimate, estimate, estimate_block, estimate_point
+from .methods import METHODS, Estimate, estimate, estimate_block, estimate_blocks, estimate_point
 from .montecarlo import (
     CriticalValueTable,
     EstimateSample,

@@ -3,7 +3,9 @@
 A kernel takes a `(rows, T)` array of return series and gives every row's
 point estimate (H or d) together with `{row: error}` for the rows that fail;
 a failed row's estimate is meaningless and its error is the one the scalar
-estimator raises. The scalar API is the one-row case of the same kernel.
+estimator raises. FA(1)-FA(3) share one kernel, `fa_block`, which serves
+several q grids in one pass. The scalar API is the one-row case of the same
+kernel.
 """
 from __future__ import annotations
 
@@ -26,40 +28,60 @@ from .spectral_tail import (
 )
 from .timeseries import ReturnsSeries
 
-BlockKernel = Callable[[np.ndarray], tuple[np.ndarray, dict[int, SelfAffineError]]]
+BlockResult = tuple[np.ndarray, dict[int, SelfAffineError]]
+BlockKernel = Callable[[np.ndarray], BlockResult]
 
 FA_METHODS = tuple(Q_GRIDS)
 #: methods whose point value is d rather than H
 D_METHODS = ("gph", "robinson")
 
+#: the kernels of the methods other than FA(1)-FA(3), which share `fa_block`
 _REGISTRY: dict[str, BlockKernel] = {
     "rra": rra_block,
-    **{v: partial(fa_block, q=Q_GRIDS[v]) for v in FA_METHODS},
     **{s: partial(log_periodogram_block, method=s) for s in D_METHODS},
     **{t: partial(tail_block, method=t) for t in TAIL_METHODS},
 }
 
-METHODS = tuple(_REGISTRY)
+METHODS = ("rra", *FA_METHODS, *D_METHODS, *TAIL_METHODS)
 
 
-def _kernel(method: str) -> BlockKernel:
-    try:
-        return _REGISTRY[method]
-    except KeyError:
-        raise ValueError(f"unknown method {method!r}") from None
+def estimate_blocks(methods, X: np.ndarray) -> dict[str, BlockResult]:
+    """Each method's point estimates of every row of X and the errors of the
+    rows that fail, in the order of `methods`.
 
-
-def estimate_block(method: str, X: np.ndarray) -> tuple[np.ndarray, dict[int, SelfAffineError]]:
-    """Point estimates of every row of X and the errors of the rows that fail.
-
+    The FA methods share one pass over the union of their q grids, and each
+    keeps its own failures. A SelfAffineError that a kernel raises for the
+    whole block (e.g. T too short) fails every row of each method it serves.
     A row whose estimate is not finite (its arithmetic overflowed) fails
     alone with NonFiniteValue.
     """
-    with np.errstate(all="ignore"):  # caught below and in the kernels, per row
-        values, errors = _kernel(method)(X)
-    for i in np.flatnonzero(~np.isfinite(values)):
-        errors.setdefault(int(i), NonFiniteValue("estimate must be finite"))
-    return values, errors
+    methods = tuple(methods)
+    for method in methods:
+        if method not in Q_GRIDS and method not in _REGISTRY:
+            raise ValueError(f"unknown method {method!r}")
+    fa = tuple(dict.fromkeys(m for m in methods if m in Q_GRIDS))
+    passes = [(fa, partial(fa_block, grids=[Q_GRIDS[m] for m in fa]))] if fa else []
+    passes += [((m,), lambda X, kernel=_REGISTRY[m]: [kernel(X)])
+               for m in methods if m not in Q_GRIDS]
+    out = {}
+    for served, kernel in passes:
+        try:
+            with np.errstate(all="ignore"):  # caught below and in the kernels, per row
+                results = kernel(X)
+        except SelfAffineError as exc:
+            results = [(np.full(len(X), np.nan), dict.fromkeys(range(len(X)), exc))
+                       for _ in served]
+        for method, (values, errors) in zip(served, results):
+            for i in np.flatnonzero(~np.isfinite(values)):
+                errors.setdefault(int(i), NonFiniteValue("estimate must be finite"))
+            out[method] = values, errors
+    return {m: out[m] for m in methods}
+
+
+def estimate_block(method: str, X: np.ndarray) -> BlockResult:
+    """Point estimates of every row of X and the errors of the rows that fail;
+    the one-method case of `estimate_blocks`."""
+    return estimate_blocks((method,), X)[method]
 
 
 def estimate_point(method: str, r: ReturnsSeries) -> float:

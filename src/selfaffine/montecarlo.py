@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AllReplicationsFailed, SelfAffineError, TooFewValues
-from .methods import estimate_block
+from .errors import AllReplicationsFailed, TooFewValues
+from .methods import estimate_blocks
 # not called here: kept as module attributes so that perfbench's traced run,
 # which rebinds montecarlo.estimate_point and montecarlo.generate, still finds them
 from .methods import estimate_point  # noqa: F401
@@ -127,11 +127,7 @@ def _run_block(spec: SimulationSpec, methods: tuple[str, ...], master_seed: int,
     # on one contiguous copy
     X = np.ascontiguousarray(X)
     out = {}
-    for method in methods:
-        try:
-            values, errors = estimate_block(method, X)
-        except SelfAffineError as exc:  # fails every row alike, e.g. T too short
-            values, errors = np.full(len(X), np.nan), dict.fromkeys(range(len(X)), exc)
+    for method, (values, errors) in estimate_blocks(methods, X).items():
         errors.update(lost)
         out[method] = (np.delete(values, list(errors)),
                        Counter(type(exc).__name__ for exc in errors.values()))

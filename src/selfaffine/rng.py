@@ -7,6 +7,8 @@ keeps streams statistically independent without coordination between workers.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 
@@ -15,6 +17,7 @@ def rng_from_seed(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
 
 
+@lru_cache(maxsize=1 << 14)  # a pure function, asked for the same seeds by several null tables
 def derive_seed(master_seed: int, index: int) -> int:
     """Pure-function sub-seed for replication `index` under `master_seed`."""
     ss = np.random.SeedSequence([int(master_seed), int(index)])

@@ -150,20 +150,25 @@ def partition_function(p: LogPricePath, n: int, q: float) -> float:
     return float(0.5 * np.sum(v ** q))
 
 
+def _zero_partitions(lnS: np.ndarray, scales: tuple[int, ...]) -> dict:
+    """Each row whose partition function is zero somewhere on the (q, n) grid
+    of lnS, failed at the first such scale. S >= 0, so S == 0 is ln S == -inf."""
+    zero = np.any(lnS == -np.inf, axis=1)
+    return {int(i): ZeroPartition(
+        f"zero partition function at scale {scales[int(np.argmax(zero[i]))]}")
+        for i in np.flatnonzero(zero.any(axis=1))}
+
+
 def _fa_points(X: np.ndarray, q: np.ndarray,
                scales: tuple[int, ...]) -> tuple[np.ndarray, dict]:
     """ln S_q(T,n) over the (q, n) grid for every row of X, shape (rows, q, n),
     and each failed row's error."""
     P = np.concatenate([np.zeros((len(X), 1)), np.cumsum(X, axis=1)], axis=1)
     lnS = np.empty((len(X), len(q), len(scales)))
-    errors = {}
     for j, n in enumerate(scales):
         v = _block_increments(P, n)
-        S = 0.5 * np.power(v[:, None, :], q[None, :, None]).sum(axis=2)
-        for i in np.flatnonzero(np.any(S <= 0.0, axis=1)):
-            errors.setdefault(int(i), ZeroPartition(f"zero partition function at scale {n}"))
-        lnS[:, :, j] = np.log(S)
-    return lnS, errors
+        lnS[:, :, j] = np.log(0.5 * np.power(v[:, None, :], q[None, :, None]).sum(axis=2))
+    return lnS, _zero_partitions(lnS, scales)
 
 
 def _fa_slopes(lnS: np.ndarray, q: np.ndarray, lnn: np.ndarray) -> np.ndarray:
@@ -175,14 +180,26 @@ def _fa_slopes(lnS: np.ndarray, q: np.ndarray, lnn: np.ndarray) -> np.ndarray:
     return np.sum(Xd * Yd, axis=(1, 2)) / np.sum(Xd * Xd)
 
 
-def fa_block(X: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Fluctuation-analysis Hurst exponent of every row of X, and each failed
-    row's error.
+def fa_block(X: np.ndarray, grids) -> list[tuple[np.ndarray, dict]]:
+    """Fluctuation-analysis Hurst exponent of every row of X on each q grid of
+    `grids`, and each failed row's error.
 
     Stacks ln S_q(T,n) over the (q, n) grid and fits per-q intercepts a(q)
     with one slope parameter through slope(q) = -1 + H*q, solved in closed
-    form by within-q demeaned OLS of (ln S_q + ln n) on q*ln n.
+    form by within-q demeaned OLS of (ln S_q + ln n) on q*ln n. ln S_q is
+    computed once, over the union of the grids; a grid's estimates and
+    failures come from its own orders alone.
     """
     scales = time_scale_grid(X.shape[1])
-    lnS, errors = _fa_points(X, q, scales)
-    return _fa_slopes(lnS, q, np.log(scales)), errors
+    # not np.unique: its first call imports numpy.ma, megabytes of resident memory
+    union = np.array(sorted({q for grid in grids for q in grid}))
+    lnS = _fa_points(X, union, scales)[0]  # the union's failures are no grid's
+    lnn, out = np.log(scales), []
+    for q in grids:
+        # a contiguous copy: _fa_slopes on the strided selection differs in the
+        # last bit. A grid that is the whole union (any one-grid call) skips
+        # the copy, which alone moved the peak memory of such runs by megabytes
+        part = lnS if len(q) == len(union) else np.ascontiguousarray(
+            lnS[:, np.searchsorted(union, q)])
+        out.append((_fa_slopes(part, q, lnn), _zero_partitions(part, scales)))
+    return out

@@ -8,6 +8,7 @@ from selfaffine.errors import (
     NonFiniteValue,
     NonPositiveTail,
     SelfAffineError,
+    TooShort,
     ZeroDispersion,
     ZeroOrdinate,
     ZeroPartition,
@@ -62,6 +63,43 @@ def test_block_row_equals_one_row_estimate(method, T):
         assert type(errors[OVERFLOW_ROW]) is NonFiniteValue
         with pytest.raises(NonFiniteValue):
             methods.estimate(method, ReturnsSeries(X[OVERFLOW_ROW]))
+
+
+def described(errors):
+    return {i: (type(exc), str(exc)) for i, exc in errors.items()}
+
+
+@pytest.mark.parametrize("T", [100, 383, 2000])
+def test_shared_fa_pass_equals_one_pass_per_method(T):
+    """One pass over the union of the q grids gives each FA method its own
+    estimates and failures: a row whose large-q partition function underflows
+    or overflows fails only the methods whose grid holds that q."""
+    z = np.random.default_rng(T + 1).standard_normal(T)
+    X = np.vstack([block(T), z * 1e-70, z * 1e70, z * 1e-300])
+    tiny, huge, tinier = len(X) - 3, len(X) - 2, len(X) - 1
+    shared = methods.estimate_blocks(methods.FA_METHODS, X)
+    assert list(shared) == list(methods.FA_METHODS)
+    for method in methods.FA_METHODS:
+        values, errors = methods.estimate_block(method, X)
+        assert shared[method][0].tobytes() == values.tobytes()
+        assert described(shared[method][1]) == described(errors)
+    errors = {m: shared[m][1] for m in methods.FA_METHODS}
+    assert [type(errors[m].get(tiny)) for m in methods.FA_METHODS] == \
+        [type(None), type(None), ZeroPartition]
+    assert [type(errors[m].get(huge)) for m in methods.FA_METHODS] == \
+        [type(None), type(None), NonFiniteValue]
+    assert [type(errors[m].get(tinier)) for m in methods.FA_METHODS] == \
+        [type(None), ZeroPartition, ZeroPartition]
+    assert np.isfinite(shared["fa1"][0][tinier])
+
+
+def test_a_whole_block_error_fails_every_row_of_every_method():
+    shared = methods.estimate_blocks(("fa3", "hill", "fa1"), np.ones((2, 50)))
+    assert list(shared) == ["fa3", "hill", "fa1"]
+    for values, errors in shared.values():
+        assert np.isnan(values).all()
+        assert sorted(errors) == [0, 1]
+        assert all(type(exc) is TooShort for exc in errors.values())
 
 
 def test_unknown_method():

@@ -157,12 +157,14 @@ class TestEngineContract:
         model = ARModel(order=1, intercept=0.0, coefficients=np.array([0.3]),
                         residual_sd=1.0)
         spec = ar_recursive_spec(model, 130)
-        together = replicate(spec, methods.METHODS, 70, master_seed=9)
-        assert list(together) == list(methods.METHODS)
-        for method in methods.METHODS:
-            alone = run_replications(spec, method, 70, 9)
-            assert together[method].values.tobytes() == alone.values.tobytes()
-            assert together[method].failures_by_kind == alone.failures_by_kind
+        # the FA methods of a request share one pass over their q grids
+        for subset in (methods.METHODS, ("fa3", "fa1"), ("fa2",), ("rra", "fa1", "fa2", "fa3")):
+            together = replicate(spec, subset, 70, master_seed=9)
+            assert list(together) == list(subset)
+            for method in subset:
+                alone = run_replications(spec, method, 70, 9)
+                assert together[method].values.tobytes() == alone.values.tobytes()
+                assert together[method].failures_by_kind == alone.failures_by_kind
 
     def test_build_tables_simulates_only_the_uncached_methods(self, tmp_path, monkeypatch):
         spec = niid_spec(128)
