@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Print the per-estimate kernel table: CPU milliseconds per method, for one
+"""Print the per-kernel table: CPU milliseconds per estimate for every method,
+and per generated series for NIID and AR(4) `ar_recursive` specs, for one
 series and per row of a 64-row block, at T = 1000, 2000 and 5000.
 
-The series are NIID rows from `generate_block`, seeded by `derive_seed(0, i)`.
-Each figure is the median over repeats of one `estimate_blocks` call filling
-about 0.2 CPU seconds (at least five), after one untimed call. The last row
-times FA(1)-FA(3) together, in the one shared pass the replication engine
-makes. Run from a source checkout: PYTHONPATH=src python scripts/kernel_times.py
+The estimated series are NIID rows from `generate_block`, seeded by
+`derive_seed(0, i)`. Each figure is the median over repeats of one call
+filling about 0.2 CPU seconds (at least five), after one untimed call. The
+`fa1`+`fa2`+`fa3` row times FA(1)-FA(3) together, in the one shared pass the
+replication engine makes; a generator row times `generate_block` on the same
+seeds, the AR burn-in of 1000 steps included. Run from a source checkout:
+PYTHONPATH=src python scripts/kernel_times.py
 """
 import os
 import platform
@@ -17,37 +20,48 @@ import numpy as np
 
 from selfaffine.methods import FA_METHODS, METHODS, estimate_blocks
 from selfaffine.rng import derive_seed
-from selfaffine.simulate import generate_block, niid_spec
+from selfaffine.simulate import ar_recursive_spec, generate_block, niid_spec
+from selfaffine.timeseries import ARModel
 
 LENGTHS = (1000, 2000, 5000)
 ROWS = 64
 BUDGET_S = 0.2
+AR4 = ARModel(order=4, intercept=0.01, coefficients=np.array([0.2, -0.1, 0.05, 0.03]),
+              residual_sd=0.7)
 
 
-def cpu_ms(methods, X):
-    """Median CPU milliseconds of one `estimate_blocks(methods, X)` call."""
-    estimate_blocks(methods, X)
+def cpu_ms(call):
+    """Median CPU milliseconds of one `call()`."""
+    call()
     times, start = [], time.process_time()
     while len(times) < 5 or time.process_time() - start < BUDGET_S:
         t = time.process_time()
-        estimate_blocks(methods, X)
+        call()
         times.append(time.process_time() - t)
     return 1e3 * statistics.median(times)
+
+
+def row(label, cells):
+    print(f"| {label} | " + " | ".join(f"{one:.2f} / {per_row:.2f}" for one, per_row in cells)
+          + " |", flush=True)
 
 
 def main():
     print(f"# python {platform.python_version()}, numpy {np.__version__}, "
           f"{platform.machine()}, {os.cpu_count()} CPUs")
-    blocks = {T: generate_block(niid_spec(T), [derive_seed(0, i) for i in range(ROWS)])[0]
-              for T in LENGTHS}
-    print("| method | " + " | ".join(f"T={T}" for T in LENGTHS) + " |")
+    seeds = [derive_seed(0, i) for i in range(ROWS)]
+    blocks = {T: generate_block(niid_spec(T), seeds)[0] for T in LENGTHS}
+    print("| kernel | " + " | ".join(f"T={T}" for T in LENGTHS) + " |")
     print("|---" * (len(LENGTHS) + 1) + "|")
     for methods in [(m,) for m in METHODS] + [FA_METHODS]:
-        cells = [f"{cpu_ms(methods, X[:1]):.2f} / {cpu_ms(methods, X) / ROWS:.2f}"
-                 for X in blocks.values()]
-        print("| " + "+".join(f"`{m}`" for m in methods) + " | " + " | ".join(cells) + " |",
-              flush=True)
-    print(f"# ms per estimate: one series / per row of a {ROWS}-row block")
+        row("+".join(f"`{m}`" for m in methods),
+            [(cpu_ms(lambda: estimate_blocks(methods, X[:1])),
+              cpu_ms(lambda: estimate_blocks(methods, X)) / ROWS) for X in blocks.values()])
+    for label, make in (("generate `niid`", niid_spec),
+                        ("generate `ar_recursive` AR(4)", lambda T: ar_recursive_spec(AR4, T))):
+        row(label, [(cpu_ms(lambda: generate_block(make(T), seeds[:1])),
+                     cpu_ms(lambda: generate_block(make(T), seeds)) / ROWS) for T in LENGTHS])
+    print(f"# ms per estimate or generated series: one series / per row of a {ROWS}-row block")
 
 
 if __name__ == "__main__":

@@ -188,16 +188,49 @@ def _lstable(spec: SimulationSpec, rngs) -> np.ndarray:
     return sigma * X + mu
 
 
+#: time steps per pass of `_ar_recursion`, which bounds its work buffer
+AR_STEPS = 256
+
+
+def _ar_recursion(phi: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """y_t = (((phi_p y_{t-p} + phi_{p-1} y_{t-p+1}) + ...) + phi_1 y_{t-1}) + x_t
+    along each row of X from zero state, as a new C-ordered array.
+
+    The rounding is that of `scipy.signal.lfilter([1], [1, -phi], X, axis=1)`,
+    bit for bit, the sign of a zero included. lfilter's transposed direct form
+    II keeps p delays and per step sets y = s_0 + x, then
+    s_k = (s_{k+1} + x*0) + phi_{k+1} y with s_p = -0. Here one step is three
+    numpy calls over the rows: u = (x, x*0, ..., x*0) + s gives y = u_0 and
+    the delays plus x*0, then P = phi y and s_{0..p-1} = u_{1..p} + P. The
+    work buffer of u holds AR_STEPS time steps, loaded one pass at a time.
+    """
+    p, (rows, N) = len(phi), X.shape
+    out = np.empty((rows, N))
+    s = np.zeros((p + 1, rows))
+    s[p] = -0.0
+    delays, P, phi = s[:p], np.empty((p, rows)), phi[:, None]
+    U = np.empty((min(N, AR_STEPS), p + 1, rows))
+    for t0 in range(0, N, AR_STEPS):
+        x = X[:, t0:t0 + AR_STEPS].T
+        n = len(x)
+        U[:n, 0] = x
+        np.multiply(x[:, None], 0.0, out=U[:n, 1:])
+        for u, y, u_tail in zip(U[:n], U[:n, 0], U[:n, 1:]):
+            u += s
+            np.multiply(phi, y, out=P)
+            np.add(u_tail, P, out=delays)
+        out[:, t0:t0 + n] = U[:n, 0].T
+    return out
+
+
 def _ar_recursive(spec: SimulationSpec, rngs) -> np.ndarray:
     # AR(p) recursion with Gaussian innovations; the burn-in is discarded
     model = spec.ar
     Z = model.intercept + model.residual_sd * np.array(
         [rng.standard_normal(spec.burn_in + spec.T) for rng in rngs])
     if model.order > 0:
-        from scipy.signal import lfilter
-
         # z_t = (c + sd*u_t) + sum(phi_i z_{t-i}) is an IIR filter from zero state
-        Z = lfilter([1.0], np.concatenate([[1.0], -model.coefficients]), Z, axis=1)
+        Z = _ar_recursion(model.coefficients, Z)
     return Z[:, spec.burn_in:]
 
 

@@ -102,13 +102,17 @@ def tail_block(X: np.ndarray, method: str) -> tuple[np.ndarray, dict]:
     """Order-statistic estimate of H for every row of X, and each failed row's
     error.
 
-    Values are sorted descending (ties broken by original index) and the
-    Pickands, Hill or de Haan-Resnick formula is applied with m = 0.05*T
-    tail observations; alpha is recoverable as 1/H.
+    The k largest values of each row are sorted descending, k = 4m for
+    Pickands and m for Hill and de Haan-Resnick, and the formula is applied
+    with m = 0.05*T tail observations; alpha is recoverable as 1/H. Only the
+    order of equal values can differ from a full sort, and no formula sees it:
+    equal values give the same logs and differences, and the sign of a zero
+    only matters in a row that fails as NonPositiveTail.
     """
     m = _tail_size(method, X.shape[1])
-    # descending, ties kept in their original order
-    x = -np.sort(-X, axis=1, kind="stable")  # x[:, 0] = x_(1) >= x[:, 1] = x_(2) >= ...
+    k = 4 * m if method == "pickands" else m
+    top = np.partition(-X, k - 1, axis=1)[:, :k]
+    x = -np.sort(top, axis=1, kind="stable")  # x[:, 0] = x_(1) >= x[:, 1] = x_(2) >= ...
     if method == "pickands":
         d1 = x[:, m - 1] - x[:, 2 * m - 1]
         d2 = x[:, 2 * m - 1] - x[:, 4 * m - 1]

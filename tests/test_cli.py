@@ -290,3 +290,23 @@ def test_import_loads_no_scipy():
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_ar_generation_and_analyze_load_no_scipy_signal(tmp_path):
+    # scipy.signal pulls in scipy.stats, optimize, sparse and linalg (~50 MB);
+    # only scipy.special, for normalize_transform's ndtri, may load
+    env = dict(os.environ, PYTHONPATH=str(Path(selfaffine.__file__).parents[1]))
+    code = f"""import sys
+import numpy as np
+from selfaffine.analysis import AnalyzeConfig, analyze_index
+from selfaffine.simulate import ar_recursive_spec, generate_block
+from selfaffine.timeseries import ARModel, read_prices_csv
+model = ARModel(order=2, intercept=0.0, coefficients=np.array([0.3, -0.1]), residual_sd=1.0)
+generate_block(ar_recursive_spec(model, 200), [1, 2, 3])
+analyze_index(read_prices_csv({str(DATA / "prices_demo.csv")!r}),
+              AnalyzeConfig(reps=100, cache_dir={str(tmp_path)!r}))
+print(sorted(m for m in sys.modules if m.startswith("scipy.signal")))
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import fft, stats
+from scipy import fft, signal, stats
 
 from selfaffine.errors import (
     BadAlpha,
@@ -16,6 +16,8 @@ from selfaffine.errors import (
 )
 from selfaffine.rng import derive_seed, rng_from_seed
 from selfaffine.simulate import (
+    AR_STEPS,
+    _ar_recursion,
     _fast_len,
     ar_recursive_spec,
     arfima_acf,
@@ -193,6 +195,30 @@ class TestArRecursive:
                         residual_sd=0.5)
         z = generate(ar_recursive_spec(model, 50000, seed=4)).values
         assert z.mean() == pytest.approx(1.0 / (1 - 0.5), abs=0.05)
+
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    @pytest.mark.parametrize("p", range(1, 11))
+    def test_recursion_is_lfilter_bit_for_bit(self, p, rows):
+        # lfilter is the oracle for every bit, the sign of a zero included.
+        # Rows that open with a run of -0 under negative coefficients make
+        # lfilter's x*0 terms show: its outputs there are -0, where a recursion
+        # without them gives +0
+        rng = np.random.default_rng(100 * p + rows)
+        N = 2 * AR_STEPS + 37  # three passes, the last one short
+        runs = rng.standard_normal((rows, N))
+        zeros = rng.random((rows, N)) < 0.4
+        runs[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+        runs[:, :3 * p] = -0.0
+        cases = [(rng.uniform(-1.0, 1.0, p) / p, rng.standard_normal((rows, N))),
+                 (-rng.uniform(0.0, 1.0, p) / p, runs)]
+        for phi, X in cases:
+            before = X.tobytes()
+            got = _ar_recursion(phi, X)
+            want = signal.lfilter([1.0], np.concatenate([[1.0], -phi]), X, axis=1)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert X.tobytes() == before  # the input is left as it was
 
     @pytest.mark.parametrize("phi", [1.01, 1.0])
     def test_explosive_rejected(self, phi):

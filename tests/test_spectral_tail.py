@@ -12,7 +12,7 @@ from selfaffine.errors import (
     ZeroOrdinate,
 )
 from selfaffine.methods import estimate, estimate_point
-from selfaffine.spectral_tail import gph_regressor, periodogram
+from selfaffine.spectral_tail import TAIL_METHODS, _log, gph_regressor, periodogram, tail_block
 
 from conftest import make_returns
 
@@ -111,7 +111,50 @@ class TestRobinson:
         assert b == pytest.approx(a, abs=1e-9)
 
 
+def full_sort_tail(X, method):
+    """The tail formulas on a full descending sort of each row, ties kept in
+    their original order: the reference for `tail_block`, which sorts only
+    the tail."""
+    m = int(math.floor(0.05 * X.shape[1]))
+    x = -np.sort(-X, axis=1, kind="stable")
+    if method == "pickands":
+        d1, d2 = x[:, m - 1] - x[:, 2 * m - 1], x[:, 2 * m - 1] - x[:, 4 * m - 1]
+        bad = (d1 <= 0.0) | (d2 <= 0.0)
+        H = (_log(np.where(bad, 1.0, d1)) - _log(np.where(bad, 1.0, d2))) / math.log(2.0)
+    elif method == "hill":
+        bad = x[:, m - 1] <= 0.0
+        H = np.log(x[:, : m - 1]).mean(axis=1) - _log(np.where(bad, 1.0, x[:, m - 1]))
+    else:
+        bad = (x[:, 0] <= 0.0) | (x[:, m - 1] <= 0.0)
+        H = (_log(np.where(bad, 1.0, x[:, 0])) - _log(np.where(bad, 1.0, x[:, m - 1]))
+             ) / math.log(m)
+    return H, set(np.flatnonzero(bad).tolist())
+
+
 class TestTailEstimators:
+    @pytest.mark.parametrize("T", [100, 383, 2000])
+    @pytest.mark.parametrize("method", TAIL_METHODS)
+    def test_tail_sort_equals_full_sort(self, method, T):
+        rng = np.random.default_rng(T)
+        z = rng.standard_normal((8, T))
+        signed_zeros = np.where(rng.random(T) < 0.5, 0.0, -0.0)
+        X = np.array([
+            z[0],
+            np.round(z[1], 1),  # ties
+            np.round(z[2]),  # ties, -0 among them
+            np.zeros(T),
+            signed_zeros,
+            np.where(np.arange(T) % 7 == 0, 1.5, signed_zeros),  # x_(m) tied, zeros below
+            np.where(rng.random(T) < 0.03, 2.0, signed_zeros),  # x_(m) is a zero
+            -np.abs(z[7]),
+        ])
+        with np.errstate(all="ignore"):
+            values, errors = tail_block(X, method)
+            want, failing = full_sort_tail(X, method)
+        assert values.tobytes() == want.tobytes()
+        assert set(errors) == failing and failing
+        assert all(isinstance(e, NonPositiveTail) for e in errors.values())
+
     def test_hand_computed_values(self):
         values = np.arange(1.0, 101.0)  # sorted ascending 1..100, m = 5
         r = make_returns(values)
