@@ -62,6 +62,9 @@ def _checks():
            lambda: np.allclose(
                normalize_transform(ReturnsSeries([5.0, 1.0, 9.0])).values,
                [0.0, -0.6744897501960817, 0.6744897501960817], atol=1e-9))
+    yield ("normalize transform hits the tail quantile 1/384 at T=383",
+           lambda: abs(normalize_transform(ReturnsSeries(np.arange(383.0))).values[0]
+                       + 2.7938580633153958) < 1e-12)
     yield ("ARFIMA with d=0 reproduces the NIID stream",
            lambda: np.array_equal(generate(arfima_spec(0.0, 64, seed=7)).values,
                                   generate(niid_spec(64, seed=7)).values))

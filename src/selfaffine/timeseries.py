@@ -152,19 +152,73 @@ def random_reorder(r: ReturnsSeries, seed: int) -> ReturnsSeries:
     return ReturnsSeries(z[ranks - 1])
 
 
+# Cephes ndtri's rational approximations (Moshier 1989, "Methods and Programs
+# for Mathematical Functions"), highest power first
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
+             -5.66762857469070293439e1, 1.39312609387279679503e1,
+             -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0,
+             8.63602421390890590575e1, -2.25462687854119370527e2,
+             2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1,
+             5.71628192246421288162e1, 4.40805073893200834700e1,
+             1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2,
+             -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1,
+             4.13172038254672030440e1, 1.50425385692907503408e1,
+             2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_SQRT_2PI = 2.50662827463100050242
+
+
+def _polevl(x: np.ndarray, coef) -> np.ndarray:
+    # Horner in Cephes' order; a leading 1 gives p1evl's bits, since 1*x is x
+    ans = np.full_like(x, coef[0])
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(p: np.ndarray) -> np.ndarray:
+    """Standard normal quantile, bit for bit as `scipy.special.ndtri`.
+
+    Domain: exp(-32) < p < 1 - exp(-32) (exp(-32) is about 1.27e-14), which
+    holds every rank quantile k/(T+1) of a series that fits in memory;
+    Cephes' third fit, for the tails beyond, is left out. The tail's two logs
+    come from libm (`math.log`), as in Cephes: numpy's vectorised log can
+    differ from it in the last bit.
+    """
+    out = np.empty_like(p)
+    upper = p > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - p, p)
+    central = y > _EXP_M2
+    yc = y[central] - 0.5
+    y2 = yc * yc
+    out[central] = (yc + yc * (y2 * _polevl(y2, _NDTRI_P0)
+                                / _polevl(y2, _NDTRI_Q0))) * _SQRT_2PI
+    tail = ~central
+    x = np.sqrt(np.array([-2.0 * math.log(v) for v in y[tail]]))
+    x0 = x - np.array([math.log(v) for v in x]) / x
+    z = 1.0 / x
+    x = x0 - z * _polevl(z, _NDTRI_P1) / _polevl(z, _NDTRI_Q1)
+    out[tail] = np.where(upper[tail], x, -x)
+    return out
+
+
 def normalize_transform(r: ReturnsSeries) -> ReturnsSeries:
     """Map each value to the standard normal quantile of its rank.
 
     Output[t] = ndtri(rank(t) / (T+1)) with ascending ranks and ties broken by
     original index, so the rank ordering of the output equals the input's.
     """
-    from scipy.special import ndtri
-
     z = r.values
     order = np.argsort(z, kind="stable")
     ranks = np.empty(len(z), dtype=np.int64)
     ranks[order] = np.arange(1, len(z) + 1)
-    return ReturnsSeries(ndtri(ranks / (len(z) + 1.0)))
+    return ReturnsSeries(_ndtri(ranks / (len(z) + 1.0)))
 
 
 def _ar_design(z: np.ndarray, p: int, max_lag: int) -> tuple[np.ndarray, np.ndarray]:

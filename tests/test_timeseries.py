@@ -1,9 +1,11 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from selfaffine.errors import (
     DegenerateSeries,
@@ -16,6 +18,7 @@ from selfaffine.timeseries import (
     ARModel,
     PriceSeries,
     ReturnsSeries,
+    _ndtri,
     ar_filter,
     fit_ar,
     log_returns,
@@ -155,6 +158,17 @@ class TestNormalizeTransform:
         out = normalize_transform(r)
         np.testing.assert_array_equal(np.argsort(out.values, kind="stable"),
                                       np.argsort(r.values, kind="stable"))
+
+    def test_ndtri_is_scipy_bit_for_bit_on_rank_quantiles(self):
+        # both branches and the reflection: the tails start at k/(T+1) < exp(-2)
+        for T in [*range(1, 3001), 4999, 10_007, 65_536, 199_999]:
+            p = np.arange(1, T + 1) / (T + 1.0)
+            assert np.array_equal(_ndtri(p), ndtri(p)), T
+
+    def test_returns_of_demo_prices_match_scipy(self):
+        r = log_returns(read_prices_csv(Path(__file__).parent / "data" / "prices_demo.csv"))
+        ranks = np.argsort(np.argsort(r.values, kind="stable"), kind="stable") + 1
+        assert np.array_equal(normalize_transform(r).values, ndtri(ranks / (len(r) + 1.0)))
 
 
 class TestARFitting:
