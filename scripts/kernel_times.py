@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Print the per-kernel table: CPU milliseconds per estimate for every method,
 and per generated series for NIID and AR(4) `ar_recursive` specs, for one
-series and per row of a 64-row block, at T = 1000, 2000 and 5000.
+series and per row of a 64-row block, at T = 1000, 2000 and 5000. The AR
+row adds the time per row of a 256-row chunk, the largest height at which
+the replication engine generates it.
 
 The estimated series are NIID rows from `generate_block`, seeded by
 `derive_seed(0, i)`. Each figure is the median over repeats of one call
@@ -19,6 +21,7 @@ import time
 import numpy as np
 
 from selfaffine.methods import FA_METHODS, METHODS, estimate_blocks
+from selfaffine.montecarlo import _AR_ROWS
 from selfaffine.rng import derive_seed
 from selfaffine.simulate import ar_recursive_spec, generate_block, niid_spec
 from selfaffine.timeseries import ARModel
@@ -42,26 +45,29 @@ def cpu_ms(call):
 
 
 def row(label, cells):
-    print(f"| {label} | " + " | ".join(f"{one:.2f} / {per_row:.2f}" for one, per_row in cells)
+    print(f"| {label} | " + " | ".join(" / ".join(f"{ms:.2f}" for ms in cell) for cell in cells)
           + " |", flush=True)
 
 
 def main():
     print(f"# python {platform.python_version()}, numpy {np.__version__}, "
           f"{platform.machine()}, {os.cpu_count()} CPUs")
-    seeds = [derive_seed(0, i) for i in range(ROWS)]
-    blocks = {T: generate_block(niid_spec(T), seeds)[0] for T in LENGTHS}
+    seeds = [derive_seed(0, i) for i in range(max(ROWS, _AR_ROWS))]
+    blocks = {T: generate_block(niid_spec(T), seeds[:ROWS])[0] for T in LENGTHS}
     print("| kernel | " + " | ".join(f"T={T}" for T in LENGTHS) + " |")
     print("|---" * (len(LENGTHS) + 1) + "|")
     for methods in [(m,) for m in METHODS] + [FA_METHODS]:
         row("+".join(f"`{m}`" for m in methods),
             [(cpu_ms(lambda: estimate_blocks(methods, X[:1])),
               cpu_ms(lambda: estimate_blocks(methods, X)) / ROWS) for X in blocks.values()])
-    for label, make in (("generate `niid`", niid_spec),
-                        ("generate `ar_recursive` AR(4)", lambda T: ar_recursive_spec(AR4, T))):
-        row(label, [(cpu_ms(lambda: generate_block(make(T), seeds[:1])),
-                     cpu_ms(lambda: generate_block(make(T), seeds)) / ROWS) for T in LENGTHS])
-    print(f"# ms per estimate or generated series: one series / per row of a {ROWS}-row block")
+    row("generate `niid`", [(cpu_ms(lambda: generate_block(niid_spec(T), seeds[:1])),
+                             cpu_ms(lambda: generate_block(niid_spec(T), seeds[:ROWS])) / ROWS)
+                            for T in LENGTHS])
+    row("generate `ar_recursive` AR(4)",
+        [tuple(cpu_ms(lambda: generate_block(ar_recursive_spec(AR4, T), seeds[:n])) / n
+               for n in (1, ROWS, _AR_ROWS)) for T in LENGTHS])
+    print(f"# ms per estimate or generated series: one series / per row of a {ROWS}-row block"
+          f" (/ per row of a {_AR_ROWS}-row chunk)")
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from .methods import estimate_blocks
 # which rebinds montecarlo.estimate_point and montecarlo.generate, still finds them
 from .methods import estimate_point  # noqa: F401
 from .rng import derive_seed
-from .simulate import SimulationSpec, generate_block
+from .simulate import AR_RECURSIVE, SimulationSpec, generate_block
 from .simulate import generate  # noqa: F401
 from .timeseries import _freeze
 
@@ -109,28 +109,49 @@ class PowerResult:
             raise ValueError("rejection rate must lie in [0, 1]")
 
 
-#: replications generated and estimated together: large enough to amortise
-#: numpy's per-call overhead, small enough to keep a block's arrays in cache
+#: replications estimated together: large enough to amortise numpy's
+#: per-call overhead, small enough to keep a block's arrays in cache
 _BLOCK_ROWS = 64
+#: the most replications of an AR-recursive spec generated together: its
+#: generator pays numpy calls per time step over all rows at once
+_AR_ROWS = 256
 
 
-def _run_block(spec: SimulationSpec, methods: tuple[str, ...], master_seed: int,
+def _chunks(spec: SimulationSpec, reps: int, workers: int) -> list[tuple[int, int]]:
+    """The (lo, hi) replication ranges generated together, which are also the
+    unit of parallel work: `_BLOCK_ROWS` rows each, or for an AR-recursive
+    spec the fewest chunks of at most `_AR_ROWS` rows, as many for each
+    worker, whose heights differ by at most one."""
+    if spec.model != AR_RECURSIVE:
+        return [(lo, min(lo + _BLOCK_ROWS, reps)) for lo in range(0, reps, _BLOCK_ROWS)]
+    count = -(-reps // _AR_ROWS)
+    count = min(-(-count // workers) * workers, reps)
+    return [(i * reps // count, (i + 1) * reps // count) for i in range(count)]
+
+
+def _run_chunk(spec: SimulationSpec, methods: tuple[str, ...], master_seed: int,
                lo: int, hi: int) -> dict[str, tuple[np.ndarray, Counter]]:
-    """Replications lo..hi-1 of `spec`, each estimated by every method.
+    """Replications lo..hi-1 of `spec`, generated at once and estimated by
+    every method `_BLOCK_ROWS` rows at a time.
 
     Per method: the estimates of the rows that succeed, in row order, and the
     count of the others by the name of the exception that failed them. A row
     that fails generation keeps that failure, whatever its estimate.
     """
     X, lost = generate_block(spec, [derive_seed(master_seed, i) for i in range(lo, hi)])
-    # AR and ARFIMA rows are slices of longer ones; every kernel runs faster
-    # on one contiguous copy
+    # ARFIMA rows are slices of longer ones; every kernel runs faster on one
+    # contiguous copy
     X = np.ascontiguousarray(X)
+    values, errors = {m: [] for m in methods}, {m: {} for m in methods}
+    for a in range(0, hi - lo, _BLOCK_ROWS):
+        for method, (v, e) in estimate_blocks(methods, X[a:a + _BLOCK_ROWS]).items():
+            values[method].append(v)
+            errors[method].update({a + i: exc for i, exc in e.items()})
     out = {}
-    for method, (values, errors) in estimate_blocks(methods, X).items():
-        errors.update(lost)
-        out[method] = (np.delete(values, list(errors)),
-                       Counter(type(exc).__name__ for exc in errors.values()))
+    for method in methods:
+        errors[method].update(lost)
+        out[method] = (np.delete(np.concatenate(values[method]), list(errors[method])),
+                       Counter(type(exc).__name__ for exc in errors[method].values()))
     return out
 
 
@@ -140,22 +161,22 @@ def replicate(spec: SimulationSpec, methods, reps: int, master_seed: int,
 
     Replication i draws from the sub-stream (master_seed, i), so results do
     not depend on the worker count or scheduling. Replications are generated
-    in blocks of rows and every method runs on each block; a row's estimate
-    is bit-identical to the one-row estimate of the same series. Estimator
-    failures are recorded by exception type, not fatal.
+    in chunks of rows (see `_chunks`) and every method runs on each block of
+    `_BLOCK_ROWS` rows; a row's estimate is bit-identical to the one-row
+    estimate of the same series. Estimator failures are recorded by exception
+    type, not fatal.
     """
     methods = tuple(methods)
     if reps < 1:
         raise ValueError("reps must be at least 1")
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    starts = range(0, reps, _BLOCK_ROWS)
-    ends = [min(lo + _BLOCK_ROWS, reps) for lo in starts]
+    starts, ends = zip(*_chunks(spec, reps, workers))
     if workers == 1:
-        parts = [_run_block(spec, methods, master_seed, lo, hi) for lo, hi in zip(starts, ends)]
+        parts = [_run_chunk(spec, methods, master_seed, lo, hi) for lo, hi in zip(starts, ends)]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_block, repeat(spec), repeat(methods),
+            parts = list(pool.map(_run_chunk, repeat(spec), repeat(methods),
                                   repeat(master_seed), starts, ends))
     samples = {}
     for method in methods:

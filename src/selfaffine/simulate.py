@@ -188,30 +188,35 @@ def _lstable(spec: SimulationSpec, rngs) -> np.ndarray:
     return sigma * X + mu
 
 
-#: time steps per pass of `_ar_recursion`, which bounds its work buffer
-AR_STEPS = 256
+#: time steps per pass of the AR recursion, which bound its work buffer
+AR_STEPS = 64
+#: innovations drawn per row and call of the AR generator, a multiple of
+#: AR_STEPS, which bound its innovation buffer
+AR_DRAWS = 512
 
 
-def _ar_recursion(phi: np.ndarray, X: np.ndarray) -> np.ndarray:
+def _ar_recursion(phi: np.ndarray, rows: int, passes):
     """y_t = (((phi_p y_{t-p} + phi_{p-1} y_{t-p+1}) + ...) + phi_1 y_{t-1}) + x_t
-    along each row of X from zero state, as a new C-ordered array.
+    over `rows` series from zero state, fed by `passes`: `(rows, n)` arrays
+    of the next x, n <= AR_STEPS. Yields each pass's y as a `(rows, n)`
+    view of a time-major work buffer that the next pass overwrites.
 
-    The rounding is that of `scipy.signal.lfilter([1], [1, -phi], X, axis=1)`,
-    bit for bit, the sign of a zero included. lfilter's transposed direct form
-    II keeps p delays and per step sets y = s_0 + x, then
-    s_k = (s_{k+1} + x*0) + phi_{k+1} y with s_p = -0. Here one step is three
-    numpy calls over the rows: u = (x, x*0, ..., x*0) + s gives y = u_0 and
-    the delays plus x*0, then P = phi y and s_{0..p-1} = u_{1..p} + P. The
-    work buffer of u holds AR_STEPS time steps, loaded one pass at a time.
+    The rounding is that of `scipy.signal.lfilter([1], [1, -phi], X, axis=1)`
+    on the passes joined along time, bit for bit, the sign of a zero
+    included. lfilter's transposed direct form II keeps p delays and per step
+    sets y = s_0 + x, then s_k = (s_{k+1} + x*0) + phi_{k+1} y with s_p = -0.
+    Here one step is three numpy calls over the rows: u = (x, x*0, ..., x*0)
+    + s gives y = u_0 and the delays plus x*0, then P = phi y and
+    s_{0..p-1} = u_{1..p} + P.
     """
-    p, (rows, N) = len(phi), X.shape
-    out = np.empty((rows, N))
+    p = len(phi)
     s = np.zeros((p + 1, rows))
     s[p] = -0.0
-    delays, P, phi = s[:p], np.empty((p, rows)), phi[:, None]
-    U = np.empty((min(N, AR_STEPS), p + 1, rows))
-    for t0 in range(0, N, AR_STEPS):
-        x = X[:, t0:t0 + AR_STEPS].T
+    # phi as a (p, rows) array: a broadcast multiply by y is slower
+    delays, P, phi = s[:p], np.empty((p, rows)), np.repeat(phi[:, None], rows, axis=1)
+    U = np.empty((AR_STEPS, p + 1, rows))
+    for x in passes:
+        x = x.T
         n = len(x)
         U[:n, 0] = x
         np.multiply(x[:, None], 0.0, out=U[:n, 1:])
@@ -219,19 +224,41 @@ def _ar_recursion(phi: np.ndarray, X: np.ndarray) -> np.ndarray:
             u += s
             np.multiply(phi, y, out=P)
             np.add(u_tail, P, out=delays)
-        out[:, t0:t0 + n] = U[:n, 0].T
-    return out
+        yield U[:n, 0].T
 
 
 def _ar_recursive(spec: SimulationSpec, rngs) -> np.ndarray:
-    # AR(p) recursion with Gaussian innovations; the burn-in is discarded
-    model = spec.ar
-    Z = model.intercept + model.residual_sd * np.array(
-        [rng.standard_normal(spec.burn_in + spec.T) for rng in rngs])
+    """AR(p) series with innovations c + sd*u_t, u_t ~ N(0, 1), from zero
+    state, the burn-in discarded, as a C-ordered `(rows, T)` array.
+
+    The series are streamed through time: each row's next AR_DRAWS
+    innovations are drawn into one buffer (a row draws the same values in any
+    number of calls) and scaled in place (u*sd + c has the bits of c + sd*u),
+    then filtered AR_STEPS steps at a time. Only the steps after the burn-in
+    are kept.
+    """
+    model, N, burn_in = spec.ar, spec.burn_in + spec.T, spec.burn_in
+    out = np.empty((len(rngs), spec.T))
+    Z = np.empty((len(rngs), AR_DRAWS))
+
+    def innovations():
+        for t0 in range(0, N, AR_DRAWS):
+            z = Z[:, :N - t0]
+            for row, rng in zip(z, rngs):
+                rng.standard_normal(out=row)
+            z *= model.residual_sd
+            z += model.intercept
+            for a in range(0, z.shape[1], AR_STEPS):
+                yield z[:, a:a + AR_STEPS]
+
+    passes = innovations()
     if model.order > 0:
         # z_t = (c + sd*u_t) + sum(phi_i z_{t-i}) is an IIR filter from zero state
-        Z = _ar_recursion(model.coefficients, Z)
-    return Z[:, spec.burn_in:]
+        passes = _ar_recursion(model.coefficients, len(rngs), passes)
+    for t0, y in zip(range(-burn_in, spec.T, AR_STEPS), passes):
+        if t0 + AR_STEPS > 0:
+            out[:, max(t0, 0):t0 + AR_STEPS] = y[:, max(-t0, 0):]
+    return out
 
 
 _GENERATORS = {

@@ -145,13 +145,68 @@ class TestEngineContract:
                         residual_sd=1.0)
         specs, reps = (niid_spec(150), arfima_spec(0.2, 150), ar_recursive_spec(model, 150)), 20
         references = [run_replications(spec, method, reps, master_seed=2) for spec in specs]
-        for block_rows in (1, 7, reps):
+        # the AR rows are generated in chunks of up to _AR_ROWS and estimated
+        # _BLOCK_ROWS at a time, chunks that need not be whole blocks
+        for ar_rows, block_rows in ((1, 1), (7, 3), (reps, 7), (7, reps), (3, reps)):
+            monkeypatch.setattr(montecarlo, "_AR_ROWS", ar_rows)
             monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", block_rows)
             for workers in (1, 2):
                 for spec, reference in zip(specs, references):
                     got = run_replications(spec, method, reps, 2, workers=workers)
                     assert got.values.tobytes() == reference.values.tobytes()
                     assert got.failures_by_kind == reference.failures_by_kind
+
+    def test_failures_keep_their_rows_in_any_chunk(self, monkeypatch):
+        # a row's estimate is its first value, so a failure charged to the
+        # wrong row of a chunk deletes the wrong estimate
+        def marked(X):
+            return X[:, 0].copy(), {int(i): NonPositiveTail("sum")
+                                    for i in np.flatnonzero(X.sum(axis=1) > 0)}
+
+        monkeypatch.setitem(methods._REGISTRY, "marked", marked)
+        model = ARModel(order=1, intercept=0.0, coefficients=np.array([0.3]), residual_sd=1.0)
+        spec, reps = ar_recursive_spec(model, 60), 20
+        rows = [generate(ar_recursive_spec(model, 60, seed=derive_seed(2, i))).values
+                for i in range(reps)]
+        want = [x[0] for x in rows if not x.sum() > 0]
+        assert 0 < len(want) < reps
+        for ar_rows, block_rows in ((reps, reps), (7, 3), (3, 7)):
+            monkeypatch.setattr(montecarlo, "_AR_ROWS", ar_rows)
+            monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", block_rows)
+            got = run_replications(spec, "marked", reps, 2)
+            assert got.values.tolist() == want
+            assert got.failures_by_kind == {"NonPositiveTail": reps - len(want)}
+
+    def test_only_ar_rows_are_generated_in_tall_chunks(self, monkeypatch):
+        heights = []
+        real = montecarlo.generate_block
+
+        def recording(spec, seeds):
+            heights.append(len(seeds))
+            return real(spec, seeds)
+
+        monkeypatch.setattr(montecarlo, "generate_block", recording)
+        model = ARModel(order=1, intercept=0.0, coefficients=np.array([0.3]), residual_sd=1.0)
+        for spec, want in ((ar_recursive_spec(model, 100), [150, 150]),
+                           (arfima_spec(0.2, 100), [64] * 4 + [44])):
+            heights.clear()
+            replicate(spec, ("hill",), 300, 1)
+            assert heights == want
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("reps", [1, 2, 100, 200, 256, 257, 300, 1000])
+    def test_ar_chunks_give_every_worker_as_many_rows(self, reps, workers):
+        # an AR null at reps 200 and workers 2 runs on both workers, in two
+        # chunks of 100 rows
+        model = ARModel(order=1, intercept=0.0, coefficients=np.array([0.3]), residual_sd=1.0)
+        chunks = montecarlo._chunks(ar_recursive_spec(model, 100), reps, workers)
+        heights = [hi - lo for lo, hi in chunks]
+        assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]]
+        assert chunks[-1][1] == reps
+        assert max(heights) <= montecarlo._AR_ROWS and max(heights) - min(heights) <= 1
+        if reps >= workers:  # as many chunks for each worker, and no more than that needs
+            assert len(chunks) % workers == 0
+            assert len(chunks) < -(-reps // montecarlo._AR_ROWS) + workers
 
     def test_multi_method_run_equals_one_method_runs(self):
         model = ARModel(order=1, intercept=0.0, coefficients=np.array([0.3]),

@@ -16,6 +16,7 @@ from selfaffine.errors import (
 )
 from selfaffine.rng import derive_seed, rng_from_seed
 from selfaffine.simulate import (
+    AR_DRAWS,
     AR_STEPS,
     _ar_recursion,
     _fast_len,
@@ -204,21 +205,52 @@ class TestArRecursive:
         # lfilter's x*0 terms show: its outputs there are -0, where a recursion
         # without them gives +0
         rng = np.random.default_rng(100 * p + rows)
-        N = 2 * AR_STEPS + 37  # three passes, the last one short
+        N = 2 * AR_STEPS + 37
         runs = rng.standard_normal((rows, N))
         zeros = rng.random((rows, N)) < 0.4
         runs[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
         runs[:, :3 * p] = -0.0
         cases = [(rng.uniform(-1.0, 1.0, p) / p, rng.standard_normal((rows, N))),
                  (-rng.uniform(0.0, 1.0, p) / p, runs)]
+        # passes of every length up to AR_STEPS, a one-step pass included
+        cuts = [0, 1, AR_STEPS + 1, AR_STEPS + 40, N]
         for phi, X in cases:
             before = X.tobytes()
-            got = _ar_recursion(phi, X)
+            passes = (X[:, a:b] for a, b in zip(cuts, cuts[1:]))
+            # each yielded pass is a view of a buffer the next pass overwrites
+            got = np.concatenate([y.copy() for y in _ar_recursion(phi, rows, passes)], axis=1)
             want = signal.lfilter([1.0], np.concatenate([[1.0], -phi]), X, axis=1)
-            assert got.flags.c_contiguous
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
             assert X.tobytes() == before  # the input is left as it was
+
+    @pytest.mark.parametrize("rows", [1, 7, 256])
+    @pytest.mark.parametrize("p", range(0, 11))
+    def test_streamed_generator_equals_whole_rows(self, p, rows):
+        # the reference draws each row whole, scales it to c + sd*u, filters
+        # it and drops the burn-in. The (T, burn-in) pairs put the end of the
+        # burn-in and of the series on and beside the generator's pass
+        # boundaries: its recursion passes end at multiples of AR_STEPS, its
+        # draws at multiples of AR_DRAWS
+        rng = np.random.default_rng(p)
+        model = ARModel(order=p, intercept=float(rng.normal()),
+                        coefficients=rng.uniform(-0.9, 0.9, p) / max(p, 1),
+                        residual_sd=float(rng.uniform(0.1, 2.0)))
+        seeds = [derive_seed(p, i) for i in range(rows)]
+        edge = -(-1000 // AR_DRAWS) * AR_DRAWS  # the first draw boundary after 1000 steps
+        for T, burn_in in ((1, 1000), (edge - 1000, 1000), (edge - 999, 1000), (1, edge - 1),
+                           (AR_STEPS - 1, edge), (AR_STEPS, edge), (2 * AR_STEPS + 1, edge + 1),
+                           (AR_DRAWS, edge), (AR_DRAWS + 1, edge)):
+            Z = model.intercept + model.residual_sd * np.array(
+                [rng_from_seed(s).standard_normal(burn_in + T) for s in seeds])
+            if p:
+                Z = signal.lfilter([1.0], np.concatenate([[1.0], -model.coefficients]), Z,
+                                   axis=1)
+            want = Z[:, burn_in:]
+            got, errors = generate_block(ar_recursive_spec(model, T, burn_in=burn_in), seeds)
+            assert errors == {} and got.shape == (rows, T) and got.flags.c_contiguous
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
     @pytest.mark.parametrize("phi", [1.01, 1.0])
     def test_explosive_rejected(self, phi):
