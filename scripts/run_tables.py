@@ -22,7 +22,7 @@ def alternatives(H, T):
 
 
 def alternative_samples(T, reps, seed):
-    """{(H, model): {method: sample}}: each alternative runs once for every method."""
+    """{(H, model): {method: table}}: each alternative runs once for every method."""
     return {(H, model): replicate(spec, SCALING_METHODS, reps, seed)
             for H in HURSTS for model, spec in alternatives(H, T)}
 
@@ -44,8 +44,7 @@ def table_bias(lengths, reps, seed, out):
             for method in SCALING_METHODS:
                 for model, _ in alternatives(H, T):
                     s = samples[(H, model)][method]
-                    print(f"bias,{model},{H},{method},{T},"
-                          f"{s.values.mean():.4f},{s.values.std(ddof=1):.4f}",
+                    print(f"bias,{model},{H},{method},{T},{s.mean:.4f},{s.sd:.4f}",
                           file=out)
 
 
@@ -58,7 +57,7 @@ def table_power(lengths, reps, seed, out):
             for method in SCALING_METHODS:
                 for model, _ in alternatives(H, T):
                     s = samples[(H, model)][method]
-                    rate = float((s.values > tables[method].cutoff(0.05)).mean())
+                    rate = float((s.sample > tables[method].cutoff(0.05)).mean())
                     print(f"power,{model},{H},{method},{T},0.05,{rate:.3f}",
                           file=out)
 

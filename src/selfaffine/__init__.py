@@ -11,10 +11,9 @@ from .analysis import (
     classify_source,
 )
 from .errors import SelfAffineError
-from .methods import METHODS, Estimate, estimate, estimate_block, estimate_blocks, estimate_point
+from .methods import METHODS, Estimate, estimate, estimate_blocks, estimate_point
 from .montecarlo import (
     CriticalValueTable,
-    EstimateSample,
     PowerResult,
     build_critical_values,
     build_tables,
@@ -22,7 +21,6 @@ from .montecarlo import (
     power_function,
     replicate,
     run_replications,
-    summarize_sample,
 )
 from .scaling import Q_GRIDS, partition_function, rs_statistic, time_scale_grid
 from .simulate import (

@@ -78,15 +78,9 @@ def estimate_blocks(methods, X: np.ndarray) -> dict[str, BlockResult]:
     return {m: out[m] for m in methods}
 
 
-def estimate_block(method: str, X: np.ndarray) -> BlockResult:
-    """Point estimates of every row of X and the errors of the rows that fail;
-    the one-method case of `estimate_blocks`."""
-    return estimate_blocks((method,), X)[method]
-
-
 def estimate_point(method: str, r: ReturnsSeries) -> float:
     """Scalar point estimate (H or d): the one-row case of the block kernel."""
-    values, errors = estimate_block(method, r.values[None, :])
+    values, errors = estimate_blocks((method,), r.values[None, :])[method]
     if errors:
         raise errors[0]
     return float(values[0])

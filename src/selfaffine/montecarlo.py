@@ -23,7 +23,6 @@ from .methods import estimate_point  # noqa: F401
 from .rng import derive_seed
 from .simulate import AR_RECURSIVE, SimulationSpec, generate_block
 from .simulate import generate  # noqa: F401
-from .timeseries import _freeze
 
 DEFAULT_LEVELS = (0.10, 0.05, 0.01)
 DEFAULT_REPS = 5000
@@ -34,28 +33,10 @@ _log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class EstimateSample:
-    """Estimator outputs over the successful replications of one spec."""
-
-    method: str
-    spec: SimulationSpec
-    reps: int
-    master_seed: int
-    values: np.ndarray
-    failures: int
-    failures_by_kind: dict[str, int] = field(default_factory=dict)  # exception name -> count
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _freeze(self.values))
-        if len(self.values) + self.failures != self.reps:
-            raise ValueError("values + failures must account for every replication")
-        if sum(self.failures_by_kind.values()) != self.failures:
-            raise ValueError("failures_by_kind must add up to failures")
-
-
-@dataclass(frozen=True)
 class CriticalValueTable:
-    """The null distribution of an estimator under a null spec, served at any level."""
+    """One estimator's estimates over the replications of one spec: the null
+    table that serves critical values at any level, and the sample that power
+    rates and bias rows read."""
 
     method: str
     T: int
@@ -78,13 +59,19 @@ class CriticalValueTable:
         # table with failures, into a miss
         if sum(self.failures_by_kind.values()) != self.failures:
             raise ValueError("failures_by_kind must add up to failures")
+        if len(self.sample) + self.failures != self.reps:  # ValueError unless whole float64s
+            raise ValueError("the sample and failures must account for every replication")
+
+    @property
+    def sample(self) -> np.ndarray:
+        """The successful estimates, ascending; read-only."""
+        return np.frombuffer(self.null, dtype="<f8")
 
     def cutoff(self, level: float) -> float:
         """Nearest-rank percentile: rank ceil((1-level)*count) of the ascending sample."""
         if not 0.0 < level < 1.0:
             raise ValueError(f"level {level} does not lie in (0, 1)")
-        null = np.frombuffer(self.null, dtype="<f8")
-        return float(null[math.ceil((1.0 - level) * len(null)) - 1])
+        return float(self.sample[math.ceil((1.0 - level) * len(self.sample)) - 1])
 
     @property
     def cutoffs(self) -> tuple[tuple[float, float], ...]:
@@ -155,54 +142,58 @@ def _run_chunk(spec: SimulationSpec, methods: tuple[str, ...], master_seed: int,
     return out
 
 
+def _table(method: str, T: int, reps: int, master_seed: int, values: np.ndarray,
+           by_kind: dict[str, int]) -> CriticalValueTable:
+    """The table of `method`'s successful estimates `values`, in replication
+    order: mean and sd keep that order's bits, and `null` is sorted."""
+    return CriticalValueTable(
+        method=method, T=T, mean=float(values.mean()),
+        # NaN, without numpy's warning, when fewer than two rows succeed
+        sd=float(values.std(ddof=1)) if len(values) > 1 else math.nan,
+        null=np.sort(values).astype("<f8").tobytes(), reps=reps, master_seed=master_seed,
+        failures=reps - len(values), failures_by_kind=dict(sorted(by_kind.items())))
+
+
 def replicate(spec: SimulationSpec, methods, reps: int, master_seed: int,
-              workers: int = 1) -> dict[str, EstimateSample]:
-    """Estimate every method on the same `reps` independent replications of `spec`.
+              workers: int = 1) -> dict[str, CriticalValueTable]:
+    """Each method's table of estimates on the same `reps` independent replications of `spec`.
 
     Replication i draws from the sub-stream (master_seed, i), so results do
     not depend on the worker count or scheduling. Replications are generated
     in chunks of rows (see `_chunks`) and every method runs on each block of
     `_BLOCK_ROWS` rows; a row's estimate is bit-identical to the one-row
     estimate of the same series. Estimator failures are recorded by exception
-    type, not fatal.
+    type, not fatal. At most one worker process runs per chunk.
     """
     methods = tuple(methods)
     if reps < 1:
         raise ValueError("reps must be at least 1")
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    starts, ends = zip(*_chunks(spec, reps, workers))
+    chunks = _chunks(spec, reps, workers)
+    starts, ends = zip(*chunks)
+    workers = min(workers, len(chunks))
     if workers == 1:
         parts = [_run_chunk(spec, methods, master_seed, lo, hi) for lo, hi in zip(starts, ends)]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_chunk, repeat(spec), repeat(methods),
                                   repeat(master_seed), starts, ends))
-    samples = {}
+    tables = {}
     for method in methods:
         values = np.concatenate([part[method][0] for part in parts])
         if not len(values):
             raise AllReplicationsFailed(f"all {reps} replications of {method} failed")
-        by_kind = sum((part[method][1] for part in parts), Counter())
-        samples[method] = EstimateSample(
-            method=method, spec=spec, reps=reps, master_seed=master_seed,
-            values=values, failures=reps - len(values),
-            failures_by_kind=dict(sorted(by_kind.items())))
-    return samples
+        tables[method] = _table(method, spec.T, reps, master_seed, values,
+                                sum((part[method][1] for part in parts), Counter()))
+    return tables
 
 
 def run_replications(spec: SimulationSpec, method: str, reps: int,
-                     master_seed: int, workers: int = 1) -> EstimateSample:
+                     master_seed: int, workers: int = 1) -> CriticalValueTable:
     """Estimate `method` on `reps` independent replications of `spec`; see
     `replicate`."""
     return replicate(spec, (method,), reps, master_seed, workers=workers)[method]
-
-
-def summarize_sample(s: EstimateSample) -> tuple[float, float]:
-    """Arithmetic mean and (count-1)-divisor standard deviation."""
-    if len(s.values) < 2:
-        raise TooFewValues("need at least two successful replications")
-    return float(s.values.mean()), float(s.values.std(ddof=1))
 
 
 def _check_levels(levels) -> None:
@@ -210,17 +201,13 @@ def _check_levels(levels) -> None:
         raise ValueError(f"levels {tuple(levels)} must be distinct and lie in (0, 1)")
 
 
-def critical_values(s: EstimateSample, levels=DEFAULT_LEVELS) -> CriticalValueTable:
-    """The null table of `s`, served at `levels`; see `CriticalValueTable.cutoff`."""
-    if len(s.values) < 100:
+def critical_values(table: CriticalValueTable, levels=DEFAULT_LEVELS) -> CriticalValueTable:
+    """`table` served at `levels`, once it holds the 100 successful
+    replications a null table needs; see `CriticalValueTable.cutoff`."""
+    if len(table.sample) < 100:
         raise TooFewValues("need at least 100 successful replications")
     _check_levels(levels)
-    mean, sd = summarize_sample(s)
-    return CriticalValueTable(
-        method=s.method, T=s.spec.T, mean=mean, sd=sd,
-        null=np.sort(s.values).astype("<f8").tobytes(), reps=s.reps,
-        master_seed=s.master_seed, failures=s.failures,
-        failures_by_kind=s.failures_by_kind, levels=levels)
+    return replace(table, levels=levels)
 
 
 def build_tables(spec: SimulationSpec, methods, reps: int, master_seed: int,
@@ -247,9 +234,9 @@ def build_tables(spec: SimulationSpec, methods, reps: int, master_seed: int,
                 tables[method] = table
     missing = [m for m in methods if m not in tables]
     if missing:
-        for method, sample in replicate(spec, missing, reps, master_seed,
-                                        workers=workers).items():
-            tables[method] = critical_values(sample)
+        for method, table in replicate(spec, missing, reps, master_seed,
+                                       workers=workers).items():
+            tables[method] = critical_values(table)
             if cache_dir is not None:
                 save_table(tables[method], spec, cache_dir)
     return {m: replace(tables[m], levels=levels) for m in methods}
@@ -276,11 +263,10 @@ def power_function(alt: SimulationSpec, method: str, table: CriticalValueTable,
         raise ValueError(
             f"table is for {table.method}/T={table.T}, not {method}/T={alt.T}")
     cutoff = table.cutoff(level)
-    sample = run_replications(alt, method, reps, master_seed, workers=workers)
-    rate = float(np.mean(sample.values > cutoff))
+    run = run_replications(alt, method, reps, master_seed, workers=workers)
     return PowerResult(method=method, spec=alt, T=alt.T, level=level,
-                       rejection_rate=rate, reps_used=len(sample.values),
-                       failures=sample.failures)
+                       rejection_rate=float(np.mean(run.sample > cutoff)),
+                       reps_used=len(run.sample), failures=run.failures)
 
 
 # --- critical value cache (one JSON file per table, keyed on the null spec) ----
@@ -324,9 +310,9 @@ def load_table(cache_dir: str | Path, spec: SimulationSpec, method: str, reps: i
         # a file of the cutoffs-only format has no "null": KeyError
         null = base64.b64decode(fields["null"], validate=True)
         table = CriticalValueTable(**{**fields, "null": null})
-        values = np.frombuffer(null, dtype="<f8")  # ValueError unless whole float64s
-        if not 100 <= len(values) == table.reps - table.failures:
-            raise ValueError(f"{len(values)} null values, not reps - failures >= 100")
+        values = table.sample
+        if len(values) < 100:
+            raise ValueError(f"{len(values)} null values, fewer than 100")
         if not (np.isfinite(values).all() and (values[1:] >= values[:-1]).all()):
             raise ValueError("the null sample is not finite and ascending")
     except FileNotFoundError:

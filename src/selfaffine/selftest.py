@@ -22,9 +22,9 @@ from .timeseries import LogPricePath, PriceSeries, ReturnsSeries, log_returns, n
 
 
 def _engine_matches_one_row_estimates() -> bool:
-    samples = replicate(niid_spec(128), METHODS, 5, 42)
+    tables = replicate(niid_spec(128), METHODS, 5, 42)
     series = [generate(niid_spec(128, seed=derive_seed(42, i))) for i in range(5)]
-    return all(list(samples[m].values) == [estimate_point(m, r) for r in series]
+    return all(list(tables[m].sample) == sorted(estimate_point(m, r) for r in series)
                for m in METHODS)
 
 
@@ -36,12 +36,12 @@ def _trend_has_unit_fa_hurst() -> bool:
 
 
 def _saved_table_loads_back() -> bool:
-    spec, sample = niid_spec(128), run_replications(niid_spec(128), "hill", 100, 42)
+    spec, table = niid_spec(128), run_replications(niid_spec(128), "hill", 100, 42)
     with tempfile.TemporaryDirectory() as cache:
-        save_table(critical_values(sample), spec, cache)
+        save_table(critical_values(table), spec, cache)
         back = load_table(cache, spec, "hill", 100, 42)
-    return back == critical_values(sample) and \
-        critical_values(sample, levels=(0.025,)).cutoffs == ((0.025, back.cutoff(0.025)),)
+    return back == critical_values(table) and \
+        critical_values(table, levels=(0.025,)).cutoffs == ((0.025, back.cutoff(0.025)),)
 
 
 def _checks():
@@ -72,9 +72,8 @@ def _checks():
            lambda: np.allclose(log_returns(PriceSeries([1.0, math.e, math.e ** 2])).values,
                                [1.0, 1.0], atol=1e-12))
     yield ("replication engine is deterministic",
-           lambda: np.array_equal(
-               run_replications(niid_spec(128), "hill", 3, 42).values,
-               run_replications(niid_spec(128), "hill", 3, 42).values))
+           lambda: run_replications(niid_spec(128), "hill", 3, 42) ==
+           run_replications(niid_spec(128), "hill", 3, 42))
     yield ("a 5-row engine run equals five one-row estimates on its sub-streams",
            _engine_matches_one_row_estimates)
     yield ("trend series has FA Hurst exponent 1", _trend_has_unit_fa_hurst)

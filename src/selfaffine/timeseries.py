@@ -318,7 +318,7 @@ def read_values_csv(path: str | Path) -> ReturnsSeries:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or header[0].strip().lower() != "value":
+        if not header or header[0].strip().lower() != "value":
             raise ValueError(f"{path}: expected header 'value'")
         for lineno, row in enumerate(reader, start=2):
             if not row or not row[0].strip():

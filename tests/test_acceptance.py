@@ -233,7 +233,7 @@ def mc():
 
 
 def mean_sd(sample):
-    return float(sample.values.mean()), float(sample.values.std(ddof=1))
+    return sample.mean, sample.sd
 
 
 def test_criterion_1_null_means_and_sds(mc):
@@ -317,7 +317,7 @@ def test_criterion_4_power(mc):
     rates = {}
     for m in ("rra", "fa2", "fa3"):
         sample = mc(m, arfima_spec(0.12, 2000), 107)
-        rates[m] = float(np.mean(sample.values > tables[m].cutoff(0.05)))
+        rates[m] = float(np.mean(sample.sample > tables[m].cutoff(0.05)))
     c.check("power ordering RRA > FA(3)", rates["rra"] > rates["fa3"] - slack,
             f"rra {rates['rra']:.3f} vs fa3 {rates['fa3']:.3f}")
     c.check("power ordering FA(3) >= FA(2)", rates["fa3"] >= rates["fa2"] - slack,
@@ -328,7 +328,7 @@ def test_criterion_4_power(mc):
     # rejection rates must be non-decreasing in the true H (same slack)
     for m in ("rra", "fa1"):
         cut = tables[m].cutoff(0.05)
-        curve = [float(np.mean(mc(m, arfima_spec(d, 2000), 103).values > cut))
+        curve = [float(np.mean(mc(m, arfima_spec(d, 2000), 103).sample > cut))
                  for d in (0.04, 0.08, 0.12)]
         monotone = all(b >= a - slack for a, b in zip(curve, curve[1:]))
         c.check(f"{m} power is monotone in H",
@@ -374,10 +374,10 @@ def test_criterion_7_student_t_robustness(mc):
     refs = {10: (0.978, 0.03), 20: (0.599, 0.07)}
     for df, (ref, tol) in refs.items():
         hill = mc("hill", student_t_spec(df, 5000), 112, reps=500)
-        rate = float(np.mean(hill.values > hill_cut))
+        rate = float(np.mean(hill.sample > hill_cut))
         c.within(f"Hill-test rejection rate, t(df={df})", rate, ref, tol)
         fa1 = mc("fa1", student_t_spec(df, 5000), 112, reps=500)
-        rate = float(np.mean(fa1.values > fa1_cut))
+        rate = float(np.mean(fa1.sample > fa1_cut))
         c.within(f"FA(1)-test rejection rate, t(df={df})", rate, 0.05, 0.03)
     c.finish()
 
@@ -387,8 +387,7 @@ def test_criterion_8_property_suite(mc):
 
     serial = run_replications(niid_spec(256), "hill", 16, 777, workers=1)
     parallel = run_replications(niid_spec(256), "hill", 16, 777, workers=2)
-    c.check("determinism across worker counts",
-            np.array_equal(serial.values, parallel.values))
+    c.check("determinism across worker counts", serial == parallel)
 
     same = np.array_equal(generate(arfima_spec(0.0, 400, seed=5)).values,
                           generate(niid_spec(400, seed=5)).values)

@@ -48,7 +48,7 @@ def scalar_outcome(method, x):
 @pytest.mark.parametrize("method", methods.METHODS)
 def test_block_row_equals_one_row_estimate(method, T):
     X = block(T)
-    values, errors = methods.estimate_block(method, X)
+    values, errors = methods.estimate_blocks((method,), X)[method]
     for i, x in enumerate(X):
         got = type(errors[i]) if i in errors else float(values[i])
         assert got == scalar_outcome(method, x), f"row {i}"
@@ -80,7 +80,7 @@ def test_shared_fa_pass_equals_one_pass_per_method(T):
     shared = methods.estimate_blocks(methods.FA_METHODS, X)
     assert list(shared) == list(methods.FA_METHODS)
     for method in methods.FA_METHODS:
-        values, errors = methods.estimate_block(method, X)
+        values, errors = methods.estimate_blocks((method,), X)[method]
         assert shared[method][0].tobytes() == values.tobytes()
         assert described(shared[method][1]) == described(errors)
     errors = {m: shared[m][1] for m in methods.FA_METHODS}
@@ -104,7 +104,7 @@ def test_a_whole_block_error_fails_every_row_of_every_method():
 
 def test_unknown_method():
     with pytest.raises(ValueError):
-        methods.estimate_block("dekkers", np.zeros((1, 200)))
+        methods.estimate_blocks(("dekkers",), np.zeros((1, 200)))
 
 
 def reduction_block_ratios(seg, M, n):

@@ -199,7 +199,7 @@ def test_power_command(tmp_path):
                     "--seed", "2", "--out", str(out)]) == 0
     rows = list(csv.reader(out.open()))
     assert rows[0][0] == "method"
-    assert 0.0 <= float(rows[1][4]) <= 1.0
+    assert rows[1] == ["hill", "arfima", "256", "0.05", "0.0833", "60", "0"]
 
 
 def test_analyze_happy_path(tmp_path, capsys):
@@ -276,6 +276,18 @@ def test_missing_file_is_data_error(capsys):
                     "/no/such/file.csv"]) == 2
 
 
+@pytest.mark.parametrize("text", ["\nvalue\n0.1\n", ""], ids=["blank-first-line", "empty"])
+def test_headerless_file_is_data_error(tmp_path, text):
+    path = tmp_path / "values.csv"
+    path.write_text(text)
+    env = dict(os.environ, PYTHONPATH=str(Path(selfaffine.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", "from selfaffine.cli import main; main()",
+                          "estimate", "--method", "rra", "--input", str(path)],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 2
+    assert "expected header 'value'" in out.stderr and "Traceback" not in out.stderr
+
+
 def test_selftest_passes(capsys):
     assert run_cli(["selftest"]) == 0
     out = capsys.readouterr().out
@@ -310,3 +322,12 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_run_tables_script_output_is_pinned():
+    # the critical-value, bias and power rows of the study at 100 replications
+    env = dict(os.environ, PYTHONPATH=str(Path(selfaffine.__file__).parents[1]))
+    script = Path(__file__).parents[1] / "scripts" / "run_tables.py"
+    out = subprocess.run([sys.executable, str(script), "--reps", "100", "--lengths", "500"],
+                         env=env, capture_output=True, check=True).stdout
+    assert out == (DATA / "run_tables_r100_T500.csv").read_bytes()

@@ -19,7 +19,6 @@ from selfaffine.errors import (
 from selfaffine.cli import run_cli
 from selfaffine.montecarlo import (
     CriticalValueTable,
-    EstimateSample,
     build_critical_values,
     build_tables,
     critical_values,
@@ -28,7 +27,6 @@ from selfaffine.montecarlo import (
     replicate,
     run_replications,
     save_table,
-    summarize_sample,
 )
 from selfaffine.rng import derive_seed
 from selfaffine.simulate import (
@@ -41,12 +39,9 @@ from selfaffine.simulate import (
 from selfaffine.timeseries import ARModel, ReturnsSeries
 
 
-def sample_from(values, method="rra", T=1000, failures=0):
-    spec = niid_spec(T)
-    return EstimateSample(method=method, spec=spec,
-                          reps=len(values) + failures, master_seed=0,
-                          values=np.asarray(values, dtype=float),
-                          failures=failures)
+def sample_from(values, method="rra", T=1000):
+    values = np.asarray(values, dtype=float)
+    return montecarlo._table(method, T, len(values), 0, values, {})
 
 
 class TestRunReplications:
@@ -55,14 +50,14 @@ class TestRunReplications:
         got = run_replications(spec, "hill", 1, master_seed=7)
         sub = niid_spec(256, seed=derive_seed(7, 0))
         expected = methods.estimate_point("hill", generate(sub))
-        assert got.values[0] == expected
+        assert got.sample[0] == expected
         assert got.failures == 0
 
     def test_deterministic_across_worker_counts(self):
         spec = niid_spec(200)
         serial = run_replications(spec, "hill", 16, master_seed=3, workers=1)
         parallel = run_replications(spec, "hill", 16, master_seed=3, workers=2)
-        np.testing.assert_array_equal(serial.values, parallel.values)
+        assert serial == parallel
 
     def test_failures_recorded_not_fatal(self, monkeypatch):
         def flaky(X):
@@ -72,7 +67,7 @@ class TestRunReplications:
         monkeypatch.setitem(methods._REGISTRY, "flaky", flaky)
         out = run_replications(niid_spec(64), "flaky", 40, master_seed=11)
         assert out.failures > 0
-        assert len(out.values) + out.failures == 40
+        assert len(out.sample) + out.failures == 40
 
     def test_all_failures_raises(self, monkeypatch):
         def broken(X):
@@ -152,9 +147,7 @@ class TestEngineContract:
             monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", block_rows)
             for workers in (1, 2):
                 for spec, reference in zip(specs, references):
-                    got = run_replications(spec, method, reps, 2, workers=workers)
-                    assert got.values.tobytes() == reference.values.tobytes()
-                    assert got.failures_by_kind == reference.failures_by_kind
+                    assert run_replications(spec, method, reps, 2, workers=workers) == reference
 
     def test_failures_keep_their_rows_in_any_chunk(self, monkeypatch):
         # a row's estimate is its first value, so a failure charged to the
@@ -173,9 +166,8 @@ class TestEngineContract:
         for ar_rows, block_rows in ((reps, reps), (7, 3), (3, 7)):
             monkeypatch.setattr(montecarlo, "_AR_ROWS", ar_rows)
             monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", block_rows)
-            got = run_replications(spec, "marked", reps, 2)
-            assert got.values.tolist() == want
-            assert got.failures_by_kind == {"NonPositiveTail": reps - len(want)}
+            assert run_replications(spec, "marked", reps, 2) == montecarlo._table(
+                "marked", 60, reps, 2, np.array(want), {"NonPositiveTail": reps - len(want)})
 
     def test_only_ar_rows_are_generated_in_tall_chunks(self, monkeypatch):
         heights = []
@@ -208,6 +200,32 @@ class TestEngineContract:
             assert len(chunks) % workers == 0
             assert len(chunks) < -(-reps // montecarlo._AR_ROWS) + workers
 
+    def test_no_more_worker_processes_than_chunks(self, monkeypatch):
+        asked = []
+
+        class InProcessPool:
+            """Records the process count asked for and runs the chunks here."""
+
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+        spec = niid_spec(128)
+        for reps, workers, want in ((100, 8, [2]), (64, 4, [])):
+            asked.clear()
+            got = replicate(spec, ("hill", "rra"), reps, 5, workers=workers)
+            assert asked == want
+            assert got == replicate(spec, ("hill", "rra"), reps, 5)
+
     def test_multi_method_run_equals_one_method_runs(self):
         model = ARModel(order=1, intercept=0.0, coefficients=np.array([0.3]),
                         residual_sd=1.0)
@@ -217,9 +235,7 @@ class TestEngineContract:
             together = replicate(spec, subset, 70, master_seed=9)
             assert list(together) == list(subset)
             for method in subset:
-                alone = run_replications(spec, method, 70, 9)
-                assert together[method].values.tobytes() == alone.values.tobytes()
-                assert together[method].failures_by_kind == alone.failures_by_kind
+                assert together[method] == run_replications(spec, method, 70, 9)
 
     def test_build_tables_simulates_only_the_uncached_methods(self, tmp_path, monkeypatch):
         spec = niid_spec(128)
@@ -268,11 +284,12 @@ class TestEngineContract:
 
 class TestSummaries:
     def test_mean_sd(self):
-        assert summarize_sample(sample_from([1.0, 2.0, 3.0])) == (2.0, 1.0)
+        table = sample_from([1.0, 2.0, 3.0])
+        assert (table.mean, table.sd) == (2.0, 1.0)
 
-    def test_too_few(self):
-        with pytest.raises(TooFewValues):
-            summarize_sample(sample_from([1.0]))
+    def test_one_success_has_nan_sd(self):
+        # pytest turns numpy's ddof warning into an error
+        assert math.isnan(run_replications(niid_spec(256), "hill", 1, 7).sd)
 
 
 class TestCriticalValues:
