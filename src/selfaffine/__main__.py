@@ -1,0 +1,5 @@
+"""`python -m selfaffine`: the command-line interface."""
+from .cli import main
+
+if __name__ == "__main__":
+    main()

@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from .errors import AllZeroIncrements, NonFiniteValue, TooShort, ZeroDispersion, ZeroPartition
-from .timeseries import LogPricePath, ReturnsSeries, _freeze
+from .timeseries import ReturnsSeries, _freeze
 
 #: log-grid start, step, and the fraction of T capping the largest scale
 GRID_LNMIN = 1.6
@@ -67,9 +67,10 @@ def _block_ratios(seg: np.ndarray, M: int, n: int) -> tuple[np.ndarray, np.ndarr
     return (hi - lo) / S, np.any(S == 0.0, axis=1), np.any(np.isinf(S), axis=1)
 
 
-def _rs_rows(X: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Two-pass average R/S at scale n for every row of X, the rows with a
-    constant block, and the rows with a block whose dispersion overflows."""
+def _rs_rows(X: np.ndarray, n: int) -> tuple[np.ndarray, dict]:
+    """Two-pass average R/S at scale n for every row of X, and the error of
+    each row with a constant block or, failing that, a block whose
+    dispersion overflows."""
     T = X.shape[1]
     M = T // n
     first, zero, overflow = _block_ratios(X[:, : M * n], M, n)
@@ -78,7 +79,11 @@ def _rs_rows(X: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     if L:
         second, zero2, overflow2 = _block_ratios(X[:, L : L + M * n], M, n)
         zero, overflow = zero | zero2, overflow | overflow2
-    return (first.sum(axis=1) + second.sum(axis=1)) / (2 * M), zero, overflow
+    errors = {int(i): NonFiniteValue(f"block dispersion overflows at scale {n}")
+              for i in np.flatnonzero(overflow)}
+    errors.update({int(i): ZeroDispersion(f"constant block at scale {n}")
+                   for i in np.flatnonzero(zero)})
+    return (first.sum(axis=1) + second.sum(axis=1)) / (2 * M), errors
 
 
 def rs_statistic(r: ReturnsSeries, n: int) -> float:
@@ -92,11 +97,9 @@ def rs_statistic(r: ReturnsSeries, n: int) -> float:
     if not 2 <= n <= T:
         raise ValueError(f"scale n={n} out of range for T={T}")
     with np.errstate(all="ignore"):  # raised below as typed errors
-        rs, zero, overflow = _rs_rows(r.values[None, :], n)
-    if zero[0]:
-        raise ZeroDispersion(f"constant block at scale {n}")
-    if overflow[0]:
-        raise NonFiniteValue(f"block dispersion overflows at scale {n}")
+        rs, errors = _rs_rows(r.values[None, :], n)
+    if errors:
+        raise errors[0]
     return float(rs[0])
 
 
@@ -110,11 +113,8 @@ def _rra_points(X: np.ndarray, scales: tuple[int, ...]) -> tuple[np.ndarray, dic
     """ln[(R/S)_n] over the scales for every row of X, and each failed row's error."""
     cols, errors = [], {}
     for n in scales:
-        rs, zero, overflow = _rs_rows(X, n)
-        for i in np.flatnonzero(zero):
-            errors.setdefault(int(i), ZeroDispersion(f"constant block at scale {n}"))
-        for i in np.flatnonzero(overflow):
-            errors.setdefault(int(i), NonFiniteValue(f"block dispersion overflows at scale {n}"))
+        rs, failed = _rs_rows(X, n)
+        errors = {**failed, **errors}  # a row fails at its first failing scale
         cols.append(rs)
     return np.log(np.stack(cols, axis=1)), errors
 
@@ -137,14 +137,15 @@ def _block_increments(P: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([v1, v2], axis=1)
 
 
-def partition_function(p: LogPricePath, n: int, q: float) -> float:
-    """q-th order partition function at time scale n: half the sum of v_m^q."""
-    T = len(p) - 1
+def partition_function(r: ReturnsSeries, n: int, q: float) -> float:
+    """q-th order partition function at time scale n: half the sum of v_m^q
+    over the log-price path p_0 = 0, p_t = r_1 + ... + r_t."""
+    T = len(r)
     if not 2 <= n <= T:
         raise ValueError(f"scale n={n} out of range for T={T}")
     if q <= 0:
         raise ValueError("q must be positive")
-    v = _block_increments(p.values[None, :], n)[0]
+    v = _block_increments(np.concatenate([[0.0], np.cumsum(r.values)])[None, :], n)[0]
     if not np.any(v > 0.0):
         raise AllZeroIncrements(f"all block increments are zero at scale {n}")
     return float(0.5 * np.sum(v ** q))

@@ -18,7 +18,7 @@ from .scaling import (
     time_scale_grid,
 )
 from .simulate import arfima_spec, arfima_weights, generate, niid_spec
-from .timeseries import LogPricePath, PriceSeries, ReturnsSeries, log_returns, normalize_transform
+from .timeseries import PriceSeries, ReturnsSeries, log_returns, normalize_transform
 
 
 def _engine_matches_one_row_estimates() -> bool:
@@ -52,9 +52,8 @@ def _checks():
     yield ("R/S on (1,2,1,2) at n=2 equals 1",
            lambda: abs(rs_statistic(ReturnsSeries([1, 2, 1, 2]), 2) - 1.0) < 1e-12)
     yield ("partition function of a constant path increment",
-           lambda: abs(partition_function(
-               LogPricePath.from_returns(ReturnsSeries([0.5] * 4)), 2, 2.0)
-               - 2.0 * 1.0 ** 2) < 1e-12)
+           lambda: abs(partition_function(ReturnsSeries([0.5] * 4), 2, 2.0)
+                       - 2.0 * 1.0 ** 2) < 1e-12)
     yield ("fractional weights recursion at d close to 0.5",
            lambda: np.allclose(arfima_weights(0.5 - 1e-12, 3),
                                [1.0, 0.5, 0.375, 0.3125], atol=1e-9))

@@ -66,28 +66,6 @@ class ReturnsSeries:
 
 
 @dataclass(frozen=True)
-class LogPricePath:
-    """Cumulative log-price path p_0..p_T with p_0 = 0."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _freeze(self.values))
-        if len(self.values) < 2:
-            raise TooShort("path needs at least two points")
-        if self.values[0] != 0.0:
-            raise ValueError("path must start at zero")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @classmethod
-    def from_returns(cls, r: ReturnsSeries) -> "LogPricePath":
-        p = np.concatenate([[0.0], np.cumsum(r.values)])
-        return cls(p)
-
-
-@dataclass(frozen=True)
 class SummaryStats:
     mean: float
     sd: float

@@ -67,7 +67,7 @@ from selfaffine.simulate import (
     niid_spec,
     student_t_spec,
 )
-from selfaffine.timeseries import LogPricePath, PriceSeries, ReturnsSeries
+from selfaffine.timeseries import PriceSeries, ReturnsSeries
 
 DATA = Path(__file__).parent / "data"
 REPS = 1000
@@ -413,9 +413,8 @@ def test_criterion_8_property_suite(mc):
 
     c.check("R/S matches the hand-computed fixture",
             abs(rs_statistic(ReturnsSeries([1.0, 2.0, 1.0, 2.0]), 2) - 1.0) < 1e-12)
-    path = LogPricePath.from_returns(ReturnsSeries([0.7] * 4))
     c.check("partition function matches the hand-computed fixture",
-            abs(partition_function(path, 2, 2.0) - 2 * 1.4 ** 2) < 1e-12)
+            abs(partition_function(ReturnsSeries([0.7] * 4), 2, 2.0) - 2 * 1.4 ** 2) < 1e-12)
 
     rng = np.random.default_rng(4)
     z = rng.standard_normal(600)

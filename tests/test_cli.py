@@ -2,6 +2,7 @@ import base64
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -331,3 +332,25 @@ def test_run_tables_script_output_is_pinned():
     out = subprocess.run([sys.executable, str(script), "--reps", "100", "--lengths", "500"],
                          env=env, capture_output=True, check=True).stdout
     assert out == (DATA / "run_tables_r100_T500.csv").read_bytes()
+
+
+def test_package_runs_as_a_module():
+    env = dict(os.environ, PYTHONPATH=str(Path(selfaffine.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "selfaffine", "--version"],
+                          env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout.strip()) == (0, selfaffine.__version__)
+    done = subprocess.run([sys.executable, "-m", "selfaffine", "no-such-command"],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 1 and "invalid choice" in done.stderr
+
+
+def test_top_level_api_is_what_readme_documents():
+    # README's Library block runs its import as written; the top level adds
+    # only the engine, the cached table builder, the error base and the version
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    statement = re.search(r"from selfaffine import \(([^)]*)\)", block)
+    exec(statement.group(0), {})
+    documented = [name.strip() for name in statement.group(1).split(",")]
+    assert sorted(selfaffine.__all__) == sorted(
+        documented + ["replicate", "build_tables", "SelfAffineError", "__version__"])

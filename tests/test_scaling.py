@@ -22,7 +22,6 @@ from selfaffine.scaling import (
     time_scale_grid,
 )
 from selfaffine.simulate import generate, niid_spec
-from selfaffine.timeseries import LogPricePath
 
 from conftest import make_returns
 
@@ -55,9 +54,12 @@ def rs_oracle(z, n):
     return sum(first + second) / (2 * M)
 
 
-def partition_oracle(p, n, q):
-    """Loop implementation of the two-pass partition function."""
-    T = len(p) - 1
+def partition_oracle(z, n, q):
+    """Loop implementation of the two-pass partition function of returns z."""
+    p = [0.0]
+    for v in z:
+        p.append(p[-1] + v)
+    T = len(z)
     M = T // n
 
     def increments(start):
@@ -173,39 +175,64 @@ class TestEstimateRra:
         with pytest.raises(NonFiniteValue):
             estimate_point("rra", make_returns(x))
 
+    def test_constant_block_outranks_overflow_and_first_scale_wins(self):
+        # at scales 5 and 6 a block is constant and another overflows; at the
+        # larger scales a block only overflows
+        x = generate(niid_spec(500)).values.copy()
+        x[3], x[100:110] = 1e200, 0.0
+        with pytest.raises(ZeroDispersion, match="constant block at scale 5$"):
+            rs_statistic(make_returns(x), 5)
+        with pytest.raises(ZeroDispersion, match="constant block at scale 5$"):
+            estimate_point("rra", make_returns(x))
+
 
 class TestPartitionFunction:
     def test_constant_returns_fixture(self):
         # p = (0, c, 2c, 3c, 4c): v = (2c, 2c), duplicated -> 2*(2c)^q
         c = 0.7
-        p = LogPricePath.from_returns(make_returns([c] * 4))
+        r = make_returns([c] * 4)
         for q in (0.5, 1.0, 2.0, 3.3):
-            assert partition_function(p, 2, q) == pytest.approx(2 * (2 * c) ** q)
+            assert partition_function(r, 2, q) == pytest.approx(2 * (2 * c) ** q)
 
     def test_all_zero_increments(self):
-        p = LogPricePath.from_returns(make_returns([0.0] * 8))
         with pytest.raises(AllZeroIncrements):
-            partition_function(p, 2, 1.0)
+            partition_function(make_returns([0.0] * 8), 2, 1.0)
 
     @given(st.lists(st.floats(-3, 3), min_size=4, max_size=30),
            st.integers(2, 5),
-           st.floats(0.1, 4.0))
+           st.one_of(st.sampled_from((0.5, 2.0)), st.floats(0.1, 4.0)))
     @settings(max_examples=80)
     def test_matches_loop_oracle(self, values, n, q):
+        # both partition_function and the FA kernel, whose np.power broadcasts
+        # over the orders and so misses numpy's scalar fast paths at q = 0.5, 2
         if n > len(values):
             return
-        p = LogPricePath.from_returns(make_returns(values))
         try:
-            fast = partition_function(p, n, q)
+            fast = partition_function(make_returns(values), n, q)
         except AllZeroIncrements:
             return
-        assert fast == pytest.approx(partition_oracle(list(p.values), n, q),
-                                     rel=1e-10)
+        S = partition_oracle(values, n, q)
+        assert fast == pytest.approx(S, rel=1e-10)
+        if S > 0.0:  # ln S is -inf where every power underflows
+            with np.errstate(all="ignore"):  # as in methods.estimate_blocks
+                lnS = _fa_points(np.array([values]), np.array([q]), (n,))[0]
+            assert lnS[0, 0, 0] == pytest.approx(math.log(S), abs=1e-10)
+
+    def test_fa_kernel_matches_loop_oracle_on_the_union_grid(self):
+        # every order of FA(1)-FA(3) at every grid scale, as one pass runs them
+        q = np.array(sorted({v for grid in Q_GRIDS.values() for v in grid}))
+        assert {0.5, 2.0} <= set(q)
+        X = np.stack([generate(niid_spec(383, seed=s)).values for s in range(3)])
+        scales = time_scale_grid(383)
+        lnS = _fa_points(X, q, scales)[0]
+        oracle = [[[math.log(partition_oracle(x.tolist(), n, qi)) for n in scales]
+                   for qi in q.tolist()] for x in X]
+        np.testing.assert_allclose(lnS, oracle, rtol=0, atol=1e-10)
 
     def test_monotone_in_q(self, rng):
         # power sums are monotone in q when all increments sit on one side of 1
-        big = LogPricePath.from_returns(make_returns(rng.uniform(1.5, 3.0, 24)))
-        small = LogPricePath.from_returns(make_returns(rng.uniform(0.01, 0.2, 24)))
+        big = make_returns(rng.uniform(1.5, 3.0, 24))
+        small = make_returns(rng.uniform(0.01, 0.2, 24))
         qs = (0.5, 1.0, 2.0, 3.0)
         sb = [partition_function(big, 4, q) for q in qs]
         ss = [partition_function(small, 4, q) for q in qs]
