@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
 """Print the per-kernel table: CPU milliseconds per estimate for every method,
-and per generated series for NIID and AR(4) `ar_recursive` specs, for one
-series and per row of a 64-row block, at T = 1000, 2000 and 5000. The AR
-row adds the time per row of a 256-row chunk, the largest height at which
-the replication engine generates it.
+and per generated series for NIID, ARFIMA d=0.08, symmetric stable H=0.58
+(alpha = 1/0.58) and AR(4) `ar_recursive` specs, for one series and per row
+of a 64-row block, at T = 1000, 2000 and 5000. The AR row adds the time per
+row of a 256-row chunk, the largest height at which the replication engine
+generates it.
 
 The estimated series are NIID rows from `generate_block`, seeded by
 `derive_seed(0, i)`. Each figure is the median over repeats of one call
 filling about 0.2 CPU seconds (at least five), after one untimed call. The
 `fa1`+`fa2`+`fa3` row times FA(1)-FA(3) together, in the one shared pass the
 replication engine makes; a generator row times `generate_block` on the same
-seeds, the AR burn-in of 1000 steps included. Run from a source checkout:
+seeds, the ARFIMA pre-sample of 5000 draws and the AR burn-in of 1000 steps
+included. Run from a source checkout:
 PYTHONPATH=src python scripts/kernel_times.py
 """
 import os
@@ -23,7 +25,13 @@ import numpy as np
 from selfaffine.methods import FA_METHODS, METHODS, estimate_blocks
 from selfaffine.montecarlo import _AR_ROWS
 from selfaffine.rng import derive_seed
-from selfaffine.simulate import ar_recursive_spec, generate_block, niid_spec
+from selfaffine.simulate import (
+    ar_recursive_spec,
+    arfima_spec,
+    generate_block,
+    lstable_spec_for_hurst,
+    niid_spec,
+)
 from selfaffine.timeseries import ARModel
 
 LENGTHS = (1000, 2000, 5000)
@@ -60,9 +68,12 @@ def main():
         row("+".join(f"`{m}`" for m in methods),
             [(cpu_ms(lambda: estimate_blocks(methods, X[:1])),
               cpu_ms(lambda: estimate_blocks(methods, X)) / ROWS) for X in blocks.values()])
-    row("generate `niid`", [(cpu_ms(lambda: generate_block(niid_spec(T), seeds[:1])),
-                             cpu_ms(lambda: generate_block(niid_spec(T), seeds[:ROWS])) / ROWS)
-                            for T in LENGTHS])
+    for label, spec in [("`niid`", niid_spec),
+                        ("`arfima` d=0.08", lambda T: arfima_spec(0.08, T)),
+                        ("`lstable` H=0.58", lambda T: lstable_spec_for_hurst(0.58, T))]:
+        row(f"generate {label}",
+            [tuple(cpu_ms(lambda: generate_block(spec(T), seeds[:n])) / n for n in (1, ROWS))
+             for T in LENGTHS])
     row("generate `ar_recursive` AR(4)",
         [tuple(cpu_ms(lambda: generate_block(ar_recursive_spec(AR4, T), seeds[:n])) / n
                for n in (1, ROWS, _AR_ROWS)) for T in LENGTHS])

@@ -126,9 +126,6 @@ def _run_chunk(spec: SimulationSpec, methods: tuple[str, ...], master_seed: int,
     that fails generation keeps that failure, whatever its estimate.
     """
     X, lost = generate_block(spec, [derive_seed(master_seed, i) for i in range(lo, hi)])
-    # ARFIMA rows are slices of longer ones; every kernel runs faster on one
-    # contiguous copy
-    X = np.ascontiguousarray(X)
     values, errors = {m: [] for m in methods}, {m: {} for m in methods}
     for a in range(0, hi - lo, _BLOCK_ROWS):
         for method, (v, e) in estimate_blocks(methods, X[a:a + _BLOCK_ROWS]).items():

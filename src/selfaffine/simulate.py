@@ -63,8 +63,11 @@ class SimulationSpec:
             raise ValueError(f"unknown model {self.model!r}")
         if self.T < 1:
             raise ValueError("T must be at least 1")
-        if self.model == ARFIMA and not abs(self.d) < 0.5:
-            raise BadD(f"|d| must be below 0.5, got {self.d}")
+        if self.model == ARFIMA:
+            if not abs(self.d) < 0.5:
+                raise BadD(f"|d| must be below 0.5, got {self.d}")
+            if self.truncation < 0:
+                raise ValueError("truncation must be non-negative")
         if self.model == LSTABLE:
             if not 0.0 < self.alpha <= 2.0:
                 raise BadAlpha(f"alpha must lie in (0, 2], got {self.alpha}")
@@ -156,15 +159,21 @@ def _arfima(spec: SimulationSpec, rngs) -> np.ndarray:
     T, J = spec.T, spec.truncation
     if spec.d == 0.0:
         return np.array([rng.standard_normal(T) for rng in rngs])
-    U = np.empty((len(rngs), J + 1 + T))  # time order u_{-J}..u_T
-    for row, rng in zip(U, rngs):
-        row[J + 1:] = rng.standard_normal(T)  # u_1..u_T
-        row[:J + 1] = rng.standard_normal(J + 1)[::-1]  # u_{-J}..u_0, drawn newest-last
-    # the truncated MA filter as a full linear convolution by real FFT
-    L = _fast_len(U.shape[1] + J)
-    F = np.fft.rfft(U, L, axis=1)
-    F *= np.fft.rfft(arfima_weights(spec.d, J), L)
-    return np.fft.irfft(F, L, axis=1)[:, J + 1:J + 1 + T]
+    # the truncated MA filter as a full linear convolution by real FFT,
+    # ARFIMA_ROWS rows at a time
+    L = _fast_len(J + 1 + T + J)
+    W = np.fft.rfft(arfima_weights(spec.d, J), L)
+    out = np.empty((len(rngs), T))
+    U = np.empty((min(ARFIMA_ROWS, len(rngs)), J + 1 + T))  # time order u_{-J}..u_T
+    for lo in range(0, len(rngs), ARFIMA_ROWS):
+        slab = rngs[lo:lo + ARFIMA_ROWS]
+        for row, rng in zip(U, slab):
+            row[J + 1:] = rng.standard_normal(T)  # u_1..u_T
+            row[:J + 1] = rng.standard_normal(J + 1)[::-1]  # u_{-J}..u_0, drawn newest-last
+        F = np.fft.rfft(U[:len(slab)], L, axis=1)
+        F *= W
+        out[lo:lo + len(slab)] = np.fft.irfft(F, L, axis=1)[:, J + 1:J + 1 + T]
+    return out
 
 
 def _lstable(spec: SimulationSpec, rngs) -> np.ndarray:
@@ -188,6 +197,8 @@ def _lstable(spec: SimulationSpec, rngs) -> np.ndarray:
     return sigma * X + mu
 
 
+#: rows per real FFT of the ARFIMA generator, which bound its FFT buffers
+ARFIMA_ROWS = 16
 #: time steps per pass of the AR recursion, which bound its work buffer
 AR_STEPS = 64
 #: innovations drawn per row and call of the AR generator, a multiple of
@@ -271,11 +282,12 @@ _GENERATORS = {
 
 
 def generate_block(spec: SimulationSpec, seeds) -> tuple[np.ndarray, dict[int, NonFiniteValue]]:
-    """One series of `spec` per seed, as the rows of a `(len(seeds), T)` array.
+    """One series of `spec` per seed, as the rows of a C-ordered
+    `(len(seeds), T)` array.
 
     Row i draws from `rng_from_seed(seeds[i])`, and the model's transform runs
-    once on the whole block, so row i is bit-identical to `generate` on that
-    seed. A row that is not finite fails alone: it is listed in the returned
+    on many rows at once (the ARFIMA convolution on ARFIMA_ROWS at a time),
+    so row i is bit-identical to `generate` on that seed. A row that is not finite fails alone: it is listed in the returned
     {row: error} map, and its values are meaningless.
     """
     with np.errstate(all="ignore"):

@@ -87,6 +87,16 @@ def test_simulate_lstable_and_ar(tmp_path):
                     "-T", "200", "--seed", "1", "--out", str(out)]) == 0
 
 
+def test_simulate_negative_truncation_is_a_data_error(tmp_path, capsys):
+    # d = 0 never reads the truncation, so only the spec can reject it
+    out = tmp_path / "sim.csv"
+    assert run_cli(["simulate", "--model", "arfima", "--d", "0", "-T", "50",
+                    "--truncation", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: truncation must be non-negative"]
+    assert not out.exists()
+
+
 def test_critvals_writes_table(tmp_path):
     out = tmp_path / "cv.csv"
     assert run_cli(["critvals", "--method", "hill", "-T", "128",

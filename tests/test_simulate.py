@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from selfaffine.rng import derive_seed, rng_from_seed
 from selfaffine.simulate import (
     AR_DRAWS,
     AR_STEPS,
+    ARFIMA_ROWS,
     _ar_recursion,
     _fast_len,
     ar_recursive_spec,
@@ -109,6 +111,12 @@ class TestArfima:
     def test_rejects_bad_d(self):
         with pytest.raises(BadD):
             arfima_spec(0.5, 100)
+
+    @pytest.mark.parametrize("d", [0.1, 0.0])
+    def test_rejects_negative_truncation(self, d):
+        # rejected when the spec is built, as T < 1 is, not when generated
+        with pytest.raises(ValueError, match="truncation must be non-negative"):
+            arfima_spec(d, 50, truncation=-1)
 
 
 class TestLStable:
@@ -306,14 +314,32 @@ class TestBlockContract:
         lstable_spec(1.5, 150, beta=0.3),
         ar_recursive_spec(AR4, 150),
         ar_recursive_spec(AR0, 150),
+        *(arfima_spec(d, T) for d in (0.08, -0.3, 0.45) for T in (150, 2000)),
     ], ids=["niid", "student-t", "arfima-d0", "arfima-d0.2", "lstable-alpha1",
-            "lstable-1.5", "ar4", "ar0"])
+            "lstable-1.5", "ar4", "ar0", *(f"arfima-d{d}-T{T}" for d in (0.08, -0.3, 0.45)
+                                           for T in (150, 2000))])
     def test_rows_equal_one_row_series(self, spec):
-        seeds = [derive_seed(4, i) for i in range(9)]
+        # two full ARFIMA slabs and a partial one
+        seeds = [derive_seed(4, i) for i in range(37)]
+        assert 2 * ARFIMA_ROWS < len(seeds) < 3 * ARFIMA_ROWS
         X, errors = generate_block(spec, seeds)
-        assert X.shape == (9, 150) and errors == {}
+        assert X.shape == (37, spec.T) and X.dtype == np.float64 and errors == {}
+        # C order: the engine estimates the block without a copy
+        assert X.flags.c_contiguous
         for row, seed in zip(X, seeds):
             assert row.tobytes() == generate(replace(spec, seed=seed)).values.tobytes()
+
+    def test_arfima_block_memory_is_bounded(self):
+        # the FFT buffers span one slab, not the block: one FFT over all 64
+        # rows peaks at 15.2 MiB here, 16-row slabs at 4.9 MiB
+        spec, seeds = arfima_spec(0.08, 2000), [derive_seed(0, i) for i in range(64)]
+        tracemalloc.start()
+        try:
+            generate_block(spec, seeds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_overflowing_row_fails_alone(self):
         spec = lstable_spec(0.01, 500)
