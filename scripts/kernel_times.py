@@ -8,7 +8,8 @@ generates it.
 
 The estimated series are NIID rows from `generate_block`, seeded by
 `derive_seed(0, i)`. Each figure is the median over repeats of one call
-filling about 0.2 CPU seconds (at least five), after one untimed call. The
+filling about 0.2 CPU seconds (at least five), after one untimed call,
+printed with the lower and upper quartiles of those repeats in brackets. The
 `fa1`+`fa2`+`fa3` row times FA(1)-FA(3) together, in the one shared pass the
 replication engine makes; a generator row times `generate_block` on the same
 seeds, the ARFIMA pre-sample of 5000 draws and the AR burn-in of 1000 steps
@@ -41,19 +42,21 @@ AR4 = ARModel(order=4, intercept=0.01, coefficients=np.array([0.2, -0.1, 0.05, 0
               residual_sd=0.7)
 
 
-def cpu_ms(call):
-    """Median CPU milliseconds of one `call()`."""
+def cpu_ms(call, per=1):
+    """(lower quartile, median, upper quartile) of the CPU milliseconds of one
+    `call()`, divided by `per`."""
     call()
     times, start = [], time.process_time()
     while len(times) < 5 or time.process_time() - start < BUDGET_S:
         t = time.process_time()
         call()
         times.append(time.process_time() - t)
-    return 1e3 * statistics.median(times)
+    return tuple(1e3 * t / per for t in statistics.quantiles(times, n=4))
 
 
 def row(label, cells):
-    print(f"| {label} | " + " | ".join(" / ".join(f"{ms:.2f}" for ms in cell) for cell in cells)
+    print(f"| {label} | " + " | ".join(" / ".join(f"{mid:.2f} [{lo:.2f}-{hi:.2f}]"
+                                                  for lo, mid, hi in cell) for cell in cells)
           + " |", flush=True)
 
 
@@ -67,18 +70,18 @@ def main():
     for methods in [(m,) for m in METHODS] + [FA_METHODS]:
         row("+".join(f"`{m}`" for m in methods),
             [(cpu_ms(lambda: estimate_blocks(methods, X[:1])),
-              cpu_ms(lambda: estimate_blocks(methods, X)) / ROWS) for X in blocks.values()])
+              cpu_ms(lambda: estimate_blocks(methods, X), ROWS)) for X in blocks.values()])
     for label, spec in [("`niid`", niid_spec),
                         ("`arfima` d=0.08", lambda T: arfima_spec(0.08, T)),
                         ("`lstable` H=0.58", lambda T: lstable_spec_for_hurst(0.58, T))]:
         row(f"generate {label}",
-            [tuple(cpu_ms(lambda: generate_block(spec(T), seeds[:n])) / n for n in (1, ROWS))
+            [tuple(cpu_ms(lambda: generate_block(spec(T), seeds[:n]), n) for n in (1, ROWS))
              for T in LENGTHS])
     row("generate `ar_recursive` AR(4)",
-        [tuple(cpu_ms(lambda: generate_block(ar_recursive_spec(AR4, T), seeds[:n])) / n
+        [tuple(cpu_ms(lambda: generate_block(ar_recursive_spec(AR4, T), seeds[:n]), n)
                for n in (1, ROWS, _AR_ROWS)) for T in LENGTHS])
     print(f"# ms per estimate or generated series: one series / per row of a {ROWS}-row block"
-          f" (/ per row of a {_AR_ROWS}-row chunk)")
+          f" (/ per row of a {_AR_ROWS}-row chunk); median [lower-upper quartile] of repeats")
 
 
 if __name__ == "__main__":

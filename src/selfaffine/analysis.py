@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .errors import IncompleteReport, SelfAffineError, TooShort
 from .methods import estimate_point
-from .montecarlo import DEFAULT_LEVELS, CriticalValueTable, build_tables
+from .montecarlo import DEFAULT_LEVELS, CriticalValueTable, build_tables, check_levels
 # not called here: kept as a module attribute so that perfbench's traced run,
 # which rebinds analysis.build_critical_values, still finds it
 from .montecarlo import build_critical_values  # noqa: F401
@@ -53,6 +53,7 @@ class AnalyzeConfig:
     series_id: str = "series"
 
     def __post_init__(self):
+        check_levels(self.levels)
         if not any(math.isclose(l, 0.05, abs_tol=1e-12) for l in self.levels):
             raise ValueError("levels must include 0.05 (classification level)")
         columns = [_percent(l) for l in self.levels]
@@ -111,16 +112,17 @@ class Classification:
     rationale: str
 
 
-def _make_cell(method: str, variant: str, series: ReturnsSeries,
-               table: CriticalValueTable, source: str) -> CellResult:
+def _make_cell(method: str, variant: str, series: ReturnsSeries, table: CriticalValueTable,
+               source: str, levels: tuple[float, ...]) -> CellResult:
     try:
         value = estimate_point(method, series)
     except SelfAffineError as exc:
         return CellResult(method=method, variant=variant, estimate=None,
                           cutoff_source=source, error=f"{type(exc).__name__}: {exc}")
-    rejects = tuple((level, value > cut) for level, cut in table.cutoffs)
+    cutoffs = tuple((level, table.cutoff(level)) for level in levels)
+    rejects = tuple((level, value > cut) for level, cut in cutoffs)
     return CellResult(method=method, variant=variant, estimate=value,
-                      cutoff_source=source, cutoffs=table.cutoffs, rejects=rejects)
+                      cutoff_source=source, cutoffs=cutoffs, rejects=rejects)
 
 
 def analyze_index(prices: PriceSeries, config: AnalyzeConfig) -> TestReport:
@@ -143,19 +145,19 @@ def analyze_index(prices: PriceSeries, config: AnalyzeConfig) -> TestReport:
     seed_reorder = derive_seed(config.seed, 3)
 
     def null_tables(spec: SimulationSpec, seed: int, methods) -> dict[str, CriticalValueTable]:
-        return build_tables(spec, methods, config.reps, seed, levels=config.levels,
-                            workers=config.workers, cache_dir=config.cache_dir)
+        return build_tables(spec, methods, config.reps, seed, workers=config.workers,
+                            cache_dir=config.cache_dir)
 
     # three engine passes: each spec's replications are shared by its methods
     rec_tables = null_tables(ar_recursive_spec(ar_model, T), seed_rec, BATTERY)
     filtered_tables = null_tables(niid_spec(len(filtered)), seed_niid, BATTERY)
     niid_T = (filtered_tables if len(filtered) == T
               else null_tables(niid_spec(T), seed_niid, ("fa1",)))
-    cells: list[CellResult] = []
-    for method in BATTERY:
-        cells.append(_make_cell(method, UNFILTERED, returns, rec_tables[method],
-                                "ar-recursive"))
-        cells.append(_make_cell(method, FILTERED, filtered, filtered_tables[method], "niid"))
+    levels = check_levels(config.levels)  # largest first, as each cell lists them
+    variants = ((UNFILTERED, returns, rec_tables, "ar-recursive"),
+                (FILTERED, filtered, filtered_tables, "niid"))
+    cells = [_make_cell(method, variant, series, tables[method], source, levels)
+             for method in BATTERY for variant, series, tables, source in variants]
 
     fa1_reordered = fa1_normalized = None
     try:
@@ -277,26 +279,36 @@ def write_report_csv(report: TestReport, path: str | Path) -> None:
         csv.writer(fh).writerows(report_csv_rows(report))
 
 
-def _stars(cell: CellResult | None) -> str:
+def _stars(cell: CellResult | None, marks: list[tuple[float, str]]) -> str:
     if cell is None or cell.estimate is None:
         return "--"
     flags = dict(cell.rejects)
-    for level, stars in ((0.01, "***"), (0.05, "**"), (0.10, "*")):
+    for level, stars in reversed(marks):
         if flags.get(level):
             return f"{cell.estimate:.3f}{stars}"
     return f"{cell.estimate:.3f}"
 
 
+def _level_text(level: float) -> str:
+    """A level for the legend: two decimals (0.10), or as many as it needs."""
+    text = f"{level:.2f}"
+    return text if float(text) == level else f"{level:g}"
+
+
 def table_text(report: TestReport) -> str:
-    """Star-flagged battery table, one row per variant."""
+    """Star-flagged battery table, one row per variant: the more stars, the
+    smaller the level at which the cell rejects."""
     titles = {"rra": "RRA H", "fa1": "FA(1) H", "fa2": "FA(2) H",
               "fa3": "FA(3) H", "robinson": "Robinson d", "hill": "Hill H"}
+    marks = [(level, "*" * k)
+             for k, level in enumerate(sorted(report.levels, reverse=True), start=1)]
     width = 12
     lines = [report.series_id.ljust(12) + "".join(titles[m].rjust(width) for m in BATTERY)]
     for variant in (UNFILTERED, FILTERED):
         cells = [report.cell(m, variant) for m in BATTERY]
-        lines.append(variant.ljust(12) + "".join(_stars(c).rjust(width) for c in cells))
-    lines.append("rejection of H0 at: * 0.10  ** 0.05  *** 0.01")
+        lines.append(variant.ljust(12) + "".join(_stars(c, marks).rjust(width) for c in cells))
+    lines.append("rejection of H0 at: "
+                 + "  ".join(f"{stars} {_level_text(level)}" for level, stars in marks))
     return "\n".join(lines)
 
 

@@ -24,7 +24,13 @@ from .analysis import (
 )
 from .errors import SelfAffineError
 from .methods import D_METHODS, METHODS, estimate
-from .montecarlo import DEFAULT_LEVELS, DEFAULT_REPS, build_critical_values, power_function
+from .montecarlo import (
+    DEFAULT_LEVELS,
+    DEFAULT_REPS,
+    build_critical_values,
+    check_levels,
+    power_function,
+)
 from .simulate import (
     DEFAULT_BURN_IN,
     DEFAULT_TRUNCATION,
@@ -173,23 +179,23 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_critvals(args) -> int:
-    table = build_critical_values(
-        niid_spec(args.length), args.method, args.reps, args.seed,
-        levels=args.levels, workers=args.workers, cache_dir=args.cache_dir)
+    levels = check_levels(args.levels)
+    table = build_critical_values(niid_spec(args.length), args.method, args.reps, args.seed,
+                                  workers=args.workers, cache_dir=args.cache_dir)
     header = ["method", "T", "reps", "mean", "sd"]
     row = [table.method, table.T, table.reps, f"{table.mean:.6f}", f"{table.sd:.6f}"]
-    for level, cut in table.cutoffs:
+    for level in levels:
         header.append(f"cutoff_{level:g}")
-        row.append(f"{cut:.6f}")
+        row.append(f"{table.cutoff(level):.6f}")
     _write_csv(args.out, [header, row])
     return 0
 
 
 def _cmd_power(args) -> int:
     alt = _spec_from_args(args)
-    table = build_critical_values(
-        niid_spec(args.length), args.method, args.null_reps, args.seed,
-        levels=(args.level,), workers=args.workers, cache_dir=args.cache_dir)
+    check_levels((args.level,))
+    table = build_critical_values(niid_spec(args.length), args.method, args.null_reps,
+                                  args.seed, workers=args.workers, cache_dir=args.cache_dir)
     result = power_function(alt, args.method, table, args.reps,
                             args.seed + 1, level=args.level, workers=args.workers)
     rows = [["method", "alternative", "T", "level", "rejection_rate",

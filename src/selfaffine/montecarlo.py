@@ -9,7 +9,7 @@ import math
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
 
@@ -47,10 +47,8 @@ class CriticalValueTable:
     master_seed: int
     failures: int = 0
     failures_by_kind: dict[str, int] = field(default_factory=dict)  # exception name -> count
-    levels: tuple[float, ...] = DEFAULT_LEVELS  # the request's; never cached
 
     def __post_init__(self):
-        object.__setattr__(self, "levels", tuple(sorted(map(float, self.levels), reverse=True)))
         if self.sd < 0:
             raise ValueError("sd must be non-negative")
         # a damaged cache file's field raises TypeError or ValueError here
@@ -75,8 +73,8 @@ class CriticalValueTable:
 
     @property
     def cutoffs(self) -> tuple[tuple[float, float], ...]:
-        """(level, cutoff) at each of `levels`, largest level first."""
-        return tuple((level, self.cutoff(level)) for level in self.levels)
+        """(level, cutoff) at each of `DEFAULT_LEVELS`, largest level first."""
+        return tuple((level, self.cutoff(level)) for level in DEFAULT_LEVELS)
 
 
 @dataclass(frozen=True)
@@ -179,10 +177,11 @@ def replicate(spec: SimulationSpec, methods, reps: int, master_seed: int,
     tables = {}
     for method in methods:
         values = np.concatenate([part[method][0] for part in parts])
+        by_kind = sum((part[method][1] for part in parts), Counter())
         if not len(values):
-            raise AllReplicationsFailed(f"all {reps} replications of {method} failed")
-        tables[method] = _table(method, spec.T, reps, master_seed, values,
-                                sum((part[method][1] for part in parts), Counter()))
+            kinds = ", ".join(f"{kind}: {count}" for kind, count in sorted(by_kind.items()))
+            raise AllReplicationsFailed(f"all {reps} replications of {method} failed ({kinds})")
+        tables[method] = _table(method, spec.T, reps, master_seed, values, by_kind)
     return tables
 
 
@@ -193,33 +192,29 @@ def run_replications(spec: SimulationSpec, method: str, reps: int,
     return replicate(spec, (method,), reps, master_seed, workers=workers)[method]
 
 
-def _check_levels(levels) -> None:
+def check_levels(levels) -> tuple[float, ...]:
+    """`levels` as floats, largest first, once they are distinct and lie in (0, 1)."""
     if not all(0.0 < level < 1.0 for level in levels) or len(set(levels)) != len(levels):
         raise ValueError(f"levels {tuple(levels)} must be distinct and lie in (0, 1)")
+    return tuple(sorted(map(float, levels), reverse=True))
 
 
-def critical_values(table: CriticalValueTable, levels=DEFAULT_LEVELS) -> CriticalValueTable:
-    """`table` served at `levels`, once it holds the 100 successful
-    replications a null table needs; see `CriticalValueTable.cutoff`."""
+def critical_values(table: CriticalValueTable) -> CriticalValueTable:
+    """`table`, once it holds the 100 successful replications a null table needs."""
     if len(table.sample) < 100:
-        raise TooFewValues("need at least 100 successful replications")
-    _check_levels(levels)
-    return replace(table, levels=levels)
+        raise TooFewValues(f"{len(table.sample)} successful replications, fewer than 100")
+    return table
 
 
-def build_tables(spec: SimulationSpec, methods, reps: int, master_seed: int,
-                 levels=DEFAULT_LEVELS, workers: int = 1,
+def build_tables(spec: SimulationSpec, methods, reps: int, master_seed: int, workers: int = 1,
                  cache_dir: str | Path | None = None) -> dict[str, CriticalValueTable]:
-    """Monte Carlo critical values for every method under `spec`, with caching.
+    """Monte Carlo null tables for every method under `spec`, with caching.
 
     This is the one way to a null table. Cached tables are loaded first; the
     missing methods are simulated in one `replicate` pass over shared
     replications, and each table is cached in its own file. A table holds
-    its whole null sample, so any level is served from the cache, and every
-    table is returned at `levels`.
+    its whole null sample, so it serves a cutoff at any level.
     """
-    # critical_values rejects these too, but only after a full simulation
-    _check_levels(levels)
     if reps < 100:  # fewer cannot give the 100 successful replications it needs
         raise TooFewValues("need at least 100 replications")
     methods = tuple(methods)
@@ -236,16 +231,15 @@ def build_tables(spec: SimulationSpec, methods, reps: int, master_seed: int,
             tables[method] = critical_values(table)
             if cache_dir is not None:
                 save_table(tables[method], spec, cache_dir)
-    return {m: replace(tables[m], levels=levels) for m in methods}
+    return {m: tables[m] for m in methods}
 
 
 def build_critical_values(spec: SimulationSpec, method: str, reps: int,
-                          master_seed: int, levels=DEFAULT_LEVELS,
-                          workers: int = 1,
+                          master_seed: int, workers: int = 1,
                           cache_dir: str | Path | None = None) -> CriticalValueTable:
-    """Monte Carlo critical values for `method` under `spec`; see `build_tables`."""
-    return build_tables(spec, (method,), reps, master_seed, levels=levels,
-                        workers=workers, cache_dir=cache_dir)[method]
+    """The Monte Carlo null table of `method` under `spec`; see `build_tables`."""
+    return build_tables(spec, (method,), reps, master_seed, workers=workers,
+                        cache_dir=cache_dir)[method]
 
 
 def power_function(alt: SimulationSpec, method: str, table: CriticalValueTable,
@@ -287,9 +281,8 @@ def save_table(table: CriticalValueTable, spec: SimulationSpec,
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     # the sample as a JSON list would take several times longer to load
-    fields = dict(vars(table), null=base64.b64encode(table.null).decode("ascii"))
-    del fields["levels"]
-    tmp.write_text(json.dumps(fields))
+    null = base64.b64encode(table.null).decode("ascii")
+    tmp.write_text(json.dumps(dict(vars(table), null=null)))
     os.replace(tmp, path)
     return path
 
@@ -306,15 +299,13 @@ def load_table(cache_dir: str | Path, spec: SimulationSpec, method: str, reps: i
         fields = json.loads(path.read_text())
         # a file of the cutoffs-only format has no "null": KeyError
         null = base64.b64decode(fields["null"], validate=True)
-        table = CriticalValueTable(**{**fields, "null": null})
+        table = critical_values(CriticalValueTable(**{**fields, "null": null}))
         values = table.sample
-        if len(values) < 100:
-            raise ValueError(f"{len(values)} null values, fewer than 100")
         if not (np.isfinite(values).all() and (values[1:] >= values[:-1]).all()):
             raise ValueError("the null sample is not finite and ascending")
     except FileNotFoundError:
         return None
-    except (OSError, ValueError, TypeError, KeyError) as exc:
+    except (OSError, ValueError, TypeError, KeyError, TooFewValues) as exc:
         problem = f"{type(exc).__name__}: {exc}"
     else:
         if (table.method, table.T, table.reps, table.master_seed) == (

@@ -145,10 +145,16 @@ def partition_function(r: ReturnsSeries, n: int, q: float) -> float:
         raise ValueError(f"scale n={n} out of range for T={T}")
     if q <= 0:
         raise ValueError("q must be positive")
-    v = _block_increments(np.concatenate([[0.0], np.cumsum(r.values)])[None, :], n)[0]
-    if not np.any(v > 0.0):
+    with np.errstate(all="ignore"):  # raised below as typed errors, as the FA kernel types them
+        v = _block_increments(np.concatenate([[0.0], np.cumsum(r.values)])[None, :], n)[0]
+        S = float(0.5 * np.sum(v ** q))
+    if not np.any(v != 0.0):
         raise AllZeroIncrements(f"all block increments are zero at scale {n}")
-    return float(0.5 * np.sum(v ** q))
+    if not math.isfinite(S):
+        raise NonFiniteValue(f"partition function is not finite at scale {n}")
+    if S == 0.0:
+        raise ZeroPartition(f"zero partition function at scale {n}")
+    return S
 
 
 def _zero_partitions(lnS: np.ndarray, scales: tuple[int, ...]) -> dict:

@@ -40,8 +40,7 @@ def _saved_table_loads_back() -> bool:
     with tempfile.TemporaryDirectory() as cache:
         save_table(critical_values(table), spec, cache)
         back = load_table(cache, spec, "hill", 100, 42)
-    return back == critical_values(table) and \
-        critical_values(table, levels=(0.025,)).cutoffs == ((0.025, back.cutoff(0.025)),)
+    return back == table  # the whole null sample, so every level's cutoff
 
 
 def _checks():

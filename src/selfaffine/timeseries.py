@@ -28,10 +28,9 @@ def _freeze(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PriceSeries:
-    """Closing prices, optionally labelled with date strings."""
+    """Closing prices."""
 
     values: np.ndarray
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "values", _freeze(self.values))
@@ -39,10 +38,6 @@ class PriceSeries:
             raise TooShort("need at least two prices")
         if not np.all(np.isfinite(self.values)) or np.any(self.values <= 0.0):
             raise NonPositivePrice("prices must be finite and strictly positive")
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(self.labels))
-            if len(self.labels) != len(self.values):
-                raise ValueError("labels length must match values length")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -264,8 +259,8 @@ def ar_filter(r: ReturnsSeries, model: ARModel) -> ReturnsSeries:
 # --- CSV interfaces -----------------------------------------------------------
 
 def read_prices_csv(path: str | Path) -> PriceSeries:
-    """Read a `date,close` CSV (header required, chronological rows)."""
-    dates: list[str] = []
+    """Read a `date,close` CSV (header required, chronological rows); the
+    dates are not read."""
     closes: list[float] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -283,11 +278,10 @@ def read_prices_csv(path: str | Path) -> PriceSeries:
                 raise ValueError(f"{path}:{lineno}: non-numeric close {row[1]!r}") from None
             if not math.isfinite(close) or close <= 0.0:
                 raise NonPositivePrice(f"{path}:{lineno}: close must be positive")
-            dates.append(row[0])
             closes.append(close)
     if len(closes) < 2:
         raise TooShort(f"{path}: need at least two price rows")
-    return PriceSeries(np.asarray(closes), tuple(dates))
+    return PriceSeries(np.asarray(closes))
 
 
 def read_values_csv(path: str | Path) -> ReturnsSeries:

@@ -210,6 +210,18 @@ class TestRendering:
         assert "RRA H" in text and "Hill H" in text
         assert UNFILTERED in text and FILTERED in text
 
+    def test_table_text_stars_follow_the_report_levels(self):
+        prices = read_prices_csv(DATA / "prices_demo.csv")
+        report = analyze_index(prices, AnalyzeConfig(reps=120, seed=7, levels=(0.2, 0.05)))
+        lines = table_text(report).splitlines()
+        assert lines[-1] == "rejection of H0 at: * 0.20  ** 0.05"
+        for line, variant in zip(lines[1:3], (UNFILTERED, FILTERED)):
+            flags = [dict(report.cell(m, variant).rejects) for m in BATTERY]
+            assert [cell.count("*") for cell in line.split()[1:]] == \
+                [2 if f[0.05] else 1 if f[0.2] else 0 for f in flags]
+        # some cell rejects at 0.2 alone, and so carries one star
+        assert any(dict(c.rejects)[0.2] and not dict(c.rejects)[0.05] for c in report.cells)
+
     def test_json_round_trip(self, demo_report):
         payload = json.loads(report_json(demo_report, classify_source(demo_report)))
         assert payload["series_id"] == "prices_demo"

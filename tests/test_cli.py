@@ -182,18 +182,28 @@ def test_critvals_bad_cache_file_is_a_miss(tmp_path, damage, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["critvals", "--reps", "120", "--levels", "0.05,0.05"],
-    ["power", "--model", "arfima", "--d", "0.3", "--reps", "60", "--null-reps", "120",
-     "--level", "1.5"]], ids=["critvals-repeated-level", "power-level-out-of-range"])
+    ["critvals", "--method", "hill", "-T", "128", "--reps", "120", "--levels", "0.05,0.05"],
+    ["power", "--method", "hill", "-T", "128", "--model", "arfima", "--d", "0.3",
+     "--reps", "60", "--null-reps", "120", "--level", "1.5"],
+    ["analyze", "--input", str(DATA / "prices_demo.csv"), "--reps", "120",
+     "--levels", "0.05,1.5"]],
+    ids=["critvals-repeated-level", "power-level-out-of-range", "analyze-level-out-of-range"])
 def test_bad_level_is_a_data_error_before_simulating(tmp_path, monkeypatch, capsys, argv):
     def no_simulation(*args, **kwargs):
         raise AssertionError("simulated before the levels were checked")
 
     monkeypatch.setattr(montecarlo, "replicate", no_simulation)
-    assert run_cli([*argv, "--method", "hill", "-T", "128", "--cache-dir", str(tmp_path),
-                    "--out", str(tmp_path / "out.csv")]) == 2
+    out = "--out-dir" if argv[0] == "analyze" else "--out"
+    assert run_cli([*argv, "--cache-dir", str(tmp_path), out, str(tmp_path / "out")]) == 2
     assert "level" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_all_replications_failed_names_the_cause(capsys):
+    # T=50 is below the R/S grid's T >= 100, so every row fails with TooShort
+    assert run_cli(["critvals", "--method", "rra", "-T", "50", "--reps", "200"]) == 2
+    assert capsys.readouterr().err == ("error: AllReplicationsFailed: all 200 replications "
+                                       "of rra failed (TooShort: 200)\n")
 
 
 def test_power_explosive_ar_model_is_a_data_error(capsys):

@@ -9,6 +9,7 @@ import pytest
 import selfaffine.methods as methods
 import selfaffine.montecarlo as montecarlo
 import selfaffine.simulate as simulate
+from selfaffine.analysis import AnalyzeConfig, analyze_index
 from selfaffine.errors import (
     AllReplicationsFailed,
     ExplosiveModel,
@@ -21,6 +22,7 @@ from selfaffine.montecarlo import (
     CriticalValueTable,
     build_critical_values,
     build_tables,
+    check_levels,
     critical_values,
     load_table,
     power_function,
@@ -36,7 +38,7 @@ from selfaffine.simulate import (
     lstable_spec,
     niid_spec,
 )
-from selfaffine.timeseries import ARModel, ReturnsSeries
+from selfaffine.timeseries import ARModel, PriceSeries, ReturnsSeries
 
 
 def sample_from(values, method="rra", T=1000):
@@ -265,7 +267,7 @@ class TestEngineContract:
             return cli("power", name, "--model", "arfima", "--d", "0.3", "--reps", "60",
                        "--null-reps", "120", "--level", "0.02", *cache)
 
-        fresh = build_critical_values(niid_spec(128), "hill", 120, 5, levels=(0.02,))
+        fresh = build_critical_values(niid_spec(128), "hill", 120, 5)
         fresh_power = power("fresh.csv")
         cli("critvals", "cv.csv", "--reps", "120", "--cache-dir", str(tmp_path / "cache"))
         real = montecarlo.replicate
@@ -277,7 +279,7 @@ class TestEngineContract:
             return real(spec, methods, reps, master_seed, **kwargs)
 
         monkeypatch.setattr(montecarlo, "replicate", no_null_simulation)
-        assert build_critical_values(niid_spec(128), "hill", 120, 5, levels=(0.02,),
+        assert build_critical_values(niid_spec(128), "hill", 120, 5,
                                      cache_dir=tmp_path / "cache") == fresh
         assert power("warm.csv", "--cache-dir", str(tmp_path / "cache")) == fresh_power
 
@@ -295,10 +297,8 @@ class TestSummaries:
 class TestCriticalValues:
     def test_nearest_rank_on_integers(self):
         s = sample_from(np.arange(1.0, 1001.0))
-        table = critical_values(s, levels=(0.10, 0.05, 0.01))
-        assert table.cutoff(0.05) == 950.0
-        assert table.cutoff(0.10) == 900.0
-        assert table.cutoff(0.01) == 990.0
+        table = critical_values(s)
+        assert table.cutoffs == ((0.10, 900.0), (0.05, 950.0), (0.01, 990.0))
 
     def test_identical_values_identical_cutoffs(self):
         table = critical_values(sample_from([2.5] * 200))
@@ -315,8 +315,12 @@ class TestCriticalValues:
             critical_values(sample_from(np.arange(99.0)))
 
     def test_bad_level(self):
-        with pytest.raises(ValueError):
-            critical_values(sample_from(np.arange(200.0)), levels=(1.5,))
+        for levels in ((1.5,), (0.05, 1.5), (0.05, 0.05), (0.0,), (1.0, 0.05)):
+            with pytest.raises(ValueError):
+                check_levels(levels)
+
+    def test_check_levels_sorts_largest_first(self):
+        assert check_levels((0.01, 0.1, 0.05)) == (0.1, 0.05, 0.01)
 
     @pytest.mark.parametrize("reps, levels, error", [(2000, (0.05, 1.5), ValueError),
                                                      (99, (0.05,), TooFewValues),
@@ -324,18 +328,21 @@ class TestCriticalValues:
                              ids=["bad-level", "too-few-reps", "repeated-level"])
     def test_build_tables_checks_before_simulating(self, tmp_path, monkeypatch,
                                                    reps, levels, error):
+        # levels belong to the request: the analysis that asks build_tables for its
+        # null tables checks them, and build_tables checks reps, before any simulation
         def no_simulation(*args, **kwargs):
             raise AssertionError("simulated before the arguments were checked")
 
         monkeypatch.setattr(montecarlo, "replicate", no_simulation)
+        steps = np.random.default_rng(3).standard_normal(600) * 0.01
+        prices = PriceSeries(100.0 * np.exp(np.cumsum(steps)))
         with pytest.raises(error):
-            build_tables(niid_spec(2000), ("rra",), reps, 0, levels=levels,
-                         cache_dir=tmp_path)
+            analyze_index(prices, AnalyzeConfig(reps=reps, levels=levels,
+                                                cache_dir=str(tmp_path)))
 
     def test_missing_cutoff_lookup(self):
-        sample = sample_from(np.random.default_rng(1).standard_normal(200))
-        table = critical_values(sample, levels=(0.05,))
-        assert table.cutoff(0.02) == critical_values(sample, levels=(0.02,)).cutoff(0.02)
+        table = critical_values(sample_from(np.random.default_rng(1).standard_normal(200)))
+        assert table.cutoff(0.02) == table.sample[195]
         for level in (0.0, 1.0, 1.5, -0.05):
             with pytest.raises(ValueError):
                 table.cutoff(level)
@@ -368,18 +375,14 @@ class TestPower:
             power_function(niid_spec(256), "hr", table, reps=10, master_seed=1)
 
     def test_missing_level(self):
-        def table(levels):
-            return build_critical_values(niid_spec(256), "hill", 120, master_seed=5,
-                                         levels=levels)
-
-        assert table((0.05,)).cutoff(0.02) == table((0.02,)).cutoff(0.02)
-        assert power_function(niid_spec(256), "hill", table((0.05,)), reps=10,
-                              master_seed=1, level=0.02) == \
-            power_function(niid_spec(256), "hill", table((0.02,)), reps=10,
-                           master_seed=1, level=0.02)
+        # a level outside DEFAULT_LEVELS is served from the same table
+        table = build_critical_values(niid_spec(256), "hill", 120, master_seed=5)
+        result = power_function(niid_spec(256), "hill", table, reps=10, master_seed=1,
+                                level=0.02)
+        run = run_replications(niid_spec(256), "hill", 10, 1)
+        assert result.rejection_rate == np.mean(run.sample > table.cutoff(0.02))
         with pytest.raises(ValueError):
-            power_function(niid_spec(256), "hill", table((0.05,)), reps=10,
-                           master_seed=1, level=1.5)
+            power_function(niid_spec(256), "hill", table, reps=10, master_seed=1, level=1.5)
 
 
 class TestCache:
@@ -472,6 +475,16 @@ class TestCache:
             assert path.name in caplog.text
         else:
             assert back == table and back.failures_by_kind == {}
+
+    def test_file_holds_the_readme_fields(self, tmp_path):
+        # the format files already cached were written in, so they still load
+        spec = niid_spec(128)
+        table = build_critical_values(spec, "hill", 150, master_seed=4)
+        path = save_table(table, spec, tmp_path)
+        assert sorted(json.loads(path.read_text())) == sorted(
+            ["method", "T", "mean", "sd", "null", "reps", "master_seed", "failures",
+             "failures_by_kind"])
+        assert load_table(tmp_path, spec, "hill", 150, 4) == table
 
     def test_save_leaves_no_temp_file(self, tmp_path):
         spec = niid_spec(128)

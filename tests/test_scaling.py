@@ -198,6 +198,15 @@ class TestPartitionFunction:
         with pytest.raises(AllZeroIncrements):
             partition_function(make_returns([0.0] * 8), 2, 1.0)
 
+    @pytest.mark.parametrize("value, error", [(1e100, NonFiniteValue), (1e-100, ZeroPartition)],
+                             ids=["overflow", "underflow"])
+    def test_powers_out_of_range_fail_as_in_the_fa_kernel(self, value, error):
+        # q = 5 powers the increments past float64's range, with no numpy warning
+        with pytest.raises(error):
+            partition_function(make_returns([value] * 10), 2, 5.0)
+        with pytest.raises(error):
+            estimate_point("fa3", make_returns([value] * 383))
+
     @given(st.lists(st.floats(-3, 3), min_size=4, max_size=30),
            st.integers(2, 5),
            st.one_of(st.sampled_from((0.5, 2.0)), st.floats(0.1, 4.0)))
@@ -210,6 +219,9 @@ class TestPartitionFunction:
         try:
             fast = partition_function(make_returns(values), n, q)
         except AllZeroIncrements:
+            return
+        except ZeroPartition:  # every power underflows
+            assert partition_oracle(values, n, q) == pytest.approx(0.0)
             return
         S = partition_oracle(values, n, q)
         assert fast == pytest.approx(S, rel=1e-10)

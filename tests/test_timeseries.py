@@ -58,10 +58,6 @@ class TestLogReturns:
         with pytest.raises(TooShort):
             PriceSeries([100.0])
 
-    def test_label_length_checked(self):
-        with pytest.raises(ValueError):
-            PriceSeries([1.0, 2.0], labels=("2020-01-01",))
-
     @given(st.lists(st.floats(-0.2, 0.2), min_size=1, max_size=60))
     def test_roundtrip_through_prices(self, rets):
         prices = PriceSeries(100.0 * np.exp(np.concatenate([[0.0], np.cumsum(rets)])))
@@ -250,7 +246,6 @@ class TestCsvIO:
         path.write_text("date,close\n2020-01-01,100.0\n2020-01-02,101.5\n")
         prices = read_prices_csv(path)
         np.testing.assert_allclose(prices.values, [100.0, 101.5])
-        assert prices.labels == ("2020-01-01", "2020-01-02")
 
     def test_prices_bad_header(self, tmp_path):
         path = tmp_path / "p.csv"
