@@ -11,9 +11,11 @@ The estimated series are NIID rows from `generate_block`, seeded by
 filling about 0.2 CPU seconds (at least five), after one untimed call,
 printed with the lower and upper quartiles of those repeats in brackets. The
 `fa1`+`fa2`+`fa3` row times FA(1)-FA(3) together, in the one shared pass the
-replication engine makes; a generator row times `generate_block` on the same
-seeds, the ARFIMA pre-sample of 5000 draws and the AR burn-in of 1000 steps
-included. Run from a source checkout:
+replication engine makes. The analyze battery row times the six methods of
+`analysis.BATTERY` on one series: the one `estimate_blocks` call that
+`analyze_index` makes per variant, against six one-method calls. A generator
+row times `generate_block` on the same seeds, the ARFIMA pre-sample of 5000
+draws and the AR burn-in of 1000 steps included. Run from a source checkout:
 PYTHONPATH=src python scripts/kernel_times.py
 """
 import os
@@ -23,6 +25,7 @@ import time
 
 import numpy as np
 
+from selfaffine.analysis import BATTERY
 from selfaffine.methods import FA_METHODS, METHODS, estimate_blocks
 from selfaffine.montecarlo import _AR_ROWS
 from selfaffine.rng import derive_seed
@@ -71,6 +74,10 @@ def main():
         row("+".join(f"`{m}`" for m in methods),
             [(cpu_ms(lambda: estimate_blocks(methods, X[:1])),
               cpu_ms(lambda: estimate_blocks(methods, X), ROWS)) for X in blocks.values()])
+    row("analyze battery, one series: one call / six calls",
+        [(cpu_ms(lambda: estimate_blocks(BATTERY, X[:1])),
+          cpu_ms(lambda: [estimate_blocks((m,), X[:1]) for m in BATTERY]))
+         for X in blocks.values()])
     for label, spec in [("`niid`", niid_spec),
                         ("`arfima` d=0.08", lambda T: arfima_spec(0.08, T)),
                         ("`lstable` H=0.58", lambda T: lstable_spec_for_hurst(0.58, T))]:

@@ -6,6 +6,7 @@ for the fractionally integrated and stable alternatives, and a power grid.
 At --reps 5000 this reproduces the full study; --reps 200 gives a quick look.
 """
 import argparse
+import functools
 import sys
 import time
 
@@ -27,10 +28,10 @@ def alternative_samples(T, reps, seed):
             for H in HURSTS for model, spec in alternatives(H, T)}
 
 
-def table_critvals(lengths, reps, seed, out):
+def table_critvals(lengths, null_tables, out):
     print("table,method,T,mean,sd,c10,c05,c01", file=out)
     for T in lengths:
-        for method, t in build_tables(niid_spec(T), SCALING_METHODS, reps, seed).items():
+        for method, t in null_tables(T).items():
             print(f"critvals,{method},{T},{t.mean:.4f},{t.sd:.4f},"
                   f"{t.cutoff(0.10):.4f},{t.cutoff(0.05):.4f},{t.cutoff(0.01):.4f}",
                   file=out)
@@ -48,10 +49,10 @@ def table_bias(lengths, reps, seed, out):
                           file=out)
 
 
-def table_power(lengths, reps, seed, out):
+def table_power(lengths, null_tables, reps, seed, out):
     print("table,model,H,method,T,level,power", file=out)
     for T in lengths:
-        tables = build_tables(niid_spec(T), SCALING_METHODS, reps, seed)
+        tables = null_tables(T)
         samples = alternative_samples(T, reps, seed + 1)
         for H in HURSTS:
             for method in SCALING_METHODS:
@@ -74,12 +75,15 @@ def main():
     lengths = [int(x) for x in args.lengths.split(",")]
     t0 = time.time()
     wanted = args.tables.split(",")
+    # each length's NIID null tables serve the critical values and the power grid
+    null_tables = functools.cache(
+        lambda T: build_tables(niid_spec(T), SCALING_METHODS, args.reps, args.seed))
     if "critvals" in wanted:
-        table_critvals(lengths, args.reps, args.seed, sys.stdout)
+        table_critvals(lengths, null_tables, sys.stdout)
     if "bias" in wanted:
         table_bias(lengths, args.reps, args.seed, sys.stdout)
     if "power" in wanted:
-        table_power(lengths, args.reps, args.seed, sys.stdout)
+        table_power(lengths, null_tables, args.reps, args.seed, sys.stdout)
     print(f"# done in {time.time() - t0:.0f}s with {args.reps} replications",
           file=sys.stderr)
 

@@ -8,18 +8,21 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import IncompleteReport, SelfAffineError, TooShort
-from .methods import estimate_point
+import numpy as np
+
+from .errors import IncompleteReport, TooShort
+from .methods import BlockResult, estimate_blocks
+# not called here: kept as module attributes so that perfbench's traced run,
+# which rebinds analysis.build_critical_values and analysis.estimate_point,
+# still finds them
+from .methods import estimate_point  # noqa: F401
 from .montecarlo import DEFAULT_LEVELS, CriticalValueTable, build_tables, check_levels
-# not called here: kept as a module attribute so that perfbench's traced run,
-# which rebinds analysis.build_critical_values, still finds it
 from .montecarlo import build_critical_values  # noqa: F401
 from .rng import derive_seed
 from .simulate import SimulationSpec, ar_recursive_spec, niid_spec
 from .timeseries import (
     ARModel,
     PriceSeries,
-    ReturnsSeries,
     SummaryStats,
     ar_filter,
     fit_ar,
@@ -53,7 +56,8 @@ class AnalyzeConfig:
     series_id: str = "series"
 
     def __post_init__(self):
-        check_levels(self.levels)
+        # as floats, largest first: the order of each cell's and the report's columns
+        object.__setattr__(self, "levels", check_levels(self.levels))
         if not any(math.isclose(l, 0.05, abs_tol=1e-12) for l in self.levels):
             raise ValueError("levels must include 0.05 (classification level)")
         columns = [_percent(l) for l in self.levels]
@@ -89,7 +93,7 @@ class TestReport:
 
     series_id: str
     T: int
-    levels: tuple[float, ...]
+    levels: tuple[float, ...]  # largest first, as AnalyzeConfig stores them
     summary: SummaryStats
     ar_model: ARModel
     filtered_T: int
@@ -112,13 +116,15 @@ class Classification:
     rationale: str
 
 
-def _make_cell(method: str, variant: str, series: ReturnsSeries, table: CriticalValueTable,
+def _make_cell(method: str, variant: str, result: BlockResult, table: CriticalValueTable,
                source: str, levels: tuple[float, ...]) -> CellResult:
-    try:
-        value = estimate_point(method, series)
-    except SelfAffineError as exc:
+    """The cell of `method`'s one-row `estimate_blocks` result."""
+    values, errors = result
+    if errors:
+        exc = errors[0]
         return CellResult(method=method, variant=variant, estimate=None,
                           cutoff_source=source, error=f"{type(exc).__name__}: {exc}")
+    value = float(values[0])
     cutoffs = tuple((level, table.cutoff(level)) for level in levels)
     rejects = tuple((level, value > cut) for level, cut in cutoffs)
     return CellResult(method=method, variant=variant, estimate=value,
@@ -153,21 +159,23 @@ def analyze_index(prices: PriceSeries, config: AnalyzeConfig) -> TestReport:
     filtered_tables = null_tables(niid_spec(len(filtered)), seed_niid, BATTERY)
     niid_T = (filtered_tables if len(filtered) == T
               else null_tables(niid_spec(T), seed_niid, ("fa1",)))
-    levels = check_levels(config.levels)  # largest first, as each cell lists them
+    # one estimator pass per variant, as the engine estimates the null rows
     variants = ((UNFILTERED, returns, rec_tables, "ar-recursive"),
                 (FILTERED, filtered, filtered_tables, "niid"))
-    cells = [_make_cell(method, variant, series, tables[method], source, levels)
-             for method in BATTERY for variant, series, tables, source in variants]
+    results = [estimate_blocks(BATTERY, series.values[None, :]) for _, series, _, _ in variants]
+    cells = [_make_cell(method, variant, result[method], tables[method], source, config.levels)
+             for method in BATTERY
+             for (variant, _, tables, source), result in zip(variants, results)]
 
-    fa1_reordered = fa1_normalized = None
-    try:
-        fa1_reordered = estimate_point("fa1", random_reorder(returns, seed_reorder))
-        fa1_normalized = estimate_point("fa1", normalize_transform(returns))
-    except SelfAffineError:
-        pass
+    # a failed re-order row leaves both diagnostics unset, a failed normalize row the second
+    transformed = np.stack([random_reorder(returns, seed_reorder).values,
+                            normalize_transform(returns).values])
+    values, errors = estimate_blocks(("fa1",), transformed)["fa1"]
+    fa1_reordered = None if 0 in errors else float(values[0])
+    fa1_normalized = None if errors else float(values[1])
 
     return TestReport(
-        series_id=config.series_id, T=T, levels=tuple(config.levels),
+        series_id=config.series_id, T=T, levels=config.levels,
         summary=summary, ar_model=ar_model, filtered_T=len(filtered),
         cells=tuple(cells), fa1_reordered=fa1_reordered,
         fa1_normalized=fa1_normalized, niid_fa1_sd=niid_T["fa1"].sd)
@@ -300,8 +308,7 @@ def table_text(report: TestReport) -> str:
     smaller the level at which the cell rejects."""
     titles = {"rra": "RRA H", "fa1": "FA(1) H", "fa2": "FA(2) H",
               "fa3": "FA(3) H", "robinson": "Robinson d", "hill": "Hill H"}
-    marks = [(level, "*" * k)
-             for k, level in enumerate(sorted(report.levels, reverse=True), start=1)]
+    marks = [(level, "*" * k) for k, level in enumerate(report.levels, start=1)]
     width = 12
     lines = [report.series_id.ljust(12) + "".join(titles[m].rjust(width) for m in BATTERY)]
     for variant in (UNFILTERED, FILTERED):

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import selfaffine.analysis as analysis
 import selfaffine.montecarlo as montecarlo
 from selfaffine.analysis import (
     BATTERY,
@@ -24,7 +25,8 @@ from selfaffine.analysis import (
     table_text,
     write_report_csv,
 )
-from selfaffine.errors import IncompleteReport
+from selfaffine.errors import IncompleteReport, NonFiniteValue, ZeroDispersion
+from selfaffine.methods import estimate_blocks
 from selfaffine.timeseries import ARModel, SummaryStats, read_prices_csv
 
 DATA = Path(__file__).parent / "data"
@@ -184,6 +186,80 @@ class TestAnalyzeIndex:
         for levels in ((0.10, 0.01), (0.05, 0.025, 0.02)):
             with pytest.raises(ValueError):
                 AnalyzeConfig(levels=levels)
+
+
+@pytest.fixture(scope="module")
+def demo_cache(tmp_path_factory):
+    """A cache of the demo report's null tables, so that re-analyzing it simulates none."""
+    cache = tmp_path_factory.mktemp("cache")
+    demo_analysis(cache)
+    return cache
+
+
+def demo_analysis(cache):
+    return analyze_index(read_prices_csv(DATA / "prices_demo.csv"),
+                         AnalyzeConfig(reps=120, seed=7, series_id="prices_demo",
+                                       cache_dir=str(cache)))
+
+
+class TestOneEstimationPath:
+    """The analysed series is estimated as its null rows are, by `estimate_blocks`."""
+
+    def test_three_block_calls_and_no_point_estimate(self, demo_cache, monkeypatch, tmp_path):
+        calls = []
+
+        def counted(methods, X):
+            calls.append((tuple(methods), X.shape[0]))
+            return estimate_blocks(methods, X)
+
+        def no_point_estimate(*args):
+            raise AssertionError("analyze_index called estimate_point")
+
+        monkeypatch.setattr(analysis, "estimate_blocks", counted)
+        monkeypatch.setattr(analysis, "estimate_point", no_point_estimate)
+        report = demo_analysis(demo_cache)
+        # one battery per variant, and the two FA(1) diagnostics in one block
+        assert calls == [(BATTERY, 1), (BATTERY, 1), (("fa1",), 2)]
+        write_report_csv(report, tmp_path / "report.csv")
+        assert (tmp_path / "report.csv").read_bytes() == \
+            (DATA / "golden_report.csv").read_bytes()
+        assert report_json(report, classify_source(report)).encode() == \
+            (DATA / "golden_report.json").read_bytes()
+
+    @pytest.mark.parametrize("row", [0, 1], ids=["reorder-fails", "normalize-fails"])
+    def test_a_failed_diagnostic_row(self, demo_cache, demo_report, monkeypatch, row):
+        def failing(methods, X):
+            out = estimate_blocks(methods, X)
+            if len(X) == 2:
+                out["fa1"][1][row] = NonFiniteValue("estimate must be finite")
+            return out
+
+        monkeypatch.setattr(analysis, "estimate_blocks", failing)
+        report = demo_analysis(demo_cache)
+        assert report.cells == demo_report.cells
+        assert report.fa1_normalized is None
+        if row == 0:  # the re-order row fails: neither diagnostic is reported
+            assert report.fa1_reordered is None
+            assert classify_source(report).rationale.endswith(
+                "transform diagnostics unavailable")
+        else:
+            assert report.fa1_reordered == demo_report.fa1_reordered
+
+    def test_a_failed_row_is_its_cells_error(self, demo_cache, demo_report, monkeypatch):
+        def failing(methods, X):
+            out = estimate_blocks(methods, X)
+            if X.shape == (1, demo_report.filtered_T):
+                out["rra"][1][0] = ZeroDispersion("constant block at scale 5")
+            return out
+
+        monkeypatch.setattr(analysis, "estimate_blocks", failing)
+        report = demo_analysis(demo_cache)
+        failed = report.cell("rra", FILTERED)
+        assert failed == CellResult(method="rra", variant=FILTERED, estimate=None,
+                                    cutoff_source="niid",
+                                    error="ZeroDispersion: constant block at scale 5")
+        assert [c for c in report.cells if c is not failed] == \
+            [c for c in demo_report.cells if (c.method, c.variant) != ("rra", FILTERED)]
 
 
 class TestRendering:

@@ -1,5 +1,6 @@
 import base64
 import csv
+import importlib.util
 import json
 import os
 import re
@@ -12,7 +13,9 @@ import pytest
 
 import selfaffine
 import selfaffine.montecarlo as montecarlo
+from selfaffine.analysis import AnalyzeConfig
 from selfaffine.cli import run_cli
+from selfaffine.montecarlo import replicate
 from selfaffine.simulate import ar_recursive_spec, generate, niid_spec
 from selfaffine.timeseries import ARModel, read_values_csv, write_values_csv
 
@@ -250,6 +253,17 @@ def test_analyze_cache_serves_the_requested_levels(tmp_path, capsys):
     assert analyze(tmp_path / "b", "--levels", "0.05") == cold
 
 
+def test_analyze_columns_follow_the_levels_largest_first(tmp_path, capsys):
+    assert AnalyzeConfig(levels=(0.01, 0.05, 0.10)).levels == (0.10, 0.05, 0.01)
+    assert run_cli(["analyze", "--input", str(DATA / "prices_demo.csv"), "--reps", "100",
+                    "--levels", "0.01,0.05,0.10", "--out-dir", str(tmp_path)]) == 0
+    with open(tmp_path / "prices_demo_report.csv", newline="") as fh:
+        header = next(csv.reader(fh))
+    assert header[5:11] == ["cutoff_10", "cutoff_05", "cutoff_01",
+                            "reject_10", "reject_05", "reject_01"]
+    assert "rejection of H0 at: * 0.10  ** 0.05  *** 0.01" in capsys.readouterr().out
+
+
 def test_analyze_too_short_is_data_error(tmp_path, capsys):
     bad = tmp_path / "empty.csv"
     bad.write_text("date,close\n")
@@ -352,6 +366,27 @@ def test_run_tables_script_output_is_pinned():
     out = subprocess.run([sys.executable, str(script), "--reps", "100", "--lengths", "500"],
                          env=env, capture_output=True, check=True).stdout
     assert out == (DATA / "run_tables_r100_T500.csv").read_bytes()
+
+
+def test_run_tables_script_builds_each_null_once(monkeypatch, capsys):
+    # 1 NIID pass shared by the critical values and the power grid, and
+    # 6 alternative passes each for the bias rows and the power grid
+    script = Path(__file__).parents[1] / "scripts" / "run_tables.py"
+    spec = importlib.util.spec_from_file_location("run_tables", script)
+    run_tables = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_tables)
+    passes = []
+
+    def counted(spec, *args, **kwargs):
+        passes.append(spec.model)
+        return replicate(spec, *args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "replicate", counted)
+    monkeypatch.setattr(run_tables, "replicate", counted)
+    monkeypatch.setattr(sys, "argv", ["run_tables.py", "--reps", "100", "--lengths", "500"])
+    run_tables.main()
+    assert capsys.readouterr().out.encode() == (DATA / "run_tables_r100_T500.csv").read_bytes()
+    assert len(passes) == 13 and passes.count("niid") == 1
 
 
 def test_package_runs_as_a_module():
