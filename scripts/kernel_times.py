@@ -15,13 +15,17 @@ replication engine makes. The analyze battery row times the six methods of
 `analysis.BATTERY` on one series: the one `estimate_blocks` call that
 `analyze_index` makes per variant, against six one-method calls. A generator
 row times `generate_block` on the same seeds, the ARFIMA pre-sample of 5000
-draws and the AR burn-in of 1000 steps included. Run from a source checkout:
+draws and the AR burn-in of 1000 steps included. Each cell ends with the
+traced peak memory of one untimed call on a 64-row block, in MiB (tracemalloc;
+the estimators' input block is allocated before tracing starts, a generator's
+output block is counted). Run from a source checkout:
 PYTHONPATH=src python scripts/kernel_times.py
 """
 import os
 import platform
 import statistics
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -57,10 +61,21 @@ def cpu_ms(call, per=1):
     return tuple(1e3 * t / per for t in statistics.quantiles(times, n=4))
 
 
+def peak_mib(call):
+    """Traced peak memory of one `call()`, in MiB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def row(label, cells):
-    print(f"| {label} | " + " | ".join(" / ".join(f"{mid:.2f} [{lo:.2f}-{hi:.2f}]"
-                                                  for lo, mid, hi in cell) for cell in cells)
-          + " |", flush=True)
+    """One table row; a cell is (timings, the traced peak of a 64-row block)."""
+    print(f"| {label} | " + " | ".join(
+        " / ".join(f"{mid:.2f} [{lo:.2f}-{hi:.2f}]" for lo, mid, hi in times) + f"; {peak:.1f} MiB"
+        for times, peak in cells) + " |", flush=True)
 
 
 def main():
@@ -72,23 +87,25 @@ def main():
     print("|---" * (len(LENGTHS) + 1) + "|")
     for methods in [(m,) for m in METHODS] + [FA_METHODS]:
         row("+".join(f"`{m}`" for m in methods),
-            [(cpu_ms(lambda: estimate_blocks(methods, X[:1])),
-              cpu_ms(lambda: estimate_blocks(methods, X), ROWS)) for X in blocks.values()])
+            [((cpu_ms(lambda: estimate_blocks(methods, X[:1])),
+               cpu_ms(lambda: estimate_blocks(methods, X), ROWS)),
+              peak_mib(lambda: estimate_blocks(methods, X))) for X in blocks.values()])
     row("analyze battery, one series: one call / six calls",
-        [(cpu_ms(lambda: estimate_blocks(BATTERY, X[:1])),
-          cpu_ms(lambda: [estimate_blocks((m,), X[:1]) for m in BATTERY]))
-         for X in blocks.values()])
-    for label, spec in [("`niid`", niid_spec),
-                        ("`arfima` d=0.08", lambda T: arfima_spec(0.08, T)),
-                        ("`lstable` H=0.58", lambda T: lstable_spec_for_hurst(0.58, T))]:
+        [((cpu_ms(lambda: estimate_blocks(BATTERY, X[:1])),
+           cpu_ms(lambda: [estimate_blocks((m,), X[:1]) for m in BATTERY])),
+          peak_mib(lambda: estimate_blocks(BATTERY, X))) for X in blocks.values()])
+    generators = [("`niid`", niid_spec, (1, ROWS)),
+                  ("`arfima` d=0.08", lambda T: arfima_spec(0.08, T), (1, ROWS)),
+                  ("`lstable` H=0.58", lambda T: lstable_spec_for_hurst(0.58, T), (1, ROWS)),
+                  ("`ar_recursive` AR(4)", lambda T: ar_recursive_spec(AR4, T),
+                   (1, ROWS, _AR_ROWS))]
+    for label, spec, heights in generators:
         row(f"generate {label}",
-            [tuple(cpu_ms(lambda: generate_block(spec(T), seeds[:n]), n) for n in (1, ROWS))
-             for T in LENGTHS])
-    row("generate `ar_recursive` AR(4)",
-        [tuple(cpu_ms(lambda: generate_block(ar_recursive_spec(AR4, T), seeds[:n]), n)
-               for n in (1, ROWS, _AR_ROWS)) for T in LENGTHS])
+            [(tuple(cpu_ms(lambda: generate_block(spec(T), seeds[:n]), n) for n in heights),
+              peak_mib(lambda: generate_block(spec(T), seeds[:ROWS]))) for T in LENGTHS])
     print(f"# ms per estimate or generated series: one series / per row of a {ROWS}-row block"
-          f" (/ per row of a {_AR_ROWS}-row chunk); median [lower-upper quartile] of repeats")
+          f" (/ per row of a {_AR_ROWS}-row chunk); median [lower-upper quartile] of repeats;"
+          f" then the traced peak MiB of one call on a {ROWS}-row block")
 
 
 if __name__ == "__main__":

@@ -15,6 +15,17 @@ from selfaffine.simulate import arfima_spec, lstable_spec_for_hurst, niid_spec
 
 SCALING_METHODS = ("rra", "fa1", "fa2", "fa3")
 HURSTS = (0.54, 0.58, 0.62)
+TABLES = ("critvals", "bias", "power")
+
+
+def table_names(text):
+    """The comma-separated table names of --tables, each one of TABLES."""
+    names = text.split(",")
+    unknown = [name for name in names if name not in TABLES]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown table {', '.join(map(repr, unknown))} (choose from {', '.join(TABLES)})")
+    return names
 
 
 def alternatives(H, T):
@@ -69,12 +80,13 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--lengths", default="1000,2000",
                         help="comma-separated sample sizes")
-    parser.add_argument("--tables", default="critvals,bias,power")
+    parser.add_argument("--tables", type=table_names, default=",".join(TABLES),
+                        help=f"comma-separated tables among {', '.join(TABLES)}")
     args = parser.parse_args()
 
     lengths = [int(x) for x in args.lengths.split(",")]
     t0 = time.time()
-    wanted = args.tables.split(",")
+    wanted = args.tables
     # each length's NIID null tables serve the critical values and the power grid
     null_tables = functools.cache(
         lambda T: build_tables(niid_spec(T), SCALING_METHODS, args.reps, args.seed))

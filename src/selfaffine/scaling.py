@@ -169,12 +169,28 @@ def _zero_partitions(lnS: np.ndarray, scales: tuple[int, ...]) -> dict:
 def _fa_points(X: np.ndarray, q: np.ndarray,
                scales: tuple[int, ...]) -> tuple[np.ndarray, dict]:
     """ln S_q(T,n) over the (q, n) grid for every row of X, shape (rows, q, n),
-    and each failed row's error."""
+    and each failed row's error.
+
+    A scale's increments are powered one slab of consecutive orders at a
+    time: the orders are split into as few near-equal slabs as hold at most
+    T // 2M orders each, so a slab holds about as many values per row as X.
+    A slab holds at least three orders (fewer, larger slabs where that bound
+    is two): numpy powers q = 0.5 and 2 through its sqrt and square fast
+    paths, whose bits differ from its general loop, for an exponent of one
+    order and of two on a one-row block, while from three orders on it
+    chooses as it does for the whole grid.
+    """
     P = np.concatenate([np.zeros((len(X), 1)), np.cumsum(X, axis=1)], axis=1)
     lnS = np.empty((len(X), len(q), len(scales)))
+    S = np.empty((len(X), len(q)))
     for j, n in enumerate(scales):
-        v = _block_increments(P, n)
-        lnS[:, :, j] = np.log(0.5 * np.power(v[:, None, :], q[None, :, None]).sum(axis=2))
+        v = _block_increments(P, n)[:, None, :]
+        width = max(3, X.shape[1] // v.shape[2])
+        slabs = min(-(-len(q) // width), max(1, len(q) // 3))
+        for i in range(slabs):
+            lo, hi = i * len(q) // slabs, (i + 1) * len(q) // slabs
+            S[:, lo:hi] = np.power(v, q[None, lo:hi, None]).sum(axis=2)
+        lnS[:, :, j] = np.log(0.5 * S)
     return lnS, _zero_partitions(lnS, scales)
 
 

@@ -153,52 +153,94 @@ def _fast_len(n: int) -> int:
     return min(c << (-(-n // c) - 1).bit_length() for c in odd)  # c * 2**k >= n
 
 
-def _arfima(spec: SimulationSpec, rngs) -> np.ndarray:
+def _niid(spec: SimulationSpec, rngs, out: np.ndarray) -> None:
+    for row, rng in zip(out, rngs):
+        rng.standard_normal(out=row)
+
+
+def _student_t(spec: SimulationSpec, rngs, out: np.ndarray) -> None:
+    for i, rng in enumerate(rngs):
+        out[i] = rng.standard_t(spec.df, spec.T)
+
+
+def _arfima(spec: SimulationSpec, rngs, out: np.ndarray) -> None:
     # innovations for times 1..T come first and the pre-sample history after
     # them, so d=0 reproduces the NIID generator draw-for-draw on the same seed
     T, J = spec.T, spec.truncation
     if spec.d == 0.0:
-        return np.array([rng.standard_normal(T) for rng in rngs])
+        return _niid(spec, rngs, out)
     # the truncated MA filter as a full linear convolution by real FFT,
     # ARFIMA_ROWS rows at a time
     L = _fast_len(J + 1 + T + J)
     W = np.fft.rfft(arfima_weights(spec.d, J), L)
-    out = np.empty((len(rngs), T))
     U = np.empty((min(ARFIMA_ROWS, len(rngs)), J + 1 + T))  # time order u_{-J}..u_T
     for lo in range(0, len(rngs), ARFIMA_ROWS):
         slab = rngs[lo:lo + ARFIMA_ROWS]
         for row, rng in zip(U, slab):
-            row[J + 1:] = rng.standard_normal(T)  # u_1..u_T
-            row[:J + 1] = rng.standard_normal(J + 1)[::-1]  # u_{-J}..u_0, drawn newest-last
+            rng.standard_normal(out=row[J + 1:])  # u_1..u_T
+            rng.standard_normal(out=row[:J + 1])
+            row[:J + 1] = row[J::-1]  # u_{-J}..u_0, drawn newest-last
         F = np.fft.rfft(U[:len(slab)], L, axis=1)
         F *= W
         out[lo:lo + len(slab)] = np.fft.irfft(F, L, axis=1)[:, J + 1:J + 1 + T]
-    return out
 
 
-def _lstable(spec: SimulationSpec, rngs) -> np.ndarray:
+def _lstable(spec: SimulationSpec, rngs, out: np.ndarray) -> None:
     # Chambers-Mallows-Stuck: V ~ U(-pi/2, pi/2) and W ~ exp(1) feed the
-    # alpha != 1 and alpha = 1 branches; the output is rescaled by (sigma, mu)
+    # alpha != 1 and alpha = 1 branches; the output is rescaled by (sigma, mu).
+    # Each branch is evaluated in place, with the ufuncs of its one-line form
+    # in the same order, so V, W, A and `out` are its only blocks. V, W and A
+    # are one allocation: glibc's heap-trim threshold follows the largest
+    # block it has freed from mmap, and with three separate blocks it stays
+    # below a block's working set, so the heap is trimmed and re-grown per call
     alpha, beta, mu, sigma = spec.alpha, spec.beta, spec.mu, spec.sigma
-    V, W = np.empty((2, len(rngs), spec.T))
+    V, W, A = np.empty((3, len(rngs), spec.T))
     for i, rng in enumerate(rngs):
         V[i] = rng.uniform(-math.pi / 2, math.pi / 2, spec.T)
         W[i] = rng.standard_exponential(spec.T)
+    X = out
     if abs(alpha - 1.0) < ALPHA_ONE_BAND:
+        # X = (1/half_pi) * ((half_pi + beta*V) * tan(V)
+        #                    - beta * log((W * cos(V)) / (half_pi + beta*V)))
         half_pi = math.pi / 2
-        X = (1.0 / half_pi) * ((half_pi + beta * V) * np.tan(V)
-                               - beta * np.log((W * np.cos(V)) / (half_pi + beta * V)))
-        return sigma * X + (1.0 / half_pi) * beta * sigma * math.log(sigma) + mu
+        np.multiply(beta, V, out=A)
+        A += half_pi
+        np.tan(V, out=X)
+        X *= A
+        np.cos(V, out=V)
+        W *= V
+        W /= A
+        np.log(W, out=W)
+        W *= beta
+        X -= W
+        X *= 1.0 / half_pi
+        X *= sigma
+        X += (1.0 / half_pi) * beta * sigma * math.log(sigma)
+        X += mu
+        return
+    # X = S * sin(alpha*(V+B)) / cos(V)**(1/alpha)
+    #     * (cos(V - alpha*(V+B)) / W)**((1-alpha)/alpha)
     ta = math.tan(math.pi * alpha / 2.0)
     B = math.atan(beta * ta) / alpha
     S = (1.0 + beta * beta * ta * ta) ** (1.0 / (2.0 * alpha))
-    X = (S * np.sin(alpha * (V + B)) / np.cos(V) ** (1.0 / alpha)
-         * (np.cos(V - alpha * (V + B)) / W) ** ((1.0 - alpha) / alpha))
-    return sigma * X + mu
+    np.add(V, B, out=A)
+    A *= alpha
+    np.sin(A, out=X)
+    X *= S
+    np.subtract(V, A, out=A)
+    np.cos(A, out=A)
+    A /= W
+    A **= (1.0 - alpha) / alpha
+    np.cos(V, out=V)
+    V **= 1.0 / alpha
+    X /= V
+    X *= A
+    X *= sigma
+    X += mu
 
 
 #: rows per real FFT of the ARFIMA generator, which bound its FFT buffers
-ARFIMA_ROWS = 16
+ARFIMA_ROWS = 8
 #: time steps per pass of the AR recursion, which bound its work buffer
 AR_STEPS = 64
 #: innovations drawn per row and call of the AR generator, a multiple of
@@ -238,9 +280,9 @@ def _ar_recursion(phi: np.ndarray, rows: int, passes):
         yield U[:n, 0].T
 
 
-def _ar_recursive(spec: SimulationSpec, rngs) -> np.ndarray:
+def _ar_recursive(spec: SimulationSpec, rngs, out: np.ndarray) -> None:
     """AR(p) series with innovations c + sd*u_t, u_t ~ N(0, 1), from zero
-    state, the burn-in discarded, as a C-ordered `(rows, T)` array.
+    state, the burn-in discarded, into the rows of `out`.
 
     The series are streamed through time: each row's next AR_DRAWS
     innovations are drawn into one buffer (a row draws the same values in any
@@ -249,7 +291,6 @@ def _ar_recursive(spec: SimulationSpec, rngs) -> np.ndarray:
     are kept.
     """
     model, N, burn_in = spec.ar, spec.burn_in + spec.T, spec.burn_in
-    out = np.empty((len(rngs), spec.T))
     Z = np.empty((len(rngs), AR_DRAWS))
 
     def innovations():
@@ -269,12 +310,12 @@ def _ar_recursive(spec: SimulationSpec, rngs) -> np.ndarray:
     for t0, y in zip(range(-burn_in, spec.T, AR_STEPS), passes):
         if t0 + AR_STEPS > 0:
             out[:, max(t0, 0):t0 + AR_STEPS] = y[:, max(-t0, 0):]
-    return out
 
 
+#: each model's generator fills a C-ordered `(rows, T)` block from the rows' Generators
 _GENERATORS = {
-    NIID: lambda spec, rngs: np.array([rng.standard_normal(spec.T) for rng in rngs]),
-    STUDENT_T: lambda spec, rngs: np.array([rng.standard_t(spec.df, spec.T) for rng in rngs]),
+    NIID: _niid,
+    STUDENT_T: _student_t,
     ARFIMA: _arfima,
     LSTABLE: _lstable,
     AR_RECURSIVE: _ar_recursive,
@@ -287,11 +328,14 @@ def generate_block(spec: SimulationSpec, seeds) -> tuple[np.ndarray, dict[int, N
 
     Row i draws from `rng_from_seed(seeds[i])`, and the model's transform runs
     on many rows at once (the ARFIMA convolution on ARFIMA_ROWS at a time),
-    so row i is bit-identical to `generate` on that seed. A row that is not finite fails alone: it is listed in the returned
-    {row: error} map, and its values are meaningless.
+    so row i is bit-identical to `generate` on that seed. Every model fills
+    the one block in place, with at most a few block-sized work arrays. A row
+    that is not finite fails alone: it is listed in the returned {row: error}
+    map, and its values are meaningless.
     """
+    X = np.empty((len(seeds), spec.T))
     with np.errstate(all="ignore"):
-        X = _GENERATORS[spec.model](spec, [rng_from_seed(s) for s in seeds])
+        _GENERATORS[spec.model](spec, [rng_from_seed(s) for s in seeds], X)
     bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
     return X, {int(i): NonFiniteValue("returns must be finite") for i in bad}
 

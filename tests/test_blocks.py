@@ -93,6 +93,57 @@ def test_shared_fa_pass_equals_one_pass_per_method(T):
     assert np.isfinite(shared["fa1"][0][tinier])
 
 
+def one_call_fa_points(X, q, scales):
+    """ln S_q(T,n) with all of a scale's orders powered in one call: the
+    kernel's bits, whatever slabs of orders it powers."""
+    P = np.concatenate([np.zeros((len(X), 1)), np.cumsum(X, axis=1)], axis=1)
+    lnS = np.empty((len(X), len(q), len(scales)))
+    for j, n in enumerate(scales):
+        v = scaling._block_increments(P, n)
+        lnS[:, :, j] = np.log(0.5 * np.power(v[:, None, :], q[None, :, None]).sum(axis=2))
+    return lnS, scaling._zero_partitions(lnS, scales)
+
+
+#: the FA grids and their 23-order union, whose prime order count splits into unequal slabs
+FA_GRIDS = {**scaling.Q_GRIDS,
+            "union": np.array(sorted({q for grid in scaling.Q_GRIDS.values() for q in grid}))}
+
+
+def fast_path_row(T):
+    """A row whose scale-5 increments all equal one value at which numpy's
+    sqrt and square differ from its general power loop, if it has one."""
+    x = np.linspace(1.0, 2.0, 1001)
+    differs = ((np.sqrt(x) != np.power(x, np.full_like(x, 0.5)))
+               & (np.square(x) != np.power(x, np.full_like(x, 2.0))))
+    row = np.zeros(T)
+    row[::10], row[5::10] = x[np.argmax(differs)], -x[np.argmax(differs)]  # p is 0 or x
+    return row
+
+
+@pytest.mark.parametrize("rows", [1, 2, 64])
+@pytest.mark.parametrize("T", [100, 379, 383, 2000, 5000])
+def test_fa_points_equal_one_power_call_per_scale(T, rows, monkeypatch):
+    # a zero row, rows at 1e+-200, and a row on which a slab powered through
+    # numpy's fast paths would read other bits
+    X = np.vstack([block(T), block(T)[0] * 1e-200, fast_path_row(T)])
+    X = np.resize(X, (max(rows, len(X)), T))  # its rows, cyclically
+    scales = time_scale_grid(T)
+    for first in range(0, len(X), rows):
+        Y = X[first:first + rows]
+        with np.errstate(all="ignore"):
+            for q in FA_GRIDS.values():
+                got, want = scaling._fa_points(Y, q, scales), one_call_fa_points(Y, q, scales)
+                assert got[0].tobytes() == want[0].tobytes(), (first, q)
+                assert described(got[1]) == described(want[1])
+        got = methods.estimate_blocks(methods.FA_METHODS, Y)
+        with monkeypatch.context() as patched:
+            patched.setattr(scaling, "_fa_points", one_call_fa_points)
+            want = methods.estimate_blocks(methods.FA_METHODS, Y)
+        for method in methods.FA_METHODS:
+            assert got[method][0].tobytes() == want[method][0].tobytes()
+            assert described(got[method][1]) == described(want[method][1])
+
+
 def test_a_whole_block_error_fails_every_row_of_every_method():
     shared = methods.estimate_blocks(("fa3", "hill", "fa1"), np.ones((2, 50)))
     assert list(shared) == ["fa3", "hill", "fa1"]

@@ -389,6 +389,18 @@ def test_run_tables_script_builds_each_null_once(monkeypatch, capsys):
     assert len(passes) == 13 and passes.count("niid") == 1
 
 
+def test_run_tables_script_rejects_an_unknown_table():
+    # a misspelt table is a usage error, not an empty run
+    env = dict(os.environ, PYTHONPATH=str(Path(selfaffine.__file__).parents[1]))
+    script = Path(__file__).parents[1] / "scripts" / "run_tables.py"
+    done = subprocess.run([sys.executable, str(script), "--reps", "100", "--lengths", "500",
+                           "--tables", "critvals,critval"],
+                          env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "usage:" in done.stderr
+    assert "unknown table 'critval' (choose from critvals, bias, power)" in done.stderr
+
+
 def test_package_runs_as_a_module():
     env = dict(os.environ, PYTHONPATH=str(Path(selfaffine.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-m", "selfaffine", "--version"],

@@ -15,8 +15,10 @@ from selfaffine.errors import (
     ExplosiveModel,
     NonFiniteValue,
 )
+from selfaffine.methods import FA_METHODS, METHODS, estimate_blocks
 from selfaffine.rng import derive_seed, rng_from_seed
 from selfaffine.simulate import (
+    ALPHA_ONE_BAND,
     AR_DRAWS,
     AR_STEPS,
     ARFIMA_ROWS,
@@ -157,6 +159,33 @@ class TestLStable:
         spec = lstable_spec(2, 500, beta=0, mu=1, sigma=3)
         assert spec == lstable_spec(2.0, 500, beta=0.0, mu=1.0, sigma=3.0)
         assert all(type(getattr(spec, f)) is float for f in ("d", "alpha", "beta", "mu", "sigma"))
+
+    @pytest.mark.parametrize("alpha, beta, sigma, mu", [
+        (1.0 + 1e-8, 0.5, 2.0, 0.3), (1.0 - 1e-8, -0.7, 0.3, -1.3), (1.5, 0.3, 3.0, 2.0),
+        (2.0, 0.0, 1.0, 0.0), (0.5, 1.0, 0.5, 1.0)])
+    def test_in_place_transform_equals_the_one_line_form(self, alpha, beta, sigma, mu):
+        # alpha = 2 and 0.5 power by 0.5, 1 and 2, numpy's scalar fast paths
+        spec = lstable_spec(alpha, 300, beta=beta, sigma=sigma, mu=mu)
+        seeds = [derive_seed(8, i) for i in range(5)]
+        V, W = np.empty((2, len(seeds), 300))
+        for i, seed in enumerate(seeds):
+            rng = rng_from_seed(seed)
+            V[i] = rng.uniform(-math.pi / 2, math.pi / 2, 300)
+            W[i] = rng.standard_exponential(300)
+        with np.errstate(all="ignore"):
+            if abs(alpha - 1.0) < ALPHA_ONE_BAND:
+                half_pi = math.pi / 2
+                X = (1.0 / half_pi) * ((half_pi + beta * V) * np.tan(V)
+                                       - beta * np.log((W * np.cos(V)) / (half_pi + beta * V)))
+                want = sigma * X + (1.0 / half_pi) * beta * sigma * math.log(sigma) + mu
+            else:
+                ta = math.tan(math.pi * alpha / 2.0)
+                B = math.atan(beta * ta) / alpha
+                S = (1.0 + beta * beta * ta * ta) ** (1.0 / (2.0 * alpha))
+                X = (S * np.sin(alpha * (V + B)) / np.cos(V) ** (1.0 / alpha)
+                     * (np.cos(V - alpha * (V + B)) / W) ** ((1.0 - alpha) / alpha))
+                want = sigma * X + mu
+        assert generate_block(spec, seeds)[0].tobytes() == want.tobytes()
 
     def test_parameter_validation(self):
         with pytest.raises(BadAlpha):
@@ -302,6 +331,20 @@ AR4 = ARModel(order=4, intercept=0.01, coefficients=np.array([0.2, -0.1, 0.05, 0
 AR0 = ARModel(order=0, intercept=0.1, coefficients=np.empty(0), residual_sd=2.0)
 
 
+#: a 64x2000 block of each model, and each estimate_blocks pass over one,
+#: whose traced peak memory is bounded
+MEMORY_SPECS = {
+    "niid": niid_spec(2000),
+    "student-t": student_t_spec(5, 2000),
+    "arfima-d0": arfima_spec(0.0, 2000),
+    "arfima": arfima_spec(0.08, 2000),
+    "lstable-alpha1": lstable_spec(1.0 + 1e-8, 2000, beta=0.5),
+    "lstable": lstable_spec_for_hurst(0.58, 2000),
+    "ar4": ar_recursive_spec(AR4, 2000),
+}
+MEMORY_PASSES = {**{m: (m,) for m in METHODS}, "fa-union": FA_METHODS}
+
+
 class TestBlockContract:
     """Row i of a block is the one-row series of the same seed, bit for bit."""
 
@@ -320,26 +363,40 @@ class TestBlockContract:
                                            for T in (150, 2000))])
     def test_rows_equal_one_row_series(self, spec):
         # two full ARFIMA slabs and a partial one
-        seeds = [derive_seed(4, i) for i in range(37)]
+        seeds = [derive_seed(4, i) for i in range(2 * ARFIMA_ROWS + 5)]
         assert 2 * ARFIMA_ROWS < len(seeds) < 3 * ARFIMA_ROWS
         X, errors = generate_block(spec, seeds)
-        assert X.shape == (37, spec.T) and X.dtype == np.float64 and errors == {}
+        assert X.shape == (len(seeds), spec.T) and X.dtype == np.float64 and errors == {}
         # C order: the engine estimates the block without a copy
         assert X.flags.c_contiguous
         for row, seed in zip(X, seeds):
             assert row.tobytes() == generate(replace(spec, seed=seed)).values.tobytes()
 
-    def test_arfima_block_memory_is_bounded(self):
-        # the FFT buffers span one slab, not the block: one FFT over all 64
-        # rows peaks at 15.2 MiB here, 16-row slabs at 4.9 MiB
-        spec, seeds = arfima_spec(0.08, 2000), [derive_seed(0, i) for i in range(64)]
+    @pytest.mark.parametrize("case", [*(f"generate-{name}" for name in MEMORY_SPECS),
+                                      *(f"estimate-{name}" for name in MEMORY_PASSES)])
+    def test_block_memory_is_bounded(self, case):
+        # every generator and estimator pass keeps its temporaries within a few
+        # block-sized arrays (a 64x2000 block is 0.98 MiB): powering every FA
+        # order at once peaked at 5.5 MiB (10.8 MiB over the FA union), one FFT
+        # over 64 ARFIMA rows at 15.2 MiB, 16-row slabs at 4.9 MiB, and the
+        # one-line stable transform at 4.9 MiB
+        kind, name = case.split("-", 1)
+        seeds = [derive_seed(0, i) for i in range(64)]
+        if kind == "generate":
+            def call():
+                generate_block(MEMORY_SPECS[name], seeds)
+        else:
+            X = generate_block(niid_spec(2000), seeds)[0]
+
+            def call():
+                estimate_blocks(MEMORY_PASSES[name], X)
         tracemalloc.start()
         try:
-            generate_block(spec, seeds)
+            call()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2**20
+        assert peak < 4.5 * 2**20
 
     def test_overflowing_row_fails_alone(self):
         spec = lstable_spec(0.01, 500)
