@@ -18,7 +18,9 @@ row times `generate_block` on the same seeds, the ARFIMA pre-sample of 5000
 draws and the AR burn-in of 1000 steps included. Each cell ends with the
 traced peak memory of one untimed call on a 64-row block, in MiB (tracemalloc;
 the estimators' input block is allocated before tracing starts, a generator's
-output block is counted). Run from a source checkout:
+output block is counted). The header names numpy's SIMD baseline and the
+targets it found on this CPU: both the bits and the times depend on them.
+Run from a source checkout:
 PYTHONPATH=src python scripts/kernel_times.py
 """
 import os
@@ -79,8 +81,10 @@ def row(label, cells):
 
 
 def main():
+    simd = np.show_config(mode="dicts")["SIMD Extensions"]
     print(f"# python {platform.python_version()}, numpy {np.__version__}, "
-          f"{platform.machine()}, {os.cpu_count()} CPUs")
+          f"{platform.machine()}, {os.cpu_count()} CPUs, SIMD baseline "
+          f"{' '.join(simd['baseline'])}, found {' '.join(simd['found'])}")
     seeds = [derive_seed(0, i) for i in range(max(ROWS, _AR_ROWS))]
     blocks = {T: generate_block(niid_spec(T), seeds[:ROWS])[0] for T in LENGTHS}
     print("| kernel | " + " | ".join(f"T={T}" for T in LENGTHS) + " |")

@@ -67,10 +67,6 @@ class ZeroDispersion(SelfAffineError):
     """A block has zero standard deviation; R/S is undefined."""
 
 
-class AllZeroIncrements(SelfAffineError):
-    """Every block increment of the price path is zero."""
-
-
 class ZeroPartition(SelfAffineError):
     """A partition function value is zero; its log is undefined."""
 

@@ -217,6 +217,8 @@ def build_tables(spec: SimulationSpec, methods, reps: int, master_seed: int, wor
     """
     if reps < 100:  # fewer cannot give the 100 successful replications it needs
         raise TooFewValues("need at least 100 replications")
+    if workers < 1:  # as in `replicate`, so a warm cache serves no request a cold run rejects
+        raise ValueError("workers must be at least 1")
     methods = tuple(methods)
     tables = {}
     if cache_dir is not None:

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from .errors import AllZeroIncrements, NonFiniteValue, TooShort, ZeroDispersion, ZeroPartition
+from .errors import NonFiniteValue, TooShort, ZeroDispersion, ZeroPartition
 from .timeseries import ReturnsSeries, _freeze
 
 #: log-grid start, step, and the fraction of T capping the largest scale
@@ -148,8 +148,6 @@ def partition_function(r: ReturnsSeries, n: int, q: float) -> float:
     with np.errstate(all="ignore"):  # raised below as typed errors, as the FA kernel types them
         v = _block_increments(np.concatenate([[0.0], np.cumsum(r.values)])[None, :], n)[0]
         S = float(0.5 * np.sum(v ** q))
-    if not np.any(v != 0.0):
-        raise AllZeroIncrements(f"all block increments are zero at scale {n}")
     if not math.isfinite(S):
         raise NonFiniteValue(f"partition function is not finite at scale {n}")
     if S == 0.0:
@@ -220,9 +218,7 @@ def fa_block(X: np.ndarray, grids) -> list[tuple[np.ndarray, dict]]:
     lnn, out = np.log(scales), []
     for q in grids:
         # a contiguous copy: _fa_slopes on the strided selection differs in the
-        # last bit. A grid that is the whole union (any one-grid call) skips
-        # the copy, which alone moved the peak memory of such runs by megabytes
-        part = lnS if len(q) == len(union) else np.ascontiguousarray(
-            lnS[:, np.searchsorted(union, q)])
+        # last bit
+        part = np.ascontiguousarray(lnS[:, np.searchsorted(union, q)])
         out.append((_fa_slopes(part, q, lnn), _zero_partitions(part, scales)))
     return out

@@ -121,7 +121,7 @@ def fast_path_row(T):
 
 
 @pytest.mark.parametrize("rows", [1, 2, 64])
-@pytest.mark.parametrize("T", [100, 379, 383, 2000, 5000])
+@pytest.mark.parametrize("T", [100, 379, 383, 2000, 5000, 7000])
 def test_fa_points_equal_one_power_call_per_scale(T, rows, monkeypatch):
     # a zero row, rows at 1e+-200, and a row on which a slab powered through
     # numpy's fast paths would read other bits

@@ -202,6 +202,16 @@ def test_bad_level_is_a_data_error_before_simulating(tmp_path, monkeypatch, caps
     assert list(tmp_path.iterdir()) == []
 
 
+def test_warm_cache_checks_workers(tmp_path, capsys):
+    # the cache serves only a request that a cold run would accept
+    args = ["critvals", "--method", "hill", "-T", "200", "--reps", "100",
+            "--cache-dir", str(tmp_path)]
+    assert run_cli(args) == 0
+    capsys.readouterr()
+    assert run_cli([*args, "--workers", "0"]) == 2
+    assert capsys.readouterr().err == "error: workers must be at least 1\n"
+
+
 def test_all_replications_failed_names_the_cause(capsys):
     # T=50 is below the R/S grid's T >= 100, so every row fails with TooShort
     assert run_cli(["critvals", "--method", "rra", "-T", "50", "--reps", "200"]) == 2

@@ -322,14 +322,17 @@ class TestCriticalValues:
     def test_check_levels_sorts_largest_first(self):
         assert check_levels((0.01, 0.1, 0.05)) == (0.1, 0.05, 0.01)
 
-    @pytest.mark.parametrize("reps, levels, error", [(2000, (0.05, 1.5), ValueError),
-                                                     (99, (0.05,), TooFewValues),
-                                                     (2000, (0.05, 0.05), ValueError)],
-                             ids=["bad-level", "too-few-reps", "repeated-level"])
+    @pytest.mark.parametrize("reps, levels, workers, error",
+                             [(2000, (0.05, 1.5), 1, ValueError),
+                              (99, (0.05,), 1, TooFewValues),
+                              (2000, (0.05, 0.05), 1, ValueError),
+                              (2000, (0.05,), 0, ValueError)],
+                             ids=["bad-level", "too-few-reps", "repeated-level", "no-workers"])
     def test_build_tables_checks_before_simulating(self, tmp_path, monkeypatch,
-                                                   reps, levels, error):
+                                                   reps, levels, workers, error):
         # levels belong to the request: the analysis that asks build_tables for its
-        # null tables checks them, and build_tables checks reps, before any simulation
+        # null tables checks them, and build_tables checks reps and workers, before
+        # any simulation
         def no_simulation(*args, **kwargs):
             raise AssertionError("simulated before the arguments were checked")
 
@@ -337,7 +340,7 @@ class TestCriticalValues:
         steps = np.random.default_rng(3).standard_normal(600) * 0.01
         prices = PriceSeries(100.0 * np.exp(np.cumsum(steps)))
         with pytest.raises(error):
-            analyze_index(prices, AnalyzeConfig(reps=reps, levels=levels,
+            analyze_index(prices, AnalyzeConfig(reps=reps, levels=levels, workers=workers,
                                                 cache_dir=str(tmp_path)))
 
     def test_missing_cutoff_lookup(self):

@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfaffine.errors import (
-    AllZeroIncrements,
-    NonFiniteValue,
-    TooShort,
-    ZeroDispersion,
-    ZeroPartition,
-)
+from selfaffine.errors import NonFiniteValue, TooShort, ZeroDispersion, ZeroPartition
 from selfaffine.methods import estimate, estimate_point
 from selfaffine.scaling import (
     Q_GRIDS,
@@ -194,15 +188,13 @@ class TestPartitionFunction:
         for q in (0.5, 1.0, 2.0, 3.3):
             assert partition_function(r, 2, q) == pytest.approx(2 * (2 * c) ** q)
 
-    def test_all_zero_increments(self):
-        with pytest.raises(AllZeroIncrements):
-            partition_function(make_returns([0.0] * 8), 2, 1.0)
-
-    @pytest.mark.parametrize("value, error", [(1e100, NonFiniteValue), (1e-100, ZeroPartition)],
-                             ids=["overflow", "underflow"])
+    @pytest.mark.parametrize("value, error", [(1e100, NonFiniteValue), (1e-100, ZeroPartition),
+                                              (0.0, ZeroPartition)],
+                             ids=["overflow", "underflow", "all-zero"])
     def test_powers_out_of_range_fail_as_in_the_fa_kernel(self, value, error):
-        # q = 5 powers the increments past float64's range, with no numpy warning
-        with pytest.raises(error):
+        # q = 5 powers the increments past float64's range, with no numpy warning;
+        # a flat path's increments are all zero, so its sum is zero at every order
+        with pytest.raises(error, match="at scale 2$"):
             partition_function(make_returns([value] * 10), 2, 5.0)
         with pytest.raises(error):
             estimate_point("fa3", make_returns([value] * 383))
@@ -218,17 +210,12 @@ class TestPartitionFunction:
             return
         try:
             fast = partition_function(make_returns(values), n, q)
-        except AllZeroIncrements:
-            return
-        except ZeroPartition:  # every power underflows
+        except ZeroPartition:  # every increment is zero or every power underflows
             assert partition_oracle(values, n, q) == pytest.approx(0.0)
             return
-        S = partition_oracle(values, n, q)
-        assert fast == pytest.approx(S, rel=1e-10)
-        if S > 0.0:  # ln S is -inf where every power underflows
-            with np.errstate(all="ignore"):  # as in methods.estimate_blocks
-                lnS = _fa_points(np.array([values]), np.array([q]), (n,))[0]
-            assert lnS[0, 0, 0] == pytest.approx(math.log(S), abs=1e-10)
+        assert fast == pytest.approx(partition_oracle(values, n, q), rel=1e-10)
+        lnS = _fa_points(np.array([values]), np.array([q]), (n,))[0]
+        assert lnS[0, 0, 0] == np.log(fast)  # the kernel's one-row case, bit for bit
 
     def test_fa_kernel_matches_loop_oracle_on_the_union_grid(self):
         # every order of FA(1)-FA(3) at every grid scale, as one pass runs them
@@ -271,7 +258,7 @@ class TestEstimateFa:
                                    Q_GRIDS["fa2"][0] * math.log(a), atol=1e-8)
 
     def test_zero_partition_aborts(self):
-        with pytest.raises((ZeroPartition, AllZeroIncrements)):
+        with pytest.raises(ZeroPartition):
             estimate_point("fa1", make_returns([0.0] * 500))
 
     def test_diagnostics_shape(self, rng):
