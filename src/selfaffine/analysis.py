@@ -320,43 +320,14 @@ def table_text(report: TestReport) -> str:
 
 
 def report_json(report: TestReport, classification: Classification) -> str:
-    payload = {
-        "series_id": report.series_id,
-        "T": report.T,
-        "filtered_T": report.filtered_T,
-        "summary": {
-            "mean": report.summary.mean,
-            "sd": report.summary.sd,
-            "skewness": report.summary.skewness,
-            "kurtosis": report.summary.kurtosis,
-        },
-        "ar_model": {
-            "order": report.ar_model.order,
-            "intercept": report.ar_model.intercept,
-            "coefficients": list(report.ar_model.coefficients),
-            "residual_sd": report.ar_model.residual_sd,
-        },
-        # always null, as a failed AR fit raises: kept so the report layout holds
-        "ar_error": None,
-        "cells": [
-            {
-                "method": c.method,
-                "variant": c.variant,
-                "estimate": c.estimate,
-                "cutoff_source": c.cutoff_source,
-                "cutoffs": {f"{l:g}": v for l, v in c.cutoffs},
-                "rejects": {f"{l:g}": flag for l, flag in c.rejects},
-                "error": c.error,
-            }
-            for c in report.cells
-        ],
-        "fa1_reordered": report.fa1_reordered,
-        "fa1_normalized": report.fa1_normalized,
-        "niid_fa1_sd": report.niid_fa1_sd,
-        "classification": {
-            "verdict": classification.verdict,
-            "evidence": classification.evidence,
-            "rationale": classification.rationale,
-        },
-    }
+    """The report's fields as JSON, as a cache file holds its table's."""
+    cells = [dict(vars(c), cutoffs={f"{l:g}": v for l, v in c.cutoffs},
+                  rejects={f"{l:g}": flag for l, flag in c.rejects})
+             for c in report.cells]
+    payload = dict(vars(report), summary=vars(report.summary), cells=cells,
+                   ar_model=dict(vars(report.ar_model),
+                                 coefficients=list(report.ar_model.coefficients)),
+                   # always null, as a failed AR fit raises: kept so the report layout holds
+                   ar_error=None, classification=vars(classification))
+    del payload["levels"]  # each cell's maps name the levels
     return json.dumps(payload, indent=2, sort_keys=True)

@@ -32,8 +32,6 @@ from .montecarlo import (
     power_function,
 )
 from .simulate import (
-    DEFAULT_BURN_IN,
-    DEFAULT_TRUNCATION,
     MODELS,
     SimulationSpec,
     ar_recursive_spec,
@@ -80,18 +78,19 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
                    choices=[m.replace("_", "-") for m in MODELS])
     p.add_argument("-T", "--length", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--d", type=float, default=0.0, help="ARFIMA integration order")
-    p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--mu", type=float, default=0.0)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--df", type=int, default=10)
+    p.add_argument("--d", type=float, default=SimulationSpec.d,
+                   help="ARFIMA integration order")
+    p.add_argument("--alpha", type=float, default=SimulationSpec.alpha)
+    p.add_argument("--beta", type=float, default=SimulationSpec.beta)
+    p.add_argument("--mu", type=float, default=SimulationSpec.mu)
+    p.add_argument("--sigma", type=float, default=SimulationSpec.sigma)
+    p.add_argument("--df", type=int, default=SimulationSpec.df)
     p.add_argument("--ar-coefficients", default="",
                    help="comma-separated AR coefficients")
     p.add_argument("--ar-intercept", type=float, default=0.0)
     p.add_argument("--ar-sd", type=float, default=1.0)
-    p.add_argument("--burn-in", type=int, default=DEFAULT_BURN_IN)
-    p.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION,
+    p.add_argument("--burn-in", type=int, default=SimulationSpec.burn_in)
+    p.add_argument("--truncation", type=int, default=SimulationSpec.truncation,
                    help="ARFIMA moving-average truncation lag")
 
 

@@ -148,20 +148,25 @@ def partition_function(r: ReturnsSeries, n: int, q: float) -> float:
     with np.errstate(all="ignore"):  # raised below as typed errors, as the FA kernel types them
         v = _block_increments(np.concatenate([[0.0], np.cumsum(r.values)])[None, :], n)[0]
         S = float(0.5 * np.sum(v ** q))
-    if not math.isfinite(S):
-        raise NonFiniteValue(f"partition function is not finite at scale {n}")
-    if S == 0.0:
-        raise ZeroPartition(f"zero partition function at scale {n}")
+        errors = _partition_errors(np.full((1, 1, 1), np.log(S)), (n,))
+    if errors:
+        raise errors[0]
     return S
 
 
-def _zero_partitions(lnS: np.ndarray, scales: tuple[int, ...]) -> dict:
-    """Each row whose partition function is zero somewhere on the (q, n) grid
-    of lnS, failed at the first such scale. S >= 0, so S == 0 is ln S == -inf."""
-    zero = np.any(lnS == -np.inf, axis=1)
-    return {int(i): ZeroPartition(
-        f"zero partition function at scale {scales[int(np.argmax(zero[i]))]}")
-        for i in np.flatnonzero(zero.any(axis=1))}
+def _partition_errors(lnS: np.ndarray, scales: tuple[int, ...]) -> dict:
+    """Each row whose partition function is zero or not finite somewhere on
+    the (q, n) grid of lnS, failed at the first such scale: a row with a zero
+    one (S >= 0, so S == 0 is ln S == -inf) as ZeroPartition, any other as
+    NonFiniteValue. `partition_function` fails its one sum by it too."""
+    bad = ~np.all(np.isfinite(lnS), axis=1)
+    errors = {}
+    for i in np.flatnonzero(bad.any(axis=1)):
+        zero = np.any(lnS[i] == -np.inf, axis=0)
+        n = scales[int(np.argmax(zero if zero.any() else bad[i]))]
+        errors[int(i)] = (ZeroPartition(f"zero partition function at scale {n}") if zero.any()
+                          else NonFiniteValue(f"partition function is not finite at scale {n}"))
+    return errors
 
 
 def _fa_points(X: np.ndarray, q: np.ndarray,
@@ -189,7 +194,7 @@ def _fa_points(X: np.ndarray, q: np.ndarray,
             lo, hi = i * len(q) // slabs, (i + 1) * len(q) // slabs
             S[:, lo:hi] = np.power(v, q[None, lo:hi, None]).sum(axis=2)
         lnS[:, :, j] = np.log(0.5 * S)
-    return lnS, _zero_partitions(lnS, scales)
+    return lnS, _partition_errors(lnS, scales)
 
 
 def _fa_slopes(lnS: np.ndarray, q: np.ndarray, lnn: np.ndarray) -> np.ndarray:
@@ -220,5 +225,5 @@ def fa_block(X: np.ndarray, grids) -> list[tuple[np.ndarray, dict]]:
         # a contiguous copy: _fa_slopes on the strided selection differs in the
         # last bit
         part = np.ascontiguousarray(lnS[:, np.searchsorted(union, q)])
-        out.append((_fa_slopes(part, q, lnn), _zero_partitions(part, scales)))
+        out.append((_fa_slopes(part, q, lnn), _partition_errors(part, scales)))
     return out

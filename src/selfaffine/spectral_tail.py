@@ -35,10 +35,14 @@ def periodogram(r: ReturnsSeries, m: int) -> np.ndarray:
 
 
 def _log_periodogram(X: np.ndarray, m: int) -> tuple[np.ndarray, dict]:
-    """ln I(lambda_j), j = 1..m, for every row of X, and each failed row's error."""
+    """ln I(lambda_j), j = 1..m, for every row of X, and each failed row's
+    error: a zero ordinate in the band, or else one that overflows, as
+    `periodogram` fails it."""
     I = _ordinates(X, m)
     errors = {int(i): ZeroOrdinate("zero periodogram ordinate in the regression band")
               for i in np.flatnonzero(np.any(I == 0.0, axis=1))}
+    for i in np.flatnonzero(~np.all(np.isfinite(I), axis=1)):
+        errors.setdefault(int(i), NonFiniteValue("periodogram ordinate overflows"))
     return np.log(I), errors
 
 

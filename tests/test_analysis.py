@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +17,7 @@ from selfaffine.analysis import (
     VERDICT_WEAK,
     AnalyzeConfig,
     CellResult,
+    Classification,
     TestReport,
     analyze_index,
     classify_source,
@@ -25,7 +26,12 @@ from selfaffine.analysis import (
     table_text,
     write_report_csv,
 )
-from selfaffine.errors import IncompleteReport, NonFiniteValue, ZeroDispersion
+from selfaffine.errors import (
+    IncompleteReport,
+    NonFiniteValue,
+    NonPositiveTail,
+    ZeroDispersion,
+)
 from selfaffine.methods import estimate_blocks
 from selfaffine.timeseries import ARModel, SummaryStats, read_prices_csv
 
@@ -303,3 +309,39 @@ class TestRendering:
         assert payload["series_id"] == "prices_demo"
         assert len(payload["cells"]) == 12
         assert payload["classification"]["verdict"]
+
+    def test_json_keys_are_the_dataclass_fields(self, demo_report):
+        def names(cls):
+            return {f.name for f in fields(cls)}
+
+        payload = json.loads(report_json(demo_report, classify_source(demo_report)))
+        # each cell's maps name the levels, so the report's own levels are left out
+        assert set(payload) == names(TestReport) - {"levels"} | {"ar_error", "classification"}
+        assert set(payload["summary"]) == names(SummaryStats)
+        assert set(payload["ar_model"]) == names(ARModel)
+        assert set(payload["classification"]) == names(Classification)
+        assert payload["ar_error"] is None
+        for cell in payload["cells"]:
+            assert set(cell) == names(CellResult)
+            assert set(cell["cutoffs"]) == set(cell["rejects"]) == {"0.1", "0.05", "0.01"}
+
+    def test_a_failed_cell_and_diagnostic_are_rendered_empty(self, demo_cache, demo_report,
+                                                             monkeypatch):
+        def failing(methods, X):
+            out = estimate_blocks(methods, X)
+            if len(X) == 2:  # the re-order row
+                out["fa1"][1][0] = NonFiniteValue("estimate must be finite")
+            elif X.shape == (1, demo_report.filtered_T):  # no verdict needs this hill cell
+                out["hill"][1][0] = NonPositiveTail("x_(m) must be positive")
+            return out
+
+        monkeypatch.setattr(analysis, "estimate_blocks", failing)
+        report = demo_analysis(demo_cache)
+        payload = json.loads(report_json(report, classify_source(report)))
+        error = "NonPositiveTail: x_(m) must be positive"
+        cells = [c for c in payload["cells"] if (c["method"], c["variant"]) == ("hill", FILTERED)]
+        assert cells == [{"cutoff_source": "niid", "cutoffs": {}, "error": error,
+                          "estimate": None, "method": "hill", "rejects": {}, "variant": FILTERED}]
+        assert payload["fa1_reordered"] is None and payload["fa1_normalized"] is None
+        rows = [row for row in report_csv_rows(report) if row[1:3] == ["hill", FILTERED]]
+        assert rows == [["prices_demo", "hill", FILTERED, "", "niid", *[""] * 6, error]]

@@ -101,7 +101,7 @@ def one_call_fa_points(X, q, scales):
     for j, n in enumerate(scales):
         v = scaling._block_increments(P, n)
         lnS[:, :, j] = np.log(0.5 * np.power(v[:, None, :], q[None, :, None]).sum(axis=2))
-    return lnS, scaling._zero_partitions(lnS, scales)
+    return lnS, scaling._partition_errors(lnS, scales)
 
 
 #: the FA grids and their 23-order union, whose prime order count splits into unequal slabs

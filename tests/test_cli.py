@@ -14,9 +14,9 @@ import pytest
 import selfaffine
 import selfaffine.montecarlo as montecarlo
 from selfaffine.analysis import AnalyzeConfig
-from selfaffine.cli import run_cli
+from selfaffine.cli import build_parser, run_cli
 from selfaffine.montecarlo import replicate
-from selfaffine.simulate import ar_recursive_spec, generate, niid_spec
+from selfaffine.simulate import SimulationSpec, ar_recursive_spec, generate, niid_spec
 from selfaffine.timeseries import ARModel, read_values_csv, write_values_csv
 
 DATA = Path(__file__).parent / "data"
@@ -308,6 +308,13 @@ def test_analyze_short_series_stops_before_simulating(tmp_path, monkeypatch, cap
     err = capsys.readouterr().err
     assert "TooShort" in err and named in err
     assert not out_dir.exists()
+
+
+def test_model_flags_default_to_the_spec():
+    args = build_parser().parse_args(["simulate", "--model", "niid", "-T", "100",
+                                      "--out", "x.csv"])
+    for name in ("d", "alpha", "beta", "mu", "sigma", "df", "burn_in", "truncation"):
+        assert getattr(args, name) == getattr(SimulationSpec, name), name
 
 
 def test_usage_errors_exit_one():

@@ -196,7 +196,7 @@ class TestPartitionFunction:
         # a flat path's increments are all zero, so its sum is zero at every order
         with pytest.raises(error, match="at scale 2$"):
             partition_function(make_returns([value] * 10), 2, 5.0)
-        with pytest.raises(error):
+        with pytest.raises(error, match="at scale 5$"):  # the grid's first scale
             estimate_point("fa3", make_returns([value] * 383))
 
     @given(st.lists(st.floats(-3, 3), min_size=4, max_size=30),

@@ -68,6 +68,14 @@ class TestPeriodogram:
         with pytest.raises(NonFiniteValue):
             periodogram(make_returns(x), 5)
 
+    @pytest.mark.parametrize("method", ["gph", "robinson"])
+    def test_an_overflowing_row_fails_as_in_the_kernel(self, method):
+        r = make_returns(np.r_[1e300, -1e300, np.zeros(381)])
+        with pytest.raises(NonFiniteValue, match="^periodogram ordinate overflows$"):
+            periodogram(r, 19)
+        with pytest.raises(NonFiniteValue, match="^periodogram ordinate overflows$"):
+            estimate_point(method, r)
+
 
 class TestGph:
     def test_regressor_zero_at_pi_over_three(self):
