@@ -9,9 +9,8 @@ import csv
 import logging
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .analysis import (
@@ -32,14 +31,13 @@ from .montecarlo import (
     power_function,
 )
 from .simulate import (
+    ARFIMASpec,
+    ARRecursiveSpec,
+    LStableSpec,
     MODELS,
     SimulationSpec,
-    ar_recursive_spec,
-    arfima_spec,
     generate,
-    lstable_spec,
     niid_spec,
-    student_t_spec,
 )
 from .timeseries import ARModel, read_prices_csv, read_values_csv, write_values_csv
 
@@ -55,22 +53,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _spec_from_args(args) -> SimulationSpec:
-    model = args.model.replace("-", "_")
-    if model == "niid":
-        return niid_spec(args.length, args.seed)
-    if model == "arfima":
-        return arfima_spec(args.d, args.length, args.seed,
-                           truncation=args.truncation)
-    if model == "lstable":
-        return lstable_spec(args.alpha, args.length, args.seed,
-                            beta=args.beta, mu=args.mu, sigma=args.sigma)
-    if model == "student_t":
-        return student_t_spec(args.df, args.length, args.seed)
-    coeffs = np.array([float(c) for c in args.ar_coefficients.split(",") if c.strip()]
-                      if args.ar_coefficients else [])
-    model_ar = ARModel(order=len(coeffs), intercept=args.ar_intercept,
-                       coefficients=coeffs, residual_sd=args.ar_sd)
-    return ar_recursive_spec(model_ar, args.length, args.seed, burn_in=args.burn_in)
+    """The `--model` spec, each of its fields read from the flag of that name."""
+    spec_class = MODELS[args.model.replace("-", "_")]
+    names = [f.name for f in fields(spec_class)]
+    flags = dict(vars(args), T=args.length)
+    if "ar" in names:
+        flags["ar"] = ARModel(order=len(args.ar_coefficients), intercept=args.ar_intercept,
+                              coefficients=args.ar_coefficients, residual_sd=args.ar_sd)
+    return spec_class(**{name: flags[name] for name in names})
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in text.split(","))
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -78,24 +72,20 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
                    choices=[m.replace("_", "-") for m in MODELS])
     p.add_argument("-T", "--length", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--d", type=float, default=SimulationSpec.d,
-                   help="ARFIMA integration order")
-    p.add_argument("--alpha", type=float, default=SimulationSpec.alpha)
-    p.add_argument("--beta", type=float, default=SimulationSpec.beta)
-    p.add_argument("--mu", type=float, default=SimulationSpec.mu)
-    p.add_argument("--sigma", type=float, default=SimulationSpec.sigma)
-    p.add_argument("--df", type=int, default=SimulationSpec.df)
-    p.add_argument("--ar-coefficients", default="",
+    # the parameters a model requires keep a default here
+    p.add_argument("--d", type=float, default=0.0, help="ARFIMA integration order")
+    p.add_argument("--alpha", type=float, default=2.0)
+    p.add_argument("--beta", type=float, default=LStableSpec.beta)
+    p.add_argument("--mu", type=float, default=LStableSpec.mu)
+    p.add_argument("--sigma", type=float, default=LStableSpec.sigma)
+    p.add_argument("--df", type=int, default=10)
+    p.add_argument("--ar-coefficients", type=_floats, default=(),
                    help="comma-separated AR coefficients")
     p.add_argument("--ar-intercept", type=float, default=0.0)
     p.add_argument("--ar-sd", type=float, default=1.0)
-    p.add_argument("--burn-in", type=int, default=SimulationSpec.burn_in)
-    p.add_argument("--truncation", type=int, default=SimulationSpec.truncation,
+    p.add_argument("--burn-in", type=int, default=ARRecursiveSpec.burn_in)
+    p.add_argument("--truncation", type=int, default=ARFIMASpec.truncation,
                    help="ARFIMA moving-average truncation lag")
-
-
-def _levels(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(","))
 
 
 def build_parser() -> _Parser:
@@ -118,7 +108,7 @@ def build_parser() -> _Parser:
     p.add_argument("-T", "--length", type=int, required=True)
     p.add_argument("--reps", type=int, default=DEFAULT_REPS)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--levels", type=_levels, default=DEFAULT_LEVELS)
+    p.add_argument("--levels", type=_floats, default=DEFAULT_LEVELS)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--cache-dir", default=None)
     p.add_argument("--out", default="-")
@@ -137,7 +127,7 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True, help="price CSV with date,close columns")
     p.add_argument("--reps", type=int, default=AnalyzeConfig.reps)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--levels", type=_levels, default=DEFAULT_LEVELS)
+    p.add_argument("--levels", type=_floats, default=DEFAULT_LEVELS)
     p.add_argument("--max-lag", type=int, default=AnalyzeConfig.max_lag)
     p.add_argument("--criterion", choices=("aic", "bic"), default=AnalyzeConfig.criterion)
     p.add_argument("--workers", type=int, default=1)
@@ -199,7 +189,7 @@ def _cmd_power(args) -> int:
                             args.seed + 1, level=args.level, workers=args.workers)
     rows = [["method", "alternative", "T", "level", "rejection_rate",
              "reps_used", "failures"],
-            [args.method, args.model, result.T, f"{result.level:g}",
+            [args.method, args.model, result.spec.T, f"{result.level:g}",
              f"{result.rejection_rate:.4f}", result.reps_used, result.failures]]
     _write_csv(args.out, rows)
     return 0

@@ -116,6 +116,6 @@ def estimate(method: str, r: ReturnsSeries) -> Estimate:
         return Estimate(method, value, float(y.mean() - value * lnn.mean()), len(scales))
     # the FA line of the smallest moment order, q_1: intercept a(q_1)
     q = Q_GRIDS[method]
-    lnS = _fa_points(X, q, scales)[0][0]
+    lnS = _fa_points(X, q, scales)[0]
     return Estimate(method, value, float(lnS[0].mean() - (value * q[0] - 1.0) * lnn.mean()),
                     lnS.size)

@@ -21,13 +21,13 @@ from .methods import estimate_blocks
 # which rebinds montecarlo.estimate_point and montecarlo.generate, still finds them
 from .methods import estimate_point  # noqa: F401
 from .rng import derive_seed
-from .simulate import AR_RECURSIVE, SimulationSpec, generate_block
+from .simulate import ARRecursiveSpec, SimulationSpec, generate_block
 from .simulate import generate  # noqa: F401
 
 DEFAULT_LEVELS = (0.10, 0.05, 0.01)
 DEFAULT_REPS = 5000
 
-CACHE_SCHEMA_VERSION = 2
+CACHE_SCHEMA_VERSION = 3
 
 _log = logging.getLogger(__name__)
 
@@ -83,7 +83,6 @@ class PowerResult:
 
     method: str
     spec: SimulationSpec
-    T: int
     level: float
     rejection_rate: float
     reps_used: int
@@ -107,7 +106,7 @@ def _chunks(spec: SimulationSpec, reps: int, workers: int) -> list[tuple[int, in
     unit of parallel work: `_BLOCK_ROWS` rows each, or for an AR-recursive
     spec the fewest chunks of at most `_AR_ROWS` rows, as many for each
     worker, whose heights differ by at most one."""
-    if spec.model != AR_RECURSIVE:
+    if not isinstance(spec, ARRecursiveSpec):
         return [(lo, min(lo + _BLOCK_ROWS, reps)) for lo in range(0, reps, _BLOCK_ROWS)]
     count = -(-reps // _AR_ROWS)
     count = min(-(-count // workers) * workers, reps)
@@ -257,7 +256,7 @@ def power_function(alt: SimulationSpec, method: str, table: CriticalValueTable,
             f"table is for {table.method}/T={table.T}, not {method}/T={alt.T}")
     cutoff = table.cutoff(level)
     run = run_replications(alt, method, reps, master_seed, workers=workers)
-    return PowerResult(method=method, spec=alt, T=alt.T, level=level,
+    return PowerResult(method=method, spec=alt, level=level,
                        rejection_rate=float(np.mean(run.sample > cutoff)),
                        reps_used=len(run.sample), failures=run.failures)
 
@@ -266,11 +265,12 @@ def power_function(alt: SimulationSpec, method: str, table: CriticalValueTable,
 
 def _cache_path(cache_dir: str | Path, spec: SimulationSpec, method: str, reps: int,
                 master_seed: int) -> Path:
-    # vars gives every field of the spec and of its ARModel without copying them;
-    # tolist() keeps full-precision AR coefficients. The seed is zeroed in the
-    # dict, not through `replace`, which would rerun the spec's validation
-    key = json.dumps([CACHE_SCHEMA_VERSION, {**vars(spec), "seed": 0}, method, reps,
-                      master_seed], sort_keys=True,
+    # vars gives T, the model's own parameters and an ARModel's fields without
+    # copying them; tolist() keeps full-precision AR coefficients. The seed is
+    # dropped from a copy of the dict: `replace` would rerun the spec's validation
+    params = {name: value for name, value in vars(spec).items() if name != "seed"}
+    key = json.dumps([CACHE_SCHEMA_VERSION, spec.model, params, method, reps, master_seed],
+                     sort_keys=True,
                      default=lambda o: o.tolist() if isinstance(o, np.ndarray) else vars(o))
     digest = hashlib.sha256(key.encode()).hexdigest()[:16]
     return Path(cache_dir) / f"cv_{method}_T{spec.T}_{digest}.json"

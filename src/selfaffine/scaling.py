@@ -169,10 +169,8 @@ def _partition_errors(lnS: np.ndarray, scales: tuple[int, ...]) -> dict:
     return errors
 
 
-def _fa_points(X: np.ndarray, q: np.ndarray,
-               scales: tuple[int, ...]) -> tuple[np.ndarray, dict]:
-    """ln S_q(T,n) over the (q, n) grid for every row of X, shape (rows, q, n),
-    and each failed row's error.
+def _fa_points(X: np.ndarray, q: np.ndarray, scales: tuple[int, ...]) -> np.ndarray:
+    """ln S_q(T,n) over the (q, n) grid for every row of X, shape (rows, q, n).
 
     A scale's increments are powered one slab of consecutive orders at a
     time: the orders are split into as few near-equal slabs as hold at most
@@ -194,7 +192,7 @@ def _fa_points(X: np.ndarray, q: np.ndarray,
             lo, hi = i * len(q) // slabs, (i + 1) * len(q) // slabs
             S[:, lo:hi] = np.power(v, q[None, lo:hi, None]).sum(axis=2)
         lnS[:, :, j] = np.log(0.5 * S)
-    return lnS, _partition_errors(lnS, scales)
+    return lnS
 
 
 def _fa_slopes(lnS: np.ndarray, q: np.ndarray, lnn: np.ndarray) -> np.ndarray:
@@ -219,7 +217,7 @@ def fa_block(X: np.ndarray, grids) -> list[tuple[np.ndarray, dict]]:
     scales = time_scale_grid(X.shape[1])
     # not np.unique: its first call imports numpy.ma, megabytes of resident memory
     union = np.array(sorted({q for grid in grids for q in grid}))
-    lnS = _fa_points(X, union, scales)[0]  # the union's failures are no grid's
+    lnS = _fa_points(X, union, scales)
     lnn, out = np.log(scales), []
     for q in grids:
         # a contiguous copy: _fa_slopes on the strided selection differs in the

@@ -13,6 +13,7 @@ from .scaling import (
     Q_GRIDS,
     _fa_points,
     _fa_slopes,
+    _partition_errors,
     partition_function,
     rs_statistic,
     time_scale_grid,
@@ -31,8 +32,9 @@ def _engine_matches_one_row_estimates() -> bool:
 def _trend_has_unit_fa_hurst() -> bool:
     # scales dividing T keep the block count exact, making the fit exact
     scales, q = (8, 16, 32, 64), Q_GRIDS["fa1"]
-    lnS, errors = _fa_points(np.full((1, 1024), 0.3), q, scales)
-    return not errors and abs(_fa_slopes(lnS, q, np.log(scales))[0] - 1.0) < 1e-9
+    lnS = _fa_points(np.full((1, 1024), 0.3), q, scales)
+    slope = _fa_slopes(lnS, q, np.log(scales))[0]
+    return not _partition_errors(lnS, scales) and abs(slope - 1.0) < 1e-9
 
 
 def _saved_table_loads_back() -> bool:

@@ -2,12 +2,13 @@
 
 Models: NIID Gaussian, ARFIMA(0,d,0) via its truncated moving-average
 representation, Levy-stable via Chambers-Mallows-Stuck, Student-t, and
-recursive AR series with a fitted short-range structure.
+recursive AR series with a fitted short-range structure; one spec class each.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -23,97 +24,246 @@ from .errors import (
 from .rng import rng_from_seed
 from .timeseries import ARModel, ReturnsSeries, _freeze
 
-NIID = "niid"
-ARFIMA = "arfima"
-LSTABLE = "lstable"
-STUDENT_T = "student_t"
-AR_RECURSIVE = "ar_recursive"
-
-MODELS = (NIID, ARFIMA, LSTABLE, STUDENT_T, AR_RECURSIVE)
-
-#: moving-average truncation lag for the ARFIMA generator
-DEFAULT_TRUNCATION = 4999
-#: discarded start-up observations for the recursive AR generator
-DEFAULT_BURN_IN = 1000
+#: below this distance from 1, alpha is routed to the alpha=1 branch
+ALPHA_ONE_BAND = 1e-6
+#: rows per real FFT of the ARFIMA generator, which bound its FFT buffers
+ARFIMA_ROWS = 8
+#: time steps per pass of the AR recursion, which bound its work buffer
+AR_STEPS = 64
+#: innovations drawn per row and call of the AR generator, a multiple of
+#: AR_STEPS, which bound its innovation buffer
+AR_DRAWS = 512
 
 
-@dataclass(frozen=True)
 class SimulationSpec:
-    """Model tag plus parameters for one simulated returns series."""
+    """A simulated returns series: a frozen dataclass of its length `T`, `seed`
+    and its model's own parameters, checked when built. `_fill(rngs, out)`
+    fills a C-ordered `(rows, T)` block in place, row i from `rngs[i]`."""
 
-    model: str
-    T: int
-    seed: int = 0
-    d: float = 0.0
-    alpha: float = 2.0
-    beta: float = 0.0
-    mu: float = 0.0
-    sigma: float = 1.0
-    df: int = 10
-    ar: ARModel | None = None
-    burn_in: int = DEFAULT_BURN_IN
-    truncation: int = DEFAULT_TRUNCATION
+    model: ClassVar[str]  # the model's tag, its key in `MODELS`
 
     def __post_init__(self):
         # one spelling per value: lstable_spec(2, ...) and lstable_spec(2.0, ...)
         # are the same null model and share one critical-value cache file
-        for name in ("d", "alpha", "beta", "mu", "sigma"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if self.model not in MODELS:
-            raise ValueError(f"unknown model {self.model!r}")
+        for f in fields(self):
+            if f.type in (float, "float"):  # the string where annotations are postponed
+                object.__setattr__(self, f.name, float(getattr(self, f.name)))
         if self.T < 1:
             raise ValueError("T must be at least 1")
-        if self.model == ARFIMA:
-            if not abs(self.d) < 0.5:
-                raise BadD(f"|d| must be below 0.5, got {self.d}")
-            if self.truncation < 0:
-                raise ValueError("truncation must be non-negative")
-        if self.model == LSTABLE:
-            if not 0.0 < self.alpha <= 2.0:
-                raise BadAlpha(f"alpha must lie in (0, 2], got {self.alpha}")
-            if not abs(self.beta) <= 1.0:
-                raise BadBeta(f"|beta| must be at most 1, got {self.beta}")
-            if not self.sigma > 0.0:
-                raise BadSigma(f"sigma must be positive, got {self.sigma}")
-        if self.model == STUDENT_T and self.df < 1:
+
+
+@dataclass(frozen=True)
+class NIIDSpec(SimulationSpec):
+    """Independent standard normal returns."""
+
+    model = "niid"
+    T: int
+    seed: int = 0
+
+    def _fill(self, rngs, out: np.ndarray) -> None:
+        for row, rng in zip(out, rngs):
+            rng.standard_normal(out=row)
+
+
+@dataclass(frozen=True)
+class ARFIMASpec(SimulationSpec):
+    """ARFIMA(0,d,0) returns, the MA expansion of (1-L)^(-d) cut at lag `truncation`."""
+
+    model = "arfima"
+    d: float
+    T: int
+    seed: int = 0
+    truncation: int = 4999
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not abs(self.d) < 0.5:
+            raise BadD(f"|d| must be below 0.5, got {self.d}")
+        if self.truncation < 0:
+            raise ValueError("truncation must be non-negative")
+
+    def _fill(self, rngs, out: np.ndarray) -> None:
+        # innovations for times 1..T come first and the pre-sample history after
+        # them, so d=0 reproduces the NIID generator draw-for-draw on the same seed
+        T, J = self.T, self.truncation
+        if self.d == 0.0:
+            return NIIDSpec(T)._fill(rngs, out)
+        # the truncated MA filter as a full linear convolution by real FFT,
+        # ARFIMA_ROWS rows at a time
+        L = _fast_len(J + 1 + T + J)
+        W = np.fft.rfft(arfima_weights(self.d, J), L)
+        U = np.empty((min(ARFIMA_ROWS, len(rngs)), J + 1 + T))  # time order u_{-J}..u_T
+        for lo in range(0, len(rngs), ARFIMA_ROWS):
+            slab = rngs[lo:lo + ARFIMA_ROWS]
+            for row, rng in zip(U, slab):
+                rng.standard_normal(out=row[J + 1:])  # u_1..u_T
+                rng.standard_normal(out=row[:J + 1])
+                row[:J + 1] = row[J::-1]  # u_{-J}..u_0, drawn newest-last
+            F = np.fft.rfft(U[:len(slab)], L, axis=1)
+            F *= W
+            out[lo:lo + len(slab)] = np.fft.irfft(F, L, axis=1)[:, J + 1:J + 1 + T]
+
+
+@dataclass(frozen=True)
+class LStableSpec(SimulationSpec):
+    """Levy-stable returns: index `alpha`, skewness `beta`, location `mu`, scale `sigma`."""
+
+    model = "lstable"
+    alpha: float
+    T: int
+    seed: int = 0
+    beta: float = 0.0
+    mu: float = 0.0
+    sigma: float = 1.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0.0 < self.alpha <= 2.0:
+            raise BadAlpha(f"alpha must lie in (0, 2], got {self.alpha}")
+        if not abs(self.beta) <= 1.0:
+            raise BadBeta(f"|beta| must be at most 1, got {self.beta}")
+        if not self.sigma > 0.0:
+            raise BadSigma(f"sigma must be positive, got {self.sigma}")
+
+    def _fill(self, rngs, out: np.ndarray) -> None:
+        # Chambers-Mallows-Stuck: V ~ U(-pi/2, pi/2) and W ~ exp(1) feed the
+        # alpha != 1 and alpha = 1 branches; the output is rescaled by (sigma, mu).
+        # Each branch is evaluated in place, with the ufuncs of its one-line form
+        # in the same order, so V, W, A and `out` are its only blocks. V, W and A
+        # are one allocation: glibc's heap-trim threshold follows the largest
+        # block it has freed from mmap, and with three separate blocks it stays
+        # below a block's working set, so the heap is trimmed and re-grown per call
+        alpha, beta, mu, sigma = self.alpha, self.beta, self.mu, self.sigma
+        V, W, A = np.empty((3, len(rngs), self.T))
+        for i, rng in enumerate(rngs):
+            V[i] = rng.uniform(-math.pi / 2, math.pi / 2, self.T)
+            W[i] = rng.standard_exponential(self.T)
+        X = out
+        if abs(alpha - 1.0) < ALPHA_ONE_BAND:
+            # X = (1/half_pi) * ((half_pi + beta*V) * tan(V)
+            #                    - beta * log((W * cos(V)) / (half_pi + beta*V)))
+            half_pi = math.pi / 2
+            np.multiply(beta, V, out=A)
+            A += half_pi
+            np.tan(V, out=X)
+            X *= A
+            np.cos(V, out=V)
+            W *= V
+            W /= A
+            np.log(W, out=W)
+            W *= beta
+            X -= W
+            X *= 1.0 / half_pi
+            X *= sigma
+            X += (1.0 / half_pi) * beta * sigma * math.log(sigma)
+            X += mu
+            return
+        # X = S * sin(alpha*(V+B)) / cos(V)**(1/alpha)
+        #     * (cos(V - alpha*(V+B)) / W)**((1-alpha)/alpha)
+        ta = math.tan(math.pi * alpha / 2.0)
+        B = math.atan(beta * ta) / alpha
+        S = (1.0 + beta * beta * ta * ta) ** (1.0 / (2.0 * alpha))
+        np.add(V, B, out=A)
+        A *= alpha
+        np.sin(A, out=X)
+        X *= S
+        np.subtract(V, A, out=A)
+        np.cos(A, out=A)
+        A /= W
+        A **= (1.0 - alpha) / alpha
+        np.cos(V, out=V)
+        V **= 1.0 / alpha
+        X /= V
+        X *= A
+        X *= sigma
+        X += mu
+
+
+@dataclass(frozen=True)
+class StudentTSpec(SimulationSpec):
+    """Independent Student-t returns with `df` degrees of freedom."""
+
+    model = "student_t"
+    df: int
+    T: int
+    seed: int = 0
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.df < 1:
             raise BadDF(f"df must be at least 1, got {self.df}")
-        if self.model == AR_RECURSIVE:
-            if self.ar is None:
-                raise ValueError("ar_recursive needs a fitted ARModel")
-            if self.burn_in < 1000:
-                raise ValueError("burn_in must be at least 1000")
-            _check_stationary(self.ar)
+
+    def _fill(self, rngs, out: np.ndarray) -> None:
+        for i, rng in enumerate(rngs):
+            out[i] = rng.standard_t(self.df, self.T)
 
 
-def niid_spec(T: int, seed: int = 0) -> SimulationSpec:
-    return SimulationSpec(model=NIID, T=T, seed=seed)
+@dataclass(frozen=True)
+class ARRecursiveSpec(SimulationSpec):
+    """Returns of the fitted AR model `ar`, after `burn_in` discarded steps."""
+
+    model = "ar_recursive"
+    ar: ARModel
+    T: int
+    seed: int = 0
+    burn_in: int = 1000
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.ar is None:
+            raise ValueError("ar_recursive needs a fitted ARModel")
+        if self.burn_in < 1000:
+            raise ValueError("burn_in must be at least 1000")
+        _check_stationary(self.ar)
+
+    def _fill(self, rngs, out: np.ndarray) -> None:
+        """AR(p) series with innovations c + sd*u_t, u_t ~ N(0, 1), from zero
+        state, the burn-in discarded, into the rows of `out`.
+
+        The series are streamed through time: each row's next AR_DRAWS
+        innovations are drawn into one buffer (a row draws the same values in
+        any number of calls) and scaled in place (u*sd + c has the bits of
+        c + sd*u), then filtered AR_STEPS steps at a time. Only the steps
+        after the burn-in are kept.
+        """
+        model, N, burn_in = self.ar, self.burn_in + self.T, self.burn_in
+        Z = np.empty((len(rngs), AR_DRAWS))
+
+        def innovations():
+            for t0 in range(0, N, AR_DRAWS):
+                z = Z[:, :N - t0]
+                for row, rng in zip(z, rngs):
+                    rng.standard_normal(out=row)
+                z *= model.residual_sd
+                z += model.intercept
+                for a in range(0, z.shape[1], AR_STEPS):
+                    yield z[:, a:a + AR_STEPS]
+
+        passes = innovations()
+        if model.order > 0:
+            # z_t = (c + sd*u_t) + sum(phi_i z_{t-i}) is an IIR filter from zero state
+            passes = _ar_recursion(model.coefficients, len(rngs), passes)
+        for t0, y in zip(range(-burn_in, self.T, AR_STEPS), passes):
+            if t0 + AR_STEPS > 0:
+                out[:, max(t0, 0):t0 + AR_STEPS] = y[:, max(-t0, 0):]
 
 
-def arfima_spec(d: float, T: int, seed: int = 0,
-                truncation: int = DEFAULT_TRUNCATION) -> SimulationSpec:
-    return SimulationSpec(model=ARFIMA, T=T, seed=seed, d=d, truncation=truncation)
+#: each model's spec class by its tag
+MODELS = {c.model: c for c in (NIIDSpec, ARFIMASpec, LStableSpec, StudentTSpec, ARRecursiveSpec)}
+
+# the library's constructors: a spec class takes its fields in order
+niid_spec = NIIDSpec
+arfima_spec = ARFIMASpec
+lstable_spec = LStableSpec
+student_t_spec = StudentTSpec
+ar_recursive_spec = ARRecursiveSpec
 
 
-def lstable_spec(alpha: float, T: int, seed: int = 0, beta: float = 0.0,
-                 mu: float = 0.0, sigma: float = 1.0) -> SimulationSpec:
-    return SimulationSpec(model=LSTABLE, T=T, seed=seed, alpha=alpha, beta=beta,
-                          mu=mu, sigma=sigma)
-
-
-def lstable_spec_for_hurst(H: float, T: int, seed: int = 0) -> SimulationSpec:
+def lstable_spec_for_hurst(H: float, T: int, seed: int = 0) -> LStableSpec:
     """Symmetric stable spec with alpha = 1/H exactly (H in [0.5, 1))."""
     if not 0.5 <= H < 1.0:
         raise BadAlpha(f"target H must lie in [0.5, 1), got {H}")
     return lstable_spec(alpha=1.0 / H, T=T, seed=seed)
-
-
-def student_t_spec(df: int, T: int, seed: int = 0) -> SimulationSpec:
-    return SimulationSpec(model=STUDENT_T, T=T, seed=seed, df=df)
-
-
-def ar_recursive_spec(ar: ARModel, T: int, seed: int = 0,
-                      burn_in: int = DEFAULT_BURN_IN) -> SimulationSpec:
-    return SimulationSpec(model=AR_RECURSIVE, T=T, seed=seed, ar=ar, burn_in=burn_in)
 
 
 def arfima_weights(d: float, J: int) -> np.ndarray:
@@ -125,10 +275,6 @@ def arfima_weights(d: float, J: int) -> np.ndarray:
         raise ValueError("J must be non-negative")
     j = np.arange(1, J + 1, dtype=float)
     return _freeze(np.concatenate([[1.0], np.cumprod((d + j - 1.0) / j)]))
-
-
-#: below this distance from 1, alpha is routed to the alpha=1 branch
-ALPHA_ONE_BAND = 1e-6
 
 
 def _check_stationary(model: ARModel) -> None:
@@ -151,101 +297,6 @@ def _fast_len(n: int) -> int:
     length changes their low-order bits."""
     odd = (3 ** i * 5 ** j for i in range(n.bit_length()) for j in range(n.bit_length()))
     return min(c << (-(-n // c) - 1).bit_length() for c in odd)  # c * 2**k >= n
-
-
-def _niid(spec: SimulationSpec, rngs, out: np.ndarray) -> None:
-    for row, rng in zip(out, rngs):
-        rng.standard_normal(out=row)
-
-
-def _student_t(spec: SimulationSpec, rngs, out: np.ndarray) -> None:
-    for i, rng in enumerate(rngs):
-        out[i] = rng.standard_t(spec.df, spec.T)
-
-
-def _arfima(spec: SimulationSpec, rngs, out: np.ndarray) -> None:
-    # innovations for times 1..T come first and the pre-sample history after
-    # them, so d=0 reproduces the NIID generator draw-for-draw on the same seed
-    T, J = spec.T, spec.truncation
-    if spec.d == 0.0:
-        return _niid(spec, rngs, out)
-    # the truncated MA filter as a full linear convolution by real FFT,
-    # ARFIMA_ROWS rows at a time
-    L = _fast_len(J + 1 + T + J)
-    W = np.fft.rfft(arfima_weights(spec.d, J), L)
-    U = np.empty((min(ARFIMA_ROWS, len(rngs)), J + 1 + T))  # time order u_{-J}..u_T
-    for lo in range(0, len(rngs), ARFIMA_ROWS):
-        slab = rngs[lo:lo + ARFIMA_ROWS]
-        for row, rng in zip(U, slab):
-            rng.standard_normal(out=row[J + 1:])  # u_1..u_T
-            rng.standard_normal(out=row[:J + 1])
-            row[:J + 1] = row[J::-1]  # u_{-J}..u_0, drawn newest-last
-        F = np.fft.rfft(U[:len(slab)], L, axis=1)
-        F *= W
-        out[lo:lo + len(slab)] = np.fft.irfft(F, L, axis=1)[:, J + 1:J + 1 + T]
-
-
-def _lstable(spec: SimulationSpec, rngs, out: np.ndarray) -> None:
-    # Chambers-Mallows-Stuck: V ~ U(-pi/2, pi/2) and W ~ exp(1) feed the
-    # alpha != 1 and alpha = 1 branches; the output is rescaled by (sigma, mu).
-    # Each branch is evaluated in place, with the ufuncs of its one-line form
-    # in the same order, so V, W, A and `out` are its only blocks. V, W and A
-    # are one allocation: glibc's heap-trim threshold follows the largest
-    # block it has freed from mmap, and with three separate blocks it stays
-    # below a block's working set, so the heap is trimmed and re-grown per call
-    alpha, beta, mu, sigma = spec.alpha, spec.beta, spec.mu, spec.sigma
-    V, W, A = np.empty((3, len(rngs), spec.T))
-    for i, rng in enumerate(rngs):
-        V[i] = rng.uniform(-math.pi / 2, math.pi / 2, spec.T)
-        W[i] = rng.standard_exponential(spec.T)
-    X = out
-    if abs(alpha - 1.0) < ALPHA_ONE_BAND:
-        # X = (1/half_pi) * ((half_pi + beta*V) * tan(V)
-        #                    - beta * log((W * cos(V)) / (half_pi + beta*V)))
-        half_pi = math.pi / 2
-        np.multiply(beta, V, out=A)
-        A += half_pi
-        np.tan(V, out=X)
-        X *= A
-        np.cos(V, out=V)
-        W *= V
-        W /= A
-        np.log(W, out=W)
-        W *= beta
-        X -= W
-        X *= 1.0 / half_pi
-        X *= sigma
-        X += (1.0 / half_pi) * beta * sigma * math.log(sigma)
-        X += mu
-        return
-    # X = S * sin(alpha*(V+B)) / cos(V)**(1/alpha)
-    #     * (cos(V - alpha*(V+B)) / W)**((1-alpha)/alpha)
-    ta = math.tan(math.pi * alpha / 2.0)
-    B = math.atan(beta * ta) / alpha
-    S = (1.0 + beta * beta * ta * ta) ** (1.0 / (2.0 * alpha))
-    np.add(V, B, out=A)
-    A *= alpha
-    np.sin(A, out=X)
-    X *= S
-    np.subtract(V, A, out=A)
-    np.cos(A, out=A)
-    A /= W
-    A **= (1.0 - alpha) / alpha
-    np.cos(V, out=V)
-    V **= 1.0 / alpha
-    X /= V
-    X *= A
-    X *= sigma
-    X += mu
-
-
-#: rows per real FFT of the ARFIMA generator, which bound its FFT buffers
-ARFIMA_ROWS = 8
-#: time steps per pass of the AR recursion, which bound its work buffer
-AR_STEPS = 64
-#: innovations drawn per row and call of the AR generator, a multiple of
-#: AR_STEPS, which bound its innovation buffer
-AR_DRAWS = 512
 
 
 def _ar_recursion(phi: np.ndarray, rows: int, passes):
@@ -280,48 +331,6 @@ def _ar_recursion(phi: np.ndarray, rows: int, passes):
         yield U[:n, 0].T
 
 
-def _ar_recursive(spec: SimulationSpec, rngs, out: np.ndarray) -> None:
-    """AR(p) series with innovations c + sd*u_t, u_t ~ N(0, 1), from zero
-    state, the burn-in discarded, into the rows of `out`.
-
-    The series are streamed through time: each row's next AR_DRAWS
-    innovations are drawn into one buffer (a row draws the same values in any
-    number of calls) and scaled in place (u*sd + c has the bits of c + sd*u),
-    then filtered AR_STEPS steps at a time. Only the steps after the burn-in
-    are kept.
-    """
-    model, N, burn_in = spec.ar, spec.burn_in + spec.T, spec.burn_in
-    Z = np.empty((len(rngs), AR_DRAWS))
-
-    def innovations():
-        for t0 in range(0, N, AR_DRAWS):
-            z = Z[:, :N - t0]
-            for row, rng in zip(z, rngs):
-                rng.standard_normal(out=row)
-            z *= model.residual_sd
-            z += model.intercept
-            for a in range(0, z.shape[1], AR_STEPS):
-                yield z[:, a:a + AR_STEPS]
-
-    passes = innovations()
-    if model.order > 0:
-        # z_t = (c + sd*u_t) + sum(phi_i z_{t-i}) is an IIR filter from zero state
-        passes = _ar_recursion(model.coefficients, len(rngs), passes)
-    for t0, y in zip(range(-burn_in, spec.T, AR_STEPS), passes):
-        if t0 + AR_STEPS > 0:
-            out[:, max(t0, 0):t0 + AR_STEPS] = y[:, max(-t0, 0):]
-
-
-#: each model's generator fills a C-ordered `(rows, T)` block from the rows' Generators
-_GENERATORS = {
-    NIID: _niid,
-    STUDENT_T: _student_t,
-    ARFIMA: _arfima,
-    LSTABLE: _lstable,
-    AR_RECURSIVE: _ar_recursive,
-}
-
-
 def generate_block(spec: SimulationSpec, seeds) -> tuple[np.ndarray, dict[int, NonFiniteValue]]:
     """One series of `spec` per seed, as the rows of a C-ordered
     `(len(seeds), T)` array.
@@ -335,7 +344,7 @@ def generate_block(spec: SimulationSpec, seeds) -> tuple[np.ndarray, dict[int, N
     """
     X = np.empty((len(seeds), spec.T))
     with np.errstate(all="ignore"):
-        _GENERATORS[spec.model](spec, [rng_from_seed(s) for s in seeds], X)
+        spec._fill([rng_from_seed(s) for s in seeds], X)
     bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
     return X, {int(i): NonFiniteValue("returns must be finite") for i in bad}
 

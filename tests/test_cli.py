@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,13 @@ import selfaffine.montecarlo as montecarlo
 from selfaffine.analysis import AnalyzeConfig
 from selfaffine.cli import build_parser, run_cli
 from selfaffine.montecarlo import replicate
-from selfaffine.simulate import SimulationSpec, ar_recursive_spec, generate, niid_spec
+from selfaffine.simulate import (
+    MODELS,
+    SimulationSpec,
+    ar_recursive_spec,
+    generate,
+    niid_spec,
+)
 from selfaffine.timeseries import ARModel, read_values_csv, write_values_csv
 
 DATA = Path(__file__).parent / "data"
@@ -313,8 +320,52 @@ def test_analyze_short_series_stops_before_simulating(tmp_path, monkeypatch, cap
 def test_model_flags_default_to_the_spec():
     args = build_parser().parse_args(["simulate", "--model", "niid", "-T", "100",
                                       "--out", "x.csv"])
-    for name in ("d", "alpha", "beta", "mu", "sigma", "df", "burn_in", "truncation"):
-        assert getattr(args, name) == getattr(SimulationSpec, name), name
+    defaults = [(spec_class.model, f.name, f.default) for spec_class in MODELS.values()
+                for f in fields(spec_class) if f.default is not MISSING]
+    assert {name for _, name, _ in defaults} == {"seed", "beta", "mu", "sigma", "burn_in",
+                                                 "truncation"}
+    for model, name, default in defaults:
+        assert getattr(args, name) == default, (model, name)
+    # the parameters a model requires keep a CLI default
+    assert (args.d, args.alpha, args.df) == (0.0, 2.0, 10)
+
+
+def test_model_choices_are_the_registered_models(tmp_path, monkeypatch):
+    @dataclass(frozen=True)
+    class ScaledNormalSpec(SimulationSpec):
+        model = "scaled_normal"
+        T: int
+        seed: int = 0
+        sigma: float = 1.0
+
+        def _fill(self, rngs, out):
+            for row, rng in zip(out, rngs):
+                row[:] = self.sigma * rng.standard_normal(self.T)
+
+    def simulate(model, *flags):
+        return run_cli(["simulate", "--model", model, "-T", "50", "--seed", "4", *flags,
+                        "--out", str(tmp_path / "x.csv")])
+
+    assert simulate("scaled-normal", "--sigma", "2") == 1
+    monkeypatch.setitem(MODELS, ScaledNormalSpec.model, ScaledNormalSpec)
+    for model in MODELS:
+        assert simulate(model.replace("_", "-"), "--d", "0.1", "--alpha", "1.5") == 0, model
+    # the new model's fields are filled from the flags of their names
+    assert simulate("scaled-normal", "--sigma", "2") == 0
+    assert read_values_csv(tmp_path / "x.csv").values.tobytes() == \
+        (2 * generate(niid_spec(50, seed=4)).values).tobytes()
+
+
+def test_ar_coefficients_are_a_float_list(tmp_path, capsys):
+    out = tmp_path / "ar.csv"
+    assert run_cli(["simulate", "--model", "ar-recursive", "--ar-coefficients", "0.3,,0.2",
+                    "-T", "50", "--out", str(out)]) == 1
+    assert "--ar-coefficients" in capsys.readouterr().err
+    assert not out.exists()
+    # an omitted flag is an AR(0) model
+    assert run_cli(["simulate", "--model", "ar-recursive", "-T", "50", "--out", str(out)]) == 0
+    assert read_values_csv(out).values.tobytes() == \
+        generate(ar_recursive_spec(ARModel(0, 0.0, [], 1.0), 50)).values.tobytes()
 
 
 def test_usage_errors_exit_one():

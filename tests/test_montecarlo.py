@@ -2,6 +2,7 @@ import json
 import math
 import re
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -423,10 +424,10 @@ class TestCache:
         assert len(list(tmp_path.iterdir())) == 2
 
     def test_lookup_keys_on_the_spec_without_rebuilding_it(self, tmp_path, monkeypatch):
-        # the name the key has always given this spec: files already cached stay valid
+        # the name the schema-3 key gives this spec: files already cached stay valid
         spec = ar_recursive_spec(ARModel(1, 0.0, [0.3], 1.0), 128)
         build_critical_values(spec, "hill", 100, 0, cache_dir=tmp_path)
-        assert [p.name for p in tmp_path.iterdir()] == ["cv_hill_T128_6685bea351665f16.json"]
+        assert [p.name for p in tmp_path.iterdir()] == ["cv_hill_T128_39878b42e8e5cfdd.json"]
         checks = []
         real = simulate._check_stationary
         monkeypatch.setattr(simulate, "_check_stationary",
@@ -435,11 +436,32 @@ class TestCache:
         assert checks == []
 
     def test_int_and_float_spellings_share_one_file(self, tmp_path):
-        # the float spelling keeps the file name it had before specs coerced
+        # both spellings key as the float, under the schema-3 key
         for alpha in (2, 2.0):
             build_critical_values(lstable_spec(alpha, 500), "hill", 200, 0,
                                   cache_dir=tmp_path)
-        assert [p.name for p in tmp_path.iterdir()] == ["cv_hill_T500_f5e4159679d4db1f.json"]
+        assert [p.name for p in tmp_path.iterdir()] == ["cv_hill_T500_1cb77a935c398327.json"]
+
+    def test_a_new_model_leaves_the_other_models_keys_alone(self, tmp_path, monkeypatch):
+        @dataclass(frozen=True)
+        class ConstantSpec(simulate.SimulationSpec):
+            model = "constant"
+            level: float
+            T: int
+            seed: int = 0
+
+            def _fill(self, rngs, out):
+                out[:] = self.level + np.arange(self.T)
+
+        monkeypatch.setitem(simulate.MODELS, ConstantSpec.model, ConstantSpec)
+        specs = (niid_spec(128), ar_recursive_spec(ARModel(1, 0.0, [0.3], 1.0), 128),
+                 ConstantSpec(1, 128))
+        for spec in specs:
+            build_critical_values(spec, "hill", 100, 0, cache_dir=tmp_path)
+        names = {p.name for p in tmp_path.iterdir()}
+        # the NIID and AR-recursive names are those the key gives without the new model
+        assert len(names) == 3 and {"cv_hill_T128_dc250a28515d2804.json",
+                                    "cv_hill_T128_39878b42e8e5cfdd.json"} < names
 
     def test_failures_by_kind_round_trip(self, tmp_path, monkeypatch):
         def flaky(X):

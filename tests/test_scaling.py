@@ -11,6 +11,7 @@ from selfaffine.scaling import (
     Q_GRIDS,
     _fa_points,
     _fa_slopes,
+    _partition_errors,
     partition_function,
     rs_statistic,
     time_scale_grid,
@@ -214,7 +215,7 @@ class TestPartitionFunction:
             assert partition_oracle(values, n, q) == pytest.approx(0.0)
             return
         assert fast == pytest.approx(partition_oracle(values, n, q), rel=1e-10)
-        lnS = _fa_points(np.array([values]), np.array([q]), (n,))[0]
+        lnS = _fa_points(np.array([values]), np.array([q]), (n,))
         assert lnS[0, 0, 0] == np.log(fast)  # the kernel's one-row case, bit for bit
 
     def test_fa_kernel_matches_loop_oracle_on_the_union_grid(self):
@@ -223,7 +224,7 @@ class TestPartitionFunction:
         assert {0.5, 2.0} <= set(q)
         X = np.stack([generate(niid_spec(383, seed=s)).values for s in range(3)])
         scales = time_scale_grid(383)
-        lnS = _fa_points(X, q, scales)[0]
+        lnS = _fa_points(X, q, scales)
         oracle = [[[math.log(partition_oracle(x.tolist(), n, qi)) for n in scales]
                    for qi in q.tolist()] for x in X]
         np.testing.assert_allclose(lnS, oracle, rtol=0, atol=1e-10)
@@ -243,8 +244,8 @@ class TestEstimateFa:
     def test_trend_has_unit_hurst(self):
         # scales dividing T keep the block count exact, making the fit exact
         scales, q = (8, 16, 32, 64), Q_GRIDS["fa1"]
-        lnS, errors = _fa_points(np.full((1, 1024), 0.25), q, scales)
-        assert not errors
+        lnS = _fa_points(np.full((1, 1024), 0.25), q, scales)
+        assert not _partition_errors(lnS, scales)
         assert _fa_slopes(lnS, q, np.log(scales))[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_scale_invariance_and_intercept_shift(self, rng):

@@ -22,6 +22,7 @@ from selfaffine.simulate import (
     AR_DRAWS,
     AR_STEPS,
     ARFIMA_ROWS,
+    MODELS,
     _ar_recursion,
     _fast_len,
     ar_recursive_spec,
@@ -41,6 +42,14 @@ from selfaffine.timeseries import ARModel
 def sample_acf(z: np.ndarray, k: int) -> float:
     dev = z - z.mean()
     return float((dev[:-k] @ dev[k:]) / (dev @ dev))
+
+
+def test_a_spec_holds_only_its_own_model_parameters():
+    assert vars(niid_spec(100)) == {"T": 100, "seed": 0}
+    with pytest.raises(TypeError):
+        MODELS["niid"](T=100, d=0.3)
+    assert vars(student_t_spec(5, 100, seed=2)) == {"df": 5, "T": 100, "seed": 2}
+    assert all(spec_class.model == tag for tag, spec_class in MODELS.items())
 
 
 class TestWeights:
@@ -158,7 +167,8 @@ class TestLStable:
     def test_int_parameters_are_coerced_to_float(self):
         spec = lstable_spec(2, 500, beta=0, mu=1, sigma=3)
         assert spec == lstable_spec(2.0, 500, beta=0.0, mu=1.0, sigma=3.0)
-        assert all(type(getattr(spec, f)) is float for f in ("d", "alpha", "beta", "mu", "sigma"))
+        assert all(type(getattr(spec, f)) is float for f in ("alpha", "beta", "mu", "sigma"))
+        assert type(arfima_spec(0, 500).d) is float
 
     @pytest.mark.parametrize("alpha, beta, sigma, mu", [
         (1.0 + 1e-8, 0.5, 2.0, 0.3), (1.0 - 1e-8, -0.7, 0.3, -1.3), (1.5, 0.3, 3.0, 2.0),
