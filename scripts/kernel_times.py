@@ -2,9 +2,10 @@
 """Print the per-kernel table: CPU milliseconds per estimate for every method,
 and per generated series for NIID, ARFIMA d=0.08, symmetric stable H=0.58
 (alpha = 1/0.58) and AR(4) `ar_recursive` specs, for one series and per row
-of a 64-row block, at T = 1000, 2000 and 5000. The AR row adds the time per
-row of a 256-row chunk, the largest height at which the replication engine
-generates it.
+of a 64-row block, at T = 383 (the returns of tests/data/prices_demo.csv,
+the series perfbench's analyze workloads test), 1000, 2000 and 5000. The AR
+row adds the time per row of a 256-row chunk, the largest height at which
+the replication engine generates it.
 
 The estimated series are NIID rows from `generate_block`, seeded by
 `derive_seed(0, i)`. Each figure is the median over repeats of one call
@@ -44,7 +45,7 @@ from selfaffine.simulate import (
 )
 from selfaffine.timeseries import ARModel
 
-LENGTHS = (1000, 2000, 5000)
+LENGTHS = (383, 1000, 2000, 5000)
 ROWS = 64
 BUDGET_S = 0.2
 AR4 = ARModel(order=4, intercept=0.01, coefficients=np.array([0.2, -0.1, 0.05, 0.03]),

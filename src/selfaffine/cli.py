@@ -52,6 +52,24 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
+class _ModelFlag(argparse.Action):
+    """Stores a model parameter and records that its flag was given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.model_flags = namespace.model_flags | {self.dest}
+
+
+def _unread_model_flags(args) -> list[str]:
+    """The model flags given that the `--model` spec has no field for."""
+    if "model" not in args:
+        return []
+    names = {f.name for f in fields(MODELS[args.model.replace("-", "_")])}
+    if "ar" in names:
+        names |= {"ar_coefficients", "ar_intercept", "ar_sd"}
+    return [f"--{dest.replace('_', '-')}" for dest in sorted(args.model_flags - names)]
+
+
 def _spec_from_args(args) -> SimulationSpec:
     """The `--model` spec, each of its fields read from the flag of that name."""
     spec_class = MODELS[args.model.replace("-", "_")]
@@ -72,19 +90,22 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
                    choices=[m.replace("_", "-") for m in MODELS])
     p.add_argument("-T", "--length", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
+    # a model's parameters: a flag the model does not read is a usage error, and
     # the parameters a model requires keep a default here
-    p.add_argument("--d", type=float, default=0.0, help="ARFIMA integration order")
-    p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--beta", type=float, default=LStableSpec.beta)
-    p.add_argument("--mu", type=float, default=LStableSpec.mu)
-    p.add_argument("--sigma", type=float, default=LStableSpec.sigma)
-    p.add_argument("--df", type=int, default=10)
-    p.add_argument("--ar-coefficients", type=_floats, default=(),
+    p.set_defaults(model_flags=frozenset())
+    p.add_argument("--d", action=_ModelFlag, type=float, default=0.0,
+                   help="ARFIMA integration order")
+    p.add_argument("--alpha", action=_ModelFlag, type=float, default=2.0)
+    p.add_argument("--beta", action=_ModelFlag, type=float, default=LStableSpec.beta)
+    p.add_argument("--mu", action=_ModelFlag, type=float, default=LStableSpec.mu)
+    p.add_argument("--sigma", action=_ModelFlag, type=float, default=LStableSpec.sigma)
+    p.add_argument("--df", action=_ModelFlag, type=int, default=10)
+    p.add_argument("--ar-coefficients", action=_ModelFlag, type=_floats, default=(),
                    help="comma-separated AR coefficients")
-    p.add_argument("--ar-intercept", type=float, default=0.0)
-    p.add_argument("--ar-sd", type=float, default=1.0)
-    p.add_argument("--burn-in", type=int, default=ARRecursiveSpec.burn_in)
-    p.add_argument("--truncation", type=int, default=ARFIMASpec.truncation,
+    p.add_argument("--ar-intercept", action=_ModelFlag, type=float, default=0.0)
+    p.add_argument("--ar-sd", action=_ModelFlag, type=float, default=1.0)
+    p.add_argument("--burn-in", action=_ModelFlag, type=int, default=ARRecursiveSpec.burn_in)
+    p.add_argument("--truncation", action=_ModelFlag, type=int, default=ARFIMASpec.truncation,
                    help="ARFIMA moving-average truncation lag")
 
 
@@ -243,6 +264,9 @@ def run_cli(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        unread = _unread_model_flags(args)
+        if unread:
+            parser.error(f"--model {args.model} does not read {', '.join(unread)}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     # diagnostics (such as an ignored cache file) go to this call's stderr

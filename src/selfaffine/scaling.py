@@ -39,28 +39,62 @@ Q_GRIDS = {v: _freeze([round(step * k, 10) for k in range(1, 11)])
            for v, step in (("fa1", 0.1), ("fa2", 0.3), ("fa3", 0.5))}
 
 
+def _pairwise_sum(A: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Sum of A[lo:hi] along axis 0 with the bits of np.add.reduce along a
+    contiguous axis: its identity +0.0 plus numpy's pairwise sum of the
+    hi - lo terms (`pairwise_sum` in numpy/_core/src/umath/loops_utils.h.src).
+
+    Below 8 terms it adds in order; up to 128 terms in eight interleaved
+    accumulators, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then adds
+    the rest in order; above that it splits at a multiple of 8 near the middle.
+    Every step is one vector op over whole planes A[k].
+    """
+    n = hi - lo
+    if n < 8:
+        s = A[lo] + 0.0  # the identity first: the sum of a run of -0.0 is +0.0
+        for k in range(lo + 1, hi):
+            s += A[k]
+        return s
+    if n <= 128:
+        end = hi - n % 8
+        r = A[lo : lo + 8]  # the eight accumulators
+        if n >= 16:
+            r = r + A[lo + 8 : lo + 16]
+            for i in range(lo + 16, end, 8):
+                r += A[i : i + 8]
+        r = r[0::2] + r[1::2]  # r0+r1, r2+r3, r4+r5, r6+r7
+        r = r[0::2] + r[1::2]  # (r0+r1)+(r2+r3), (r4+r5)+(r6+r7)
+        s = r[0] + r[1]
+        for k in range(end, hi):
+            s += A[k]
+        s += 0.0  # the identity last: it turns a sum of -0.0 into +0.0
+        return s
+    half = n // 2 - (n // 2) % 8
+    return _pairwise_sum(A, lo, lo + half) + _pairwise_sum(A, lo + half, hi)
+
+
 def _block_ratios(seg: np.ndarray, M: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """R_m/S_m over M contiguous blocks of one subdivision pass, per row of
     `seg`, which rows hold a constant block (their ratios are not finite), and
     which hold a block whose dispersion overflows (its ratio reads 0)."""
-    b = seg.reshape(len(seg), M, n)
-    mu = b.mean(axis=2)
-    dev = b - mu[:, :, None]
-    S = np.sqrt((dev * dev).mean(axis=2))
     # the full-block cumulative deviation is analytically zero; pin it so the
     # range always includes that endpoint
     if 8 * n <= len(seg) * M:
-        # many short blocks: the reductions below would pay one inner loop per
-        # block, so step over the block offset instead, updating every block's
-        # partial sum and running extremes at once (the same left fold as
-        # cumsum, so the same bits)
-        x = dev[:, :, 0].copy()
-        hi, lo = np.maximum(x, 0.0), np.minimum(x, 0.0)
-        for k in range(1, n - 1):
-            x += dev[:, :, k]
-            np.maximum(hi, x, out=hi)
-            np.minimum(lo, x, out=lo)
+        # many short blocks: reductions along each block would pay one inner
+        # loop per block, so copy the pass into time-major order, (n, rows, M),
+        # where every step below is one contiguous vector op over all blocks:
+        # numpy's own summation order, and cumsum's left fold, so the same bits
+        A = seg.reshape(len(seg), M, n).transpose(2, 0, 1).copy()
+        A -= _pairwise_sum(A, 0, n) / n
+        S = np.sqrt(_pairwise_sum(A * A, 0, n) / n)
+        for prev, cur in zip(A[:-2], A[1:-1]):
+            np.add(prev, cur, out=cur)
+        A[-1] = 0.0
+        hi, lo = A.max(axis=0), A.min(axis=0)
     else:
+        b = seg.reshape(len(seg), M, n)
+        dev = b - b.mean(axis=2)[:, :, None]
+        S = np.sqrt((dev * dev).mean(axis=2))
         x = np.cumsum(dev, axis=2)
         x[:, :, -1] = 0.0
         hi, lo = x.max(axis=2), x.min(axis=2)

@@ -214,6 +214,9 @@ class ARRecursiveSpec(SimulationSpec):
             raise ValueError("ar_recursive needs a fitted ARModel")
         if self.burn_in < 1000:
             raise ValueError("burn_in must be at least 1000")
+        if not np.all(np.isfinite(self.ar.coefficients)):
+            raise NonFiniteValue(
+                f"AR coefficients must be finite, got {self.ar.coefficients.tolist()}")
         _check_stationary(self.ar)
 
     def _fill(self, rngs, out: np.ndarray) -> None:

@@ -167,13 +167,36 @@ def reduction_block_ratios(seg, M, n):
     x = np.cumsum(dev, axis=2)
     x[:, :, -1] = 0.0
     R = x.max(axis=2) - x.min(axis=2)
-    return R / S, np.any(S == 0.0, axis=1)
+    return R / S, np.any(S == 0.0, axis=1), np.any(np.isinf(S), axis=1)
+
+
+def edge_rows(T):
+    """Rows that reach the corners of float arithmetic: NaN, +-inf, runs of +-0
+    and values near the bottom of the normal range."""
+    rng = np.random.default_rng(T + 2)
+    X = rng.standard_normal((6, T))
+    X[0, ::7] = np.nan
+    X[1, 3::11], X[1, 8::13] = np.inf, -np.inf
+    X[2] = np.where(rng.random(T) < 0.5, -0.0, 0.0)
+    X[3, : T // 2] = -0.0
+    X[4] *= 1e-300
+    X[5, ::3] = -0.0
+    X[5] *= 1e-300
+    return X
+
+
+def same_floats(got, want):
+    """Equal values, NaN matching NaN, and equal signs wherever not NaN."""
+    return (np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.signbit(got) & ~np.isnan(got),
+                               np.signbit(want) & ~np.isnan(want)))
 
 
 @pytest.mark.parametrize("rows", [1, 9, 64])
 @pytest.mark.parametrize("T", [100, 383, 2000, 5000])
 def test_block_ratios_equal_the_reduction_formula(T, rows):
-    X = np.resize(block(T), (max(rows, 9), T))  # block(T)'s rows, cyclically
+    X = np.vstack([block(T), edge_rows(T)])
+    X = np.resize(X, (max(rows, len(X)), T))  # its rows, cyclically
     for first in range(0, len(X), rows):
         for n in time_scale_grid(T):
             M = T // n
@@ -182,5 +205,32 @@ def test_block_ratios_equal_the_reduction_formula(T, rows):
                 with np.errstate(all="ignore"):
                     got = scaling._block_ratios(seg, M, n)
                     want = reduction_block_ratios(seg, M, n)
-                assert np.array_equal(got[0], want[0], equal_nan=True), (first, n, start)
+                assert same_floats(got[0], want[0]), (first, n, start)
                 assert np.array_equal(got[1], want[1]), (first, n, start)
+                assert np.array_equal(got[2], want[2]), (first, n, start)
+
+
+def sum_cases(n):
+    """Rows of length n to sum: Gaussian, cancelling across 16 decades, random
+    signed zeros, all -0.0, and a -0.0 run under one nonzero term."""
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((6, n))
+    a[1] *= 10.0 ** rng.integers(-8, 8, n)
+    a[1, 1::2] = -a[1, ::2][: n // 2] * (1 + 1e-12 * rng.standard_normal(n // 2))
+    a[2] = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    a[3] = -0.0
+    a[4] = -0.0
+    a[4, n // 2] = 1e-300
+    a[5] = np.cumsum(a[5]) - np.cumsum(a[5]).mean()  # deviations, as the kernel sums
+    return a
+
+
+def test_pairwise_sum_has_the_bits_of_numpy_sum():
+    # the lengths cross the 8-term unroll, the 128-term block and the recursive
+    # split; a numpy that changes its summation order fails here
+    for n in range(1, 301):
+        a = sum_cases(n)
+        want = np.add.reduce(a, axis=-1).tobytes()
+        assert scaling._pairwise_sum(np.ascontiguousarray(a.T), 0, n).tobytes() == want, n
+        shifted = np.ascontiguousarray(np.hstack([np.ones((len(a), 3)), a]).T)  # terms 3..n+2
+        assert scaling._pairwise_sum(shifted, 3, n + 3).tobytes() == want, n

@@ -21,6 +21,7 @@ from selfaffine.simulate import (
     MODELS,
     SimulationSpec,
     ar_recursive_spec,
+    arfima_spec,
     generate,
     niid_spec,
 )
@@ -348,12 +349,57 @@ def test_model_choices_are_the_registered_models(tmp_path, monkeypatch):
 
     assert simulate("scaled-normal", "--sigma", "2") == 1
     monkeypatch.setitem(MODELS, ScaledNormalSpec.model, ScaledNormalSpec)
-    for model in MODELS:
-        assert simulate(model.replace("_", "-"), "--d", "0.1", "--alpha", "1.5") == 0, model
+    own = {"d": ("--d", "0.1"), "alpha": ("--alpha", "1.5")}
+    for model, spec_class in MODELS.items():  # each model given only its own flags
+        flags = [flag for f in fields(spec_class) for flag in own.get(f.name, ())]
+        assert simulate(model.replace("_", "-"), *flags) == 0, model
     # the new model's fields are filled from the flags of their names
     assert simulate("scaled-normal", "--sigma", "2") == 0
     assert read_values_csv(tmp_path / "x.csv").values.tobytes() == \
         (2 * generate(niid_spec(50, seed=4)).values).tobytes()
+
+
+@pytest.mark.parametrize("command, model, flags, unread", [
+    ("simulate", "niid", ["--d", "0.3"], "--d"),
+    ("simulate", "niid", ["--df", "3", "--ar-sd", "2"], "--ar-sd, --df"),
+    ("simulate", "arfima", ["--d", "0.3", "--alpha", "1.5"], "--alpha"),
+    ("simulate", "ar-recursive", ["--ar-sd", "2", "--truncation", "10"], "--truncation"),
+    ("power", "lstable", ["--alpha", "1.5", "--ar-coefficients", "0.2"], "--ar-coefficients"),
+])
+def test_a_flag_the_model_does_not_read_is_a_usage_error(tmp_path, capsys, command, model,
+                                                        flags, unread):
+    out = tmp_path / "x.csv"
+    extra = ["--method", "hill", "--reps", "100"] if command == "power" else []
+    assert run_cli([command, "--model", model, "-T", "200", *flags, *extra,
+                    "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        f"selfaffine: error: --model {model} does not read {unread}"
+    assert not out.exists()
+
+
+def test_a_model_reads_its_own_flags(tmp_path):
+    out = tmp_path / "x.csv"
+    assert run_cli(["simulate", "--model", "arfima", "--d", "0.2", "--truncation", "99",
+                    "-T", "200", "--seed", "3", "--out", str(out)]) == 0
+    assert read_values_csv(out).values.tobytes() == \
+        generate(arfima_spec(0.2, 200, seed=3, truncation=99)).values.tobytes()
+    assert run_cli(["simulate", "--model", "ar-recursive", "--ar-coefficients", "0.3",
+                    "--ar-intercept", "0.1", "--ar-sd", "2", "--burn-in", "1200",
+                    "-T", "200", "--seed", "3", "--out", str(out)]) == 0
+    model = ARModel(1, 0.1, [0.3], 2.0)
+    assert read_values_csv(out).values.tobytes() == \
+        generate(ar_recursive_spec(model, 200, seed=3, burn_in=1200)).values.tobytes()
+
+
+@pytest.mark.parametrize("coefficients", ["nan", "0.2,inf", "0.1,-inf"])
+def test_non_finite_ar_coefficients_are_a_data_error(tmp_path, capsys, coefficients):
+    out = tmp_path / "ar.csv"
+    assert run_cli(["simulate", "--model", "ar-recursive", "--ar-coefficients", coefficients,
+                    "-T", "200", "--out", str(out)]) == 2
+    listed = [float(c) for c in coefficients.split(",")]
+    assert capsys.readouterr().err == \
+        f"error: NonFiniteValue: AR coefficients must be finite, got {listed}\n"
+    assert not out.exists()
 
 
 def test_ar_coefficients_are_a_float_list(tmp_path, capsys):

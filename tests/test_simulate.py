@@ -306,6 +306,13 @@ class TestArRecursive:
         with pytest.raises(ExplosiveModel):
             generate(ar_recursive_spec(model, 100, seed=1))
 
+    @pytest.mark.parametrize("phi", [[np.nan], [0.2, np.inf], [-np.inf, 0.1]])
+    def test_non_finite_coefficients_rejected_before_the_root_check(self, phi):
+        model = ARModel(order=len(phi), intercept=0.0, coefficients=np.array(phi),
+                        residual_sd=1.0)
+        with pytest.raises(NonFiniteValue, match="AR coefficients must be finite"):
+            ar_recursive_spec(model, 100)
+
 
 class TestDeterminismAndStreams:
     @pytest.mark.parametrize("spec", [
