@@ -28,6 +28,20 @@ def table_names(text):
     return names
 
 
+def sample_sizes(text):
+    """The comma-separated sample sizes of --lengths, each an integer of at
+    least 100 (the time-scale grid's shortest series)."""
+    values = []
+    for item in text.split(","):
+        try:
+            values.append(int(item))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"length {item!r} is not an integer") from None
+        if values[-1] < 100:
+            raise argparse.ArgumentTypeError(f"length {values[-1]} is below 100")
+    return values
+
+
 def alternatives(H, T):
     """(model, spec) of the fractionally integrated and stable alternatives."""
     return (("arfima", arfima_spec(H - 0.5, T)), ("lstable", lstable_spec_for_hurst(H, T)))
@@ -78,24 +92,23 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--reps", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--lengths", default="1000,2000",
-                        help="comma-separated sample sizes")
+    parser.add_argument("--lengths", type=sample_sizes, default="1000,2000",
+                        help="comma-separated sample sizes, each at least 100")
     parser.add_argument("--tables", type=table_names, default=",".join(TABLES),
                         help=f"comma-separated tables among {', '.join(TABLES)}")
     args = parser.parse_args()
 
-    lengths = [int(x) for x in args.lengths.split(",")]
     t0 = time.time()
     wanted = args.tables
     # each length's NIID null tables serve the critical values and the power grid
     null_tables = functools.cache(
         lambda T: build_tables(niid_spec(T), SCALING_METHODS, args.reps, args.seed))
     if "critvals" in wanted:
-        table_critvals(lengths, null_tables, sys.stdout)
+        table_critvals(args.lengths, null_tables, sys.stdout)
     if "bias" in wanted:
-        table_bias(lengths, args.reps, args.seed, sys.stdout)
+        table_bias(args.lengths, args.reps, args.seed, sys.stdout)
     if "power" in wanted:
-        table_power(lengths, null_tables, args.reps, args.seed, sys.stdout)
+        table_power(args.lengths, null_tables, args.reps, args.seed, sys.stdout)
     print(f"# done in {time.time() - t0:.0f}s with {args.reps} replications",
           file=sys.stderr)
 

@@ -11,6 +11,7 @@ import math
 import sys
 from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 from . import __version__
 from .analysis import (
@@ -30,15 +31,7 @@ from .montecarlo import (
     check_levels,
     power_function,
 )
-from .simulate import (
-    ARFIMASpec,
-    ARRecursiveSpec,
-    LStableSpec,
-    MODELS,
-    SimulationSpec,
-    generate,
-    niid_spec,
-)
+from .simulate import MODELS, SimulationSpec, generate, niid_spec
 from .timeseries import ARModel, read_prices_csv, read_values_csv, write_values_csv
 
 USAGE_ERROR = 1
@@ -52,37 +45,43 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-class _ModelFlag(argparse.Action):
-    """Stores a model parameter and records that its flag was given."""
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in text.split(","))
 
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        namespace.model_flags = namespace.model_flags | {self.dest}
+
+#: the CLI defaults of the parameters that a model requires, by its tag
+CLI_DEFAULTS = {"arfima": {"d": 0.0}, "lstable": {"alpha": 2.0}, "student_t": {"df": 10}}
+#: the flags that a spec's `ar` field is read from, and their types
+_AR_FLAGS = {"ar_coefficients": _floats, "ar_intercept": float, "ar_sd": float}
+
+
+def _flag_dests(spec_class) -> list[str]:
+    """The dests of the flags that `spec_class`'s parameters are read from."""
+    return [dest for f in fields(spec_class) if f.name not in ("T", "seed")
+            for dest in (_AR_FLAGS if f.name == "ar" else (f.name,))]
 
 
 def _unread_model_flags(args) -> list[str]:
     """The model flags given that the `--model` spec has no field for."""
     if "model" not in args:
         return []
-    names = {f.name for f in fields(MODELS[args.model.replace("-", "_")])}
-    if "ar" in names:
-        names |= {"ar_coefficients", "ar_intercept", "ar_sd"}
-    return [f"--{dest.replace('_', '-')}" for dest in sorted(args.model_flags - names)]
+    given = vars(args).keys() & {d for c in MODELS.values() for d in _flag_dests(c)}
+    unread = given - set(_flag_dests(MODELS[args.model.replace("-", "_")]))
+    return [f"--{dest.replace('_', '-')}" for dest in sorted(unread)]
 
 
 def _spec_from_args(args) -> SimulationSpec:
-    """The `--model` spec, each of its fields read from the flag of that name."""
-    spec_class = MODELS[args.model.replace("-", "_")]
+    """The `--model` spec from the flags given and the model's CLI defaults;
+    every other field keeps its class default."""
+    tag = args.model.replace("-", "_")
+    spec_class = MODELS[tag]
     names = [f.name for f in fields(spec_class)]
-    flags = dict(vars(args), T=args.length)
+    flags = {**CLI_DEFAULTS.get(tag, {}), **vars(args), "T": args.length}
     if "ar" in names:
-        flags["ar"] = ARModel(order=len(args.ar_coefficients), intercept=args.ar_intercept,
-                              coefficients=args.ar_coefficients, residual_sd=args.ar_sd)
-    return spec_class(**{name: flags[name] for name in names})
-
-
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(","))
+        coefficients = flags.get("ar_coefficients", ())
+        flags["ar"] = ARModel(order=len(coefficients), intercept=flags.get("ar_intercept", 0.0),
+                              coefficients=coefficients, residual_sd=flags.get("ar_sd", 1.0))
+    return spec_class(**{name: flags[name] for name in names if name in flags})
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -90,23 +89,18 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
                    choices=[m.replace("_", "-") for m in MODELS])
     p.add_argument("-T", "--length", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    # a model's parameters: a flag the model does not read is a usage error, and
-    # the parameters a model requires keep a default here
-    p.set_defaults(model_flags=frozenset())
-    p.add_argument("--d", action=_ModelFlag, type=float, default=0.0,
-                   help="ARFIMA integration order")
-    p.add_argument("--alpha", action=_ModelFlag, type=float, default=2.0)
-    p.add_argument("--beta", action=_ModelFlag, type=float, default=LStableSpec.beta)
-    p.add_argument("--mu", action=_ModelFlag, type=float, default=LStableSpec.mu)
-    p.add_argument("--sigma", action=_ModelFlag, type=float, default=LStableSpec.sigma)
-    p.add_argument("--df", action=_ModelFlag, type=int, default=10)
-    p.add_argument("--ar-coefficients", action=_ModelFlag, type=_floats, default=(),
-                   help="comma-separated AR coefficients")
-    p.add_argument("--ar-intercept", action=_ModelFlag, type=float, default=0.0)
-    p.add_argument("--ar-sd", action=_ModelFlag, type=float, default=1.0)
-    p.add_argument("--burn-in", action=_ModelFlag, type=int, default=ARRecursiveSpec.burn_in)
-    p.add_argument("--truncation", action=_ModelFlag, type=int, default=ARFIMASpec.truncation,
-                   help="ARFIMA moving-average truncation lag")
+    # one flag per model parameter, typed by its field and in the namespace
+    # only when given; a flag the model does not read is a usage error
+    readers, types = {}, {}
+    for spec_class in MODELS.values():
+        hints = {**get_type_hints(spec_class), **_AR_FLAGS}
+        for dest in _flag_dests(spec_class):
+            readers.setdefault(dest, []).append(spec_class.model.replace("_", "-"))
+            types[dest] = hints[dest]
+    group = p.add_argument_group("model parameters", argument_default=argparse.SUPPRESS)
+    for dest, models in readers.items():
+        group.add_argument(f"--{dest.replace('_', '-')}", type=types[dest],
+                           help=f"read by {', '.join(models)}")
 
 
 def build_parser() -> _Parser:

@@ -73,10 +73,9 @@ def _pairwise_sum(A: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return _pairwise_sum(A, lo, lo + half) + _pairwise_sum(A, lo + half, hi)
 
 
-def _block_ratios(seg: np.ndarray, M: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """R_m/S_m over M contiguous blocks of one subdivision pass, per row of
-    `seg`, which rows hold a constant block (their ratios are not finite), and
-    which hold a block whose dispersion overflows (its ratio reads 0)."""
+def _block_ratios(seg: np.ndarray, M: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """R_m/S_m and S_m over M contiguous blocks of one subdivision pass, per
+    row of `seg`."""
     # the full-block cumulative deviation is analytically zero; pin it so the
     # range always includes that endpoint
     if 8 * n <= len(seg) * M:
@@ -98,25 +97,27 @@ def _block_ratios(seg: np.ndarray, M: int, n: int) -> tuple[np.ndarray, np.ndarr
         x = np.cumsum(dev, axis=2)
         x[:, :, -1] = 0.0
         hi, lo = x.max(axis=2), x.min(axis=2)
-    return (hi - lo) / S, np.any(S == 0.0, axis=1), np.any(np.isinf(S), axis=1)
+    return (hi - lo) / S, S
 
 
 def _rs_rows(X: np.ndarray, n: int) -> tuple[np.ndarray, dict]:
     """Two-pass average R/S at scale n for every row of X, and the error of
-    each row with a constant block or, failing that, a block whose
-    dispersion overflows."""
+    each row with a constant block (S = 0, where the ratio is not finite) or,
+    failing that, a block whose dispersion overflows (S = inf, where it reads 0)."""
     T = X.shape[1]
     M = T // n
-    first, zero, overflow = _block_ratios(X[:, : M * n], M, n)
+    first, S = _block_ratios(X[:, : M * n], M, n)
     L = T - M * n
     second = first
     if L:
-        second, zero2, overflow2 = _block_ratios(X[:, L : L + M * n], M, n)
-        zero, overflow = zero | zero2, overflow | overflow2
-    errors = {int(i): NonFiniteValue(f"block dispersion overflows at scale {n}")
-              for i in np.flatnonzero(overflow)}
-    errors.update({int(i): ZeroDispersion(f"constant block at scale {n}")
-                   for i in np.flatnonzero(zero)})
+        second, S2 = _block_ratios(X[:, L : L + M * n], M, n)
+        S = np.concatenate((S, S2), axis=1)
+    errors = {}
+    if not 0.0 < S.min() <= S.max() < np.inf:  # some S is 0, inf or NaN: type the rows
+        errors = {int(i): NonFiniteValue(f"block dispersion overflows at scale {n}")
+                  for i in np.flatnonzero(np.isinf(S).any(axis=1))}
+        errors.update({int(i): ZeroDispersion(f"constant block at scale {n}")
+                       for i in np.flatnonzero((S == 0.0).any(axis=1))})
     return (first.sum(axis=1) + second.sum(axis=1)) / (2 * M), errors
 
 

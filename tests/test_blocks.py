@@ -158,8 +158,8 @@ def test_unknown_method():
 
 
 def reduction_block_ratios(seg, M, n):
-    """The R/S block ratios by three reductions along each block: cumsum, max
-    and min. The reference for the kernel, whatever form it takes."""
+    """The R/S block ratios and the blocks' dispersions S by reductions along
+    each block. The reference for the kernel, whatever form it takes."""
     b = seg.reshape(len(seg), M, n)
     mu = b.mean(axis=2)
     dev = b - mu[:, :, None]
@@ -167,7 +167,7 @@ def reduction_block_ratios(seg, M, n):
     x = np.cumsum(dev, axis=2)
     x[:, :, -1] = 0.0
     R = x.max(axis=2) - x.min(axis=2)
-    return R / S, np.any(S == 0.0, axis=1), np.any(np.isinf(S), axis=1)
+    return R / S, S
 
 
 def edge_rows(T):
@@ -206,8 +206,7 @@ def test_block_ratios_equal_the_reduction_formula(T, rows):
                     got = scaling._block_ratios(seg, M, n)
                     want = reduction_block_ratios(seg, M, n)
                 assert same_floats(got[0], want[0]), (first, n, start)
-                assert np.array_equal(got[1], want[1]), (first, n, start)
-                assert np.array_equal(got[2], want[2]), (first, n, start)
+                assert same_floats(got[1], want[1]), (first, n, start)
 
 
 def sum_cases(n):

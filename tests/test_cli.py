@@ -1,3 +1,4 @@
+import argparse
 import base64
 import csv
 import importlib.util
@@ -6,7 +7,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import fields, make_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 import selfaffine
 import selfaffine.montecarlo as montecarlo
 from selfaffine.analysis import AnalyzeConfig
-from selfaffine.cli import build_parser, run_cli
+from selfaffine.cli import _spec_from_args, build_parser, run_cli
 from selfaffine.montecarlo import replicate
 from selfaffine.simulate import (
     MODELS,
@@ -318,30 +319,79 @@ def test_analyze_short_series_stops_before_simulating(tmp_path, monkeypatch, cap
     assert not out_dir.exists()
 
 
+#: the parameters that `simulate --model m -T 100` gives a model besides T:
+#: the CLI defaults of the parameters it requires
+BARE_PARAMETERS = {"arfima": {"d": 0.0}, "lstable": {"alpha": 2.0}, "student_t": {"df": 10},
+                   "ar_recursive": {"ar": ARModel(0, 0.0, [], 1.0)}}
+
+
 def test_model_flags_default_to_the_spec():
-    args = build_parser().parse_args(["simulate", "--model", "niid", "-T", "100",
-                                      "--out", "x.csv"])
-    defaults = [(spec_class.model, f.name, f.default) for spec_class in MODELS.values()
-                for f in fields(spec_class) if f.default is not MISSING]
-    assert {name for _, name, _ in defaults} == {"seed", "beta", "mu", "sigma", "burn_in",
-                                                 "truncation"}
-    for model, name, default in defaults:
-        assert getattr(args, name) == default, (model, name)
-    # the parameters a model requires keep a CLI default
-    assert (args.d, args.alpha, args.df) == (0.0, 2.0, 10)
+    # a flag not given leaves the field's class default
+    for model, spec_class in MODELS.items():
+        args = build_parser().parse_args(["simulate", "--model", model.replace("_", "-"),
+                                          "-T", "100", "--out", "x.csv"])
+        want = spec_class(T=100, **BARE_PARAMETERS.get(model, {}))
+        assert repr(_spec_from_args(args)) == repr(want), model
+
+
+def _subcommand(command):
+    """The sub-parser of `command`."""
+    parser = build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices[command]
+
+
+@pytest.mark.parametrize("command", ["simulate", "power"])
+def test_every_model_field_has_a_flag(command):
+    options = {o for action in _subcommand(command)._actions for o in action.option_strings}
+    named = {"T": ["-T"], "ar": ["--ar-coefficients", "--ar-intercept", "--ar-sd"]}
+    for spec_class in MODELS.values():
+        for f in fields(spec_class):
+            flags = named.get(f.name, [f"--{f.name.replace('_', '-')}"])
+            assert set(flags) <= options, (command, spec_class.model, f.name)
+
+
+def _scaled_normal(name, default):
+    """A model to register as "scaled_normal": NIID returns times its one
+    float parameter `name`."""
+    def fill(self, rngs, out):
+        niid_spec(self.T)._fill(rngs, out)
+        out *= getattr(self, name)
+
+    return make_dataclass("ScaledNormalSpec", [("T", int), ("seed", int, 0),
+                                               (name, float, default)],
+                          bases=(SimulationSpec,), frozen=True,
+                          namespace={"model": "scaled_normal", "_fill": fill})
+
+
+@pytest.mark.parametrize("name, default", [("sigma", 2.0), ("alpha", 0.5)])
+def test_a_flag_not_given_leaves_the_models_own_default(tmp_path, monkeypatch, name, default):
+    # lstable's sigma default and its CLI alpha default are lstable's alone
+    monkeypatch.setitem(MODELS, "scaled_normal", _scaled_normal(name, default))
+    out = tmp_path / "x.csv"
+    assert run_cli(["simulate", "--model", "scaled-normal", "-T", "50", "--seed", "4",
+                    "--out", str(out)]) == 0
+    assert read_values_csv(out).values.tobytes() == \
+        (default * generate(niid_spec(50, seed=4)).values).tobytes()
+
+
+@pytest.mark.parametrize("command", ["simulate", "power"])
+def test_a_new_field_gets_its_flag(monkeypatch, capsys, command):
+    spec_class = _scaled_normal("scale", 1.0)
+    monkeypatch.setitem(MODELS, "scaled_normal", spec_class)
+    extra = ["--method", "hill"] if command == "power" else []
+    args = build_parser().parse_args([command, "--model", "scaled-normal", "-T", "100",
+                                      "--scale", "3", *extra, "--out", "x.csv"])
+    assert _spec_from_args(args) == spec_class(100, 0, 3.0)
+    # a model without the field does not read its flag
+    assert run_cli([command, "--model", "niid", "-T", "100", "--scale", "2", *extra,
+                    "--out", "x.csv"]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "selfaffine: error: --model niid does not read --scale"
 
 
 def test_model_choices_are_the_registered_models(tmp_path, monkeypatch):
-    @dataclass(frozen=True)
-    class ScaledNormalSpec(SimulationSpec):
-        model = "scaled_normal"
-        T: int
-        seed: int = 0
-        sigma: float = 1.0
-
-        def _fill(self, rngs, out):
-            for row, rng in zip(out, rngs):
-                row[:] = self.sigma * rng.standard_normal(self.T)
+    ScaledNormalSpec = _scaled_normal("sigma", 1.0)
 
     def simulate(model, *flags):
         return run_cli(["simulate", "--model", model, "-T", "50", "--seed", "4", *flags,
@@ -513,6 +563,19 @@ def test_run_tables_script_rejects_an_unknown_table():
     assert (done.returncode, done.stdout) == (2, "")
     assert "usage:" in done.stderr
     assert "unknown table 'critval' (choose from critvals, bias, power)" in done.stderr
+
+
+@pytest.mark.parametrize("lengths, message", [
+    ("500,abc", "length 'abc' is not an integer"),
+    ("50", "length 50 is below 100")], ids=["not-an-integer", "below-the-grid"])
+def test_run_tables_script_rejects_a_bad_length(lengths, message):
+    # a usage error before the first table's header, so before any simulation
+    env = dict(os.environ, PYTHONPATH=str(Path(selfaffine.__file__).parents[1]))
+    script = Path(__file__).parents[1] / "scripts" / "run_tables.py"
+    done = subprocess.run([sys.executable, str(script), "--reps", "100", "--lengths", lengths],
+                          env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "usage:" in done.stderr and f"argument --lengths: {message}" in done.stderr
 
 
 def test_package_runs_as_a_module():
