@@ -21,8 +21,12 @@ traced peak memory of one untimed call on a 64-row block, in MiB (tracemalloc;
 the estimators' input block is allocated before tracing starts, a generator's
 output block is counted). The header names numpy's SIMD baseline and the
 targets it found on this CPU: both the bits and the times depend on them.
-Run from a source checkout:
-PYTHONPATH=src python scripts/kernel_times.py
+
+A last line times each of the nine methods on one NIID series of T = 100,000,
+as perfbench's estimate-long workload estimates its long series. Run it with
+one BLAS thread, as perfbench runs: a multi-threaded dot product makes
+`robinson` at T = 100,000 cost about ten times the CPU. From a source checkout:
+OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/kernel_times.py
 """
 import os
 import platform
@@ -46,6 +50,8 @@ from selfaffine.simulate import (
 from selfaffine.timeseries import ARModel
 
 LENGTHS = (383, 1000, 2000, 5000)
+#: the length of the one-series line: perfbench estimate-long's series
+LONG_T = 100_000
 ROWS = 64
 BUDGET_S = 0.2
 AR4 = ARModel(order=4, intercept=0.01, coefficients=np.array([0.2, -0.1, 0.05, 0.03]),
@@ -111,6 +117,10 @@ def main():
     print(f"# ms per estimate or generated series: one series / per row of a {ROWS}-row block"
           f" (/ per row of a {_AR_ROWS}-row chunk); median [lower-upper quartile] of repeats;"
           f" then the traced peak MiB of one call on a {ROWS}-row block")
+    X = generate_block(niid_spec(LONG_T), seeds[:1])[0]
+    print(f"| one series, T={LONG_T} | " + " | ".join(
+        f"`{m}` " + "{1:.2f} [{0:.2f}-{2:.2f}]".format(*cpu_ms(lambda: estimate_blocks((m,), X)))
+        for m in METHODS) + " |")
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ import csv
 import logging
 import math
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import get_type_hints
 
@@ -68,6 +68,18 @@ def _unread_model_flags(args) -> list[str]:
     given = vars(args).keys() & {d for c in MODELS.values() for d in _flag_dests(c)}
     unread = given - set(_flag_dests(MODELS[args.model.replace("-", "_")]))
     return [f"--{dest.replace('_', '-')}" for dest in sorted(unread)]
+
+
+def _missing_model_flags(args) -> list[str]:
+    """The flags of the `--model` spec's fields that have neither a class
+    default nor a CLI default and were not given."""
+    if "model" not in args:
+        return []
+    tag = args.model.replace("-", "_")
+    required = [f.name for f in fields(MODELS[tag]) if f.name not in ("T", "ar")
+                and f.default is MISSING and f.default_factory is MISSING]
+    return [f"--{name.replace('_', '-')}" for name in required
+            if name not in args and name not in CLI_DEFAULTS.get(tag, {})]
 
 
 def _spec_from_args(args) -> SimulationSpec:
@@ -261,6 +273,9 @@ def run_cli(argv: list[str] | None = None) -> int:
         unread = _unread_model_flags(args)
         if unread:
             parser.error(f"--model {args.model} does not read {', '.join(unread)}")
+        missing = _missing_model_flags(args)
+        if missing:
+            parser.error(f"--model {args.model} needs {', '.join(missing)}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     # diagnostics (such as an ignored cache file) go to this call's stderr

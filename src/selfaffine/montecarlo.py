@@ -8,7 +8,6 @@ import logging
 import math
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
@@ -170,6 +169,10 @@ def replicate(spec: SimulationSpec, methods, reps: int, master_seed: int,
     if workers == 1:
         parts = [_run_chunk(spec, methods, master_seed, lo, hi) for lo, hi in zip(starts, ends)]
     else:
+        # imported here: concurrent.futures.process and multiprocessing are
+        # milliseconds of every start-up that runs one worker
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_chunk, repeat(spec), repeat(methods),
                                   repeat(master_seed), starts, ends))

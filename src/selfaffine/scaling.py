@@ -77,8 +77,10 @@ def _block_ratios(seg: np.ndarray, M: int, n: int) -> tuple[np.ndarray, np.ndarr
     """R_m/S_m and S_m over M contiguous blocks of one subdivision pass, per
     row of `seg`."""
     # the full-block cumulative deviation is analytically zero; pin it so the
-    # range always includes that endpoint
-    if 8 * n <= len(seg) * M:
+    # range always includes that endpoint. The time-major form pays about a
+    # numpy call per time step, the per-block form an eighth of one per block
+    # and, in cumsum's fold, which waits on each add, a 512th of one per value
+    if 8 * n <= len(seg) * M * (1 + n / 64):
         # many short blocks: reductions along each block would pay one inner
         # loop per block, so copy the pass into time-major order, (n, rows, M),
         # where every step below is one contiguous vector op over all blocks:
@@ -91,12 +93,14 @@ def _block_ratios(seg: np.ndarray, M: int, n: int) -> tuple[np.ndarray, np.ndarr
         A[-1] = 0.0
         hi, lo = A.max(axis=0), A.min(axis=0)
     else:
+        # few long blocks: reductions along each block, the cumulative
+        # deviations folded into the deviations' own array
         b = seg.reshape(len(seg), M, n)
         dev = b - b.mean(axis=2)[:, :, None]
-        S = np.sqrt((dev * dev).mean(axis=2))
-        x = np.cumsum(dev, axis=2)
-        x[:, :, -1] = 0.0
-        hi, lo = x.max(axis=2), x.min(axis=2)
+        S = np.sqrt(np.square(dev).mean(axis=2))
+        np.cumsum(dev, axis=2, out=dev)
+        dev[:, :, -1] = 0.0
+        hi, lo = dev.max(axis=2), dev.min(axis=2)
     return (hi - lo) / S, S
 
 
@@ -162,14 +166,18 @@ def rra_block(X: np.ndarray) -> tuple[np.ndarray, dict]:
     return _ols_slopes(np.log(scales), Y), errors
 
 
+def _pass_increments(P: np.ndarray, start: int, n: int) -> np.ndarray:
+    """|p_{mn} - p_{(m-1)n}| over the M blocks of the subdivision pass that
+    starts at observation `start` (M values per row of P)."""
+    M = (P.shape[1] - 1) // n
+    return np.abs(np.diff(P[:, start : start + M * n + 1 : n], axis=1))
+
+
 def _block_increments(P: np.ndarray, n: int) -> np.ndarray:
     """|p_{mn} - p_{(m-1)n}| over both subdivision passes (2M values per row of P)."""
-    T = P.shape[1] - 1
-    M = T // n
-    v1 = np.abs(np.diff(P[:, : M * n + 1 : n], axis=1))
-    L = T - M * n
-    v2 = np.abs(np.diff(P[:, L : L + M * n + 1 : n], axis=1)) if L else v1
-    return np.concatenate([v1, v2], axis=1)
+    L = (P.shape[1] - 1) % n
+    v1 = _pass_increments(P, 0, n)
+    return np.concatenate([v1, _pass_increments(P, L, n) if L else v1], axis=1)
 
 
 def partition_function(r: ReturnsSeries, n: int, q: float) -> float:
@@ -204,6 +212,36 @@ def _partition_errors(lnS: np.ndarray, scales: tuple[int, ...]) -> dict:
     return errors
 
 
+#: the shortest row of increments that numpy powers through its sqrt and
+#: square fast paths for q = 0.5 and 2 when a call holds three or more orders
+#: (measured on numpy 2.4.6); a shorter row takes its general power loop,
+#: whose bits differ
+POWER_FAST_ROW = 2731
+
+
+def _sum_twice(w: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Sum over the last axis of w concatenated with itself (of its terms lo
+    to hi; all 2m by default), with the bits of numpy's sum of the
+    concatenation, without building it.
+
+    numpy's pairwise sum (see `_pairwise_sum`) splits a run of more than 128
+    terms at a multiple of 8 near its middle: a part within one copy of w is
+    summed by numpy itself, the part that straddles the seam is split the
+    same way, and a straddling run of at most 128 terms is copied and summed.
+    The terms are powers, so no sum is -0.0 and numpy's +0.0 identity, added
+    to each part, changes none.
+    """
+    m = w.shape[-1]
+    hi = 2 * m if hi is None else hi
+    if hi <= m or lo >= m:
+        start = lo % m
+        return w[..., start : start + hi - lo].sum(axis=-1)
+    if hi - lo <= 128:
+        return np.concatenate((w[..., lo:], w[..., : hi - m]), axis=-1).sum(axis=-1)
+    half = (hi - lo) // 2 - (hi - lo) // 2 % 8
+    return _sum_twice(w, lo, lo + half) + _sum_twice(w, lo + half, hi)
+
+
 def _fa_points(X: np.ndarray, q: np.ndarray, scales: tuple[int, ...]) -> np.ndarray:
     """ln S_q(T,n) over the (q, n) grid for every row of X, shape (rows, q, n).
 
@@ -215,17 +253,28 @@ def _fa_points(X: np.ndarray, q: np.ndarray, scales: tuple[int, ...]) -> np.ndar
     paths, whose bits differ from its general loop, for an exponent of one
     order and of two on a one-row block, while from three orders on it
     chooses as it does for the whole grid.
+
+    Where n divides T the second pass is the first, so the M increments of
+    one pass are powered once and summed as if repeated (`_sum_twice`): the
+    sum, and so S_q, is the one of the 2M increments. The rows then stay M
+    long, not 2M, so where numpy's fast-path choice falls between the two
+    (M < POWER_FAST_ROW <= 2M) both passes are powered.
     """
+    T = X.shape[1]
     P = np.concatenate([np.zeros((len(X), 1)), np.cumsum(X, axis=1)], axis=1)
     lnS = np.empty((len(X), len(q), len(scales)))
     S = np.empty((len(X), len(q)))
     for j, n in enumerate(scales):
-        v = _block_increments(P, n)[:, None, :]
-        width = max(3, X.shape[1] // v.shape[2])
+        M = T // n
+        once = T % n == 0 and not M < POWER_FAST_ROW <= 2 * M
+        v = (_pass_increments(P, 0, n) if once else _block_increments(P, n))[:, None, :]
+        width = max(3, T // (2 * M))
         slabs = min(-(-len(q) // width), max(1, len(q) // 3))
         for i in range(slabs):
             lo, hi = i * len(q) // slabs, (i + 1) * len(q) // slabs
-            S[:, lo:hi] = np.power(v, q[None, lo:hi, None]).sum(axis=2)
+            w = np.power(v, q[None, lo:hi, None])
+            S[:, lo:hi] = _sum_twice(w) if once else w.sum(axis=2)
+            del w  # so the next slab is powered into the memory this one held
         lnS[:, :, j] = np.log(0.5 * S)
     return lnS
 

@@ -109,23 +109,58 @@ FA_GRIDS = {**scaling.Q_GRIDS,
             "union": np.array(sorted({q for grid in scaling.Q_GRIDS.values() for q in grid}))}
 
 
-def fast_path_row(T):
-    """A row whose scale-5 increments all equal one value at which numpy's
-    sqrt and square differ from its general power loop, if it has one."""
-    x = np.linspace(1.0, 2.0, 1001)
-    differs = ((np.sqrt(x) != np.power(x, np.full_like(x, 0.5)))
-               & (np.square(x) != np.power(x, np.full_like(x, 2.0))))
+def fast_path_row(T, q):
+    """A row whose log-price path steps once, by x at observation 1, so that
+    at every scale a pass's increments are x and zeros and S_q(T,n) is x^q or
+    half of it, exactly. x is a value near 1 at which numpy's fast path for q
+    (sqrt at 0.5, square at 2) differs from its general power loop, if it has
+    one; ln S_q, near 0, then reads which of the two powered it."""
+    x = np.linspace(1.0, 1.1, 1001)
+    fast = np.sqrt(x) if q == 0.5 else np.square(x)
     row = np.zeros(T)
-    row[::10], row[5::10] = x[np.argmax(differs)], -x[np.argmax(differs)]  # p is 0 or x
+    row[0] = x[np.argmax(fast != np.power(x, np.full_like(x, q)))]
     return row
 
 
 @pytest.mark.parametrize("rows", [1, 2, 64])
-@pytest.mark.parametrize("T", [100, 379, 383, 2000, 5000, 7000])
+def test_power_fast_row_is_numpys_switch(rows):
+    # numpy powers a slab of three orders through its sqrt fast path from rows
+    # of POWER_FAST_ROW increments on and through its general loop below: the
+    # FA kernel powers a repeated pass once only where M and 2M fall on one side
+    x = fast_path_row(100, 0.5)[0]
+    general = np.power(np.full(3, x), np.full(3, 0.5))[0]
+    if general == np.sqrt(x):
+        pytest.skip("numpy's sqrt and general power loop agree on every value tried")
+    for length, want in ((scaling.POWER_FAST_ROW - 1, general),
+                         (scaling.POWER_FAST_ROW, np.sqrt(x))):
+        w = np.power(np.full((rows, 1, length), x), np.array([0.5, 1.0, 2.0])[None, :, None])
+        assert (w[:, 0] == want).all(), length
+
+
+def test_sum_twice_has_the_bits_of_numpys_sum_of_the_repeat():
+    # the FA kernel sums a repeated pass's powers as numpy sums them repeated:
+    # lengths on both sides of the 128-term block, seams on and off a multiple
+    # of 8, and rows of zeros, of an infinity and of a NaN; a numpy that
+    # changes its summation order fails here
+    rng = np.random.default_rng(7)
+    for m in [*range(1, 300), 625, 1000, 1875, 3001, 20000]:
+        w = rng.random((2, 3, m)) ** 3 * 10.0 ** rng.integers(-8, 8, (2, 3, m))
+        w[1, 0], w[1, 1, m // 2], w[1, 2, m // 3] = 0.0, np.inf, np.nan
+        want = np.concatenate((w, w), axis=-1).sum(axis=-1)
+        assert scaling._sum_twice(w).tobytes() == want.tobytes(), m
+
+
+@pytest.mark.parametrize("T, rows", [
+    *((T, rows) for T in (100, 379, 383, 2000, 5000, 7000) for rows in (1, 2, 64)),
+    # n = 5 divides both: its M = 1,400 increments take numpy's general power
+    # loop where the 2M of both passes take its fast paths, and M = 3,000 take
+    # them as 2M do
+    (15000, 1)])
 def test_fa_points_equal_one_power_call_per_scale(T, rows, monkeypatch):
-    # a zero row, rows at 1e+-200, and a row on which a slab powered through
-    # numpy's fast paths would read other bits
-    X = np.vstack([block(T), block(T)[0] * 1e-200, fast_path_row(T)])
+    # a zero row, rows at 1e+-200, and rows on which increments powered
+    # through numpy's fast paths, or kept out of them, would read other bits
+    X = np.vstack([block(T), block(T)[0] * 1e-200,
+                   fast_path_row(T, 0.5), fast_path_row(T, 2.0)])
     X = np.resize(X, (max(rows, len(X)), T))  # its rows, cyclically
     scales = time_scale_grid(T)
     for first in range(0, len(X), rows):

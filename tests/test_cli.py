@@ -353,14 +353,14 @@ def test_every_model_field_has_a_flag(command):
 
 def _scaled_normal(name, default):
     """A model to register as "scaled_normal": NIID returns times its one
-    float parameter `name`."""
+    float parameter `name`, which has no default where `default` is None."""
     def fill(self, rngs, out):
         niid_spec(self.T)._fill(rngs, out)
         out *= getattr(self, name)
 
-    return make_dataclass("ScaledNormalSpec", [("T", int), ("seed", int, 0),
-                                               (name, float, default)],
-                          bases=(SimulationSpec,), frozen=True,
+    fields_ = ([("T", int), (name, float), ("seed", int, 0)] if default is None
+               else [("T", int), ("seed", int, 0), (name, float, default)])
+    return make_dataclass("ScaledNormalSpec", fields_, bases=(SimulationSpec,), frozen=True,
                           namespace={"model": "scaled_normal", "_fill": fill})
 
 
@@ -388,6 +388,22 @@ def test_a_new_field_gets_its_flag(monkeypatch, capsys, command):
                     "--out", "x.csv"]) == 1
     assert capsys.readouterr().err.splitlines()[-1] == \
         "selfaffine: error: --model niid does not read --scale"
+
+
+@pytest.mark.parametrize("command", ["simulate", "power"])
+def test_a_field_without_a_default_needs_its_flag(tmp_path, monkeypatch, capsys, command):
+    # the spec class cannot be built without it: a usage error, not a traceback
+    monkeypatch.setitem(MODELS, "scaled_normal", _scaled_normal("scale", None))
+    out = tmp_path / "x.csv"
+    extra = ["--method", "hill", "--reps", "100", "--null-reps", "100"] if command == "power" \
+        else []
+    argv = [command, "--model", "scaled-normal", "-T", "200", *extra, "--out", str(out)]
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "selfaffine: error: --model scaled-normal needs --scale"
+    assert not out.exists()
+    assert run_cli([*argv, "--scale", "2"]) == 0
+    assert out.exists()
 
 
 def test_model_choices_are_the_registered_models(tmp_path, monkeypatch):
@@ -494,11 +510,13 @@ def test_selftest_passes(capsys):
 
 
 def test_import_loads_no_scipy():
-    # scipy costs about a second of start-up and is needed only by the tests
+    # scipy costs about a second of start-up and is needed only by the tests;
+    # the process pool (concurrent.futures.process, multiprocessing) costs
+    # milliseconds and only a run with more than one worker needs it
     env = dict(os.environ, PYTHONPATH=str(Path(selfaffine.__file__).parents[1]))
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, selfaffine; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        [sys.executable, "-c", "import sys, selfaffine; print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] in ('scipy', 'concurrent', 'multiprocessing')))"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
 

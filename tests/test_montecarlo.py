@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import re
@@ -221,7 +222,8 @@ class TestEngineContract:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+        # replicate imports the pool class when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         spec = niid_spec(128)
         for reps, workers, want in ((100, 8, [2]), (64, 4, [])):
             asked.clear()
