@@ -23,14 +23,22 @@ output block is counted). The header names numpy's SIMD baseline and the
 targets it found on this CPU: both the bits and the times depend on them.
 
 A last line times each of the nine methods on one NIID series of T = 100,000,
-as perfbench's estimate-long workload estimates its long series. Run it with
+as perfbench's estimate-long workload estimates its long series, each in a
+fresh interpreter (the script run as a subprocess with the method's name), as
+a one-method `selfaffine estimate` runs: the table's earlier calls raise
+glibc's mmap and trim thresholds, which hides the page faults of a kernel
+whose freed temporaries are trimmed and faulted back in on every call. Each
+of its cells adds the median minor page faults of a timed call. Run it with
 one BLAS thread, as perfbench runs: a multi-threaded dot product makes
 `robinson` at T = 100,000 cost about ten times the CPU. From a source checkout:
 OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/kernel_times.py
 """
 import os
 import platform
+import resource
 import statistics
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -87,6 +95,21 @@ def row(label, cells):
         for times, peak in cells) + " |", flush=True)
 
 
+def long_cell(method):
+    """`method`'s cell of the one-series line: its CPU ms on one NIID series
+    of LONG_T values, and the median minor page faults of a timed call."""
+    X = generate_block(niid_spec(LONG_T), [derive_seed(0, 0)])[0]
+    faults = []
+
+    def call():
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        estimate_blocks((method,), X)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+
+    lo, mid, hi = cpu_ms(call)
+    return f"`{method}` {mid:.2f} [{lo:.2f}-{hi:.2f}]; {statistics.median(faults[1:]):.0f} faults"
+
+
 def main():
     simd = np.show_config(mode="dicts")["SIMD Extensions"]
     print(f"# python {platform.python_version()}, numpy {np.__version__}, "
@@ -117,11 +140,13 @@ def main():
     print(f"# ms per estimate or generated series: one series / per row of a {ROWS}-row block"
           f" (/ per row of a {_AR_ROWS}-row chunk); median [lower-upper quartile] of repeats;"
           f" then the traced peak MiB of one call on a {ROWS}-row block")
-    X = generate_block(niid_spec(LONG_T), seeds[:1])[0]
     print(f"| one series, T={LONG_T} | " + " | ".join(
-        f"`{m}` " + "{1:.2f} [{0:.2f}-{2:.2f}]".format(*cpu_ms(lambda: estimate_blocks((m,), X)))
-        for m in METHODS) + " |")
+        subprocess.run([sys.executable, __file__, m], capture_output=True, text=True,
+                       check=True).stdout.strip() for m in METHODS) + " |")
 
 
 if __name__ == "__main__":
-    main()
+    if len(sys.argv) > 1:
+        print(long_cell(sys.argv[1]))
+    else:
+        main()

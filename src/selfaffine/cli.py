@@ -61,25 +61,24 @@ def _flag_dests(spec_class) -> list[str]:
             for dest in (_AR_FLAGS if f.name == "ar" else (f.name,))]
 
 
-def _unread_model_flags(args) -> list[str]:
-    """The model flags given that the `--model` spec has no field for."""
+def _model_flag_error(args) -> str | None:
+    """The usage error of the `--model` flags given, or None: first the model
+    flags given that the model's spec has no field for, then the fields with
+    neither a class default nor a CLI default that were not given."""
     if "model" not in args:
-        return []
-    given = vars(args).keys() & {d for c in MODELS.values() for d in _flag_dests(c)}
-    unread = given - set(_flag_dests(MODELS[args.model.replace("-", "_")]))
-    return [f"--{dest.replace('_', '-')}" for dest in sorted(unread)]
-
-
-def _missing_model_flags(args) -> list[str]:
-    """The flags of the `--model` spec's fields that have neither a class
-    default nor a CLI default and were not given."""
-    if "model" not in args:
-        return []
+        return None
     tag = args.model.replace("-", "_")
-    required = [f.name for f in fields(MODELS[tag]) if f.name not in ("T", "ar")
-                and f.default is MISSING and f.default_factory is MISSING]
-    return [f"--{name.replace('_', '-')}" for name in required
-            if name not in args and name not in CLI_DEFAULTS.get(tag, {})]
+    spec_class = MODELS[tag]
+    given = vars(args).keys() & {d for c in MODELS.values() for d in _flag_dests(c)}
+    unread = sorted(given - set(_flag_dests(spec_class)))
+    missing = [f.name for f in fields(spec_class) if f.name not in ("T", "ar")
+               and f.default is MISSING and f.default_factory is MISSING
+               and f.name not in args and f.name not in CLI_DEFAULTS.get(tag, {})]
+    for verb, dests in (("does not read", unread), ("needs", missing)):
+        if dests:
+            flags = ", ".join(f"--{dest.replace('_', '-')}" for dest in dests)
+            return f"--model {args.model} {verb} {flags}"
+    return None
 
 
 def _spec_from_args(args) -> SimulationSpec:
@@ -270,12 +269,9 @@ def run_cli(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        unread = _unread_model_flags(args)
-        if unread:
-            parser.error(f"--model {args.model} does not read {', '.join(unread)}")
-        missing = _missing_model_flags(args)
-        if missing:
-            parser.error(f"--model {args.model} needs {', '.join(missing)}")
+        message = _model_flag_error(args)
+        if message:
+            parser.error(message)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     # diagnostics (such as an ignored cache file) go to this call's stderr

@@ -94,10 +94,14 @@ def _block_ratios(seg: np.ndarray, M: int, n: int) -> tuple[np.ndarray, np.ndarr
         hi, lo = A.max(axis=0), A.min(axis=0)
     else:
         # few long blocks: reductions along each block, the cumulative
-        # deviations folded into the deviations' own array
+        # deviations folded into the deviations' own array. The deviations and
+        # their squares are one allocation, as the stable generator's work
+        # blocks are: freeing two arrays of half its size would let glibc trim
+        # its heap and fault them back in on the next pass
         b = seg.reshape(len(seg), M, n)
-        dev = b - b.mean(axis=2)[:, :, None]
-        S = np.sqrt(np.square(dev).mean(axis=2))
+        dev, sq = np.empty((2, *b.shape))
+        np.subtract(b, b.mean(axis=2)[:, :, None], out=dev)
+        S = np.sqrt(np.square(dev, out=sq).mean(axis=2))
         np.cumsum(dev, axis=2, out=dev)
         dev[:, :, -1] = 0.0
         hi, lo = dev.max(axis=2), dev.min(axis=2)
@@ -217,6 +221,10 @@ def _partition_errors(lnS: np.ndarray, scales: tuple[int, ...]) -> dict:
 #: (measured on numpy 2.4.6); a shorter row takes its general power loop,
 #: whose bits differ
 POWER_FAST_ROW = 2731
+#: the FA kernel's bound on a slab of powers, in values (128 KiB), for a
+#: block of fewer values: a slab holds at most as many values as the block or
+#: as this, so a short block powers its orders in one call per scale
+FA_SLAB_VALUES = 2**14
 
 
 def _sum_twice(w: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
@@ -247,7 +255,8 @@ def _fa_points(X: np.ndarray, q: np.ndarray, scales: tuple[int, ...]) -> np.ndar
 
     A scale's increments are powered one slab of consecutive orders at a
     time: the orders are split into as few near-equal slabs as hold at most
-    T // 2M orders each, so a slab holds about as many values per row as X.
+    T // 2M orders each, so a slab holds about as many values as X; where X
+    holds fewer than FA_SLAB_VALUES values, FA_SLAB_VALUES // rows // 2M.
     A slab holds at least three orders (fewer, larger slabs where that bound
     is two): numpy powers q = 0.5 and 2 through its sqrt and square fast
     paths, whose bits differ from its general loop, for an exponent of one
@@ -264,11 +273,12 @@ def _fa_points(X: np.ndarray, q: np.ndarray, scales: tuple[int, ...]) -> np.ndar
     P = np.concatenate([np.zeros((len(X), 1)), np.cumsum(X, axis=1)], axis=1)
     lnS = np.empty((len(X), len(q), len(scales)))
     S = np.empty((len(X), len(q)))
+    slab_row = max(T, FA_SLAB_VALUES // max(len(X), 1))  # a slab's bound, in values per row
     for j, n in enumerate(scales):
         M = T // n
         once = T % n == 0 and not M < POWER_FAST_ROW <= 2 * M
         v = (_pass_increments(P, 0, n) if once else _block_increments(P, n))[:, None, :]
-        width = max(3, T // (2 * M))
+        width = max(3, slab_row // (2 * M))
         slabs = min(-(-len(q) // width), max(1, len(q) // 3))
         for i in range(slabs):
             lo, hi = i * len(q) // slabs, (i + 1) * len(q) // slabs

@@ -401,6 +401,10 @@ def test_a_field_without_a_default_needs_its_flag(tmp_path, monkeypatch, capsys,
     assert run_cli(argv) == 1
     assert capsys.readouterr().err.splitlines()[-1] == \
         "selfaffine: error: --model scaled-normal needs --scale"
+    # another model's flag as well: the unread flag is the one error named
+    assert run_cli([*argv, "--d", "0.3"]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "selfaffine: error: --model scaled-normal does not read --d"
     assert not out.exists()
     assert run_cli([*argv, "--scale", "2"]) == 0
     assert out.exists()
