@@ -22,6 +22,12 @@ the estimators' input block is allocated before tracing starts, a generator's
 output block is counted). The header names numpy's SIMD baseline and the
 targets it found on this CPU: both the bits and the times depend on them.
 
+A line after the table gives the rows per block that the replication engine
+estimates together at each T (`montecarlo._block_rows`), and another times
+seeding 1,000 rows, in microseconds per row: numpy's SeedSequence row by row
+(`derive_seed`, `rng_from_seed`) against the engine's one pass over them
+(`derive_seeds`, `generators`).
+
 A last line times each of the nine methods on one NIID series of T = 100,000,
 as perfbench's estimate-long workload estimates its long series, each in a
 fresh interpreter (the script run as a subprocess with the method's name), as
@@ -46,8 +52,8 @@ import numpy as np
 
 from selfaffine.analysis import BATTERY
 from selfaffine.methods import FA_METHODS, METHODS, estimate_blocks
-from selfaffine.montecarlo import _AR_ROWS
-from selfaffine.rng import derive_seed
+from selfaffine.montecarlo import _AR_ROWS, _block_rows
+from selfaffine.rng import derive_seed, derive_seeds, generators, rng_from_seed
 from selfaffine.simulate import (
     ar_recursive_spec,
     arfima_spec,
@@ -61,6 +67,8 @@ LENGTHS = (383, 1000, 2000, 5000)
 #: the length of the one-series line: perfbench estimate-long's series
 LONG_T = 100_000
 ROWS = 64
+#: rows of the seeding line
+SEED_ROWS = 1000
 BUDGET_S = 0.2
 AR4 = ARModel(order=4, intercept=0.01, coefficients=np.array([0.2, -0.1, 0.05, 0.03]),
               residual_sd=0.7)
@@ -110,6 +118,21 @@ def long_cell(method):
     return f"`{method}` {mid:.2f} [{lo:.2f}-{hi:.2f}]; {statistics.median(faults[1:]):.0f} faults"
 
 
+def seeding_line():
+    """The seeding line: microseconds per row of seeding SEED_ROWS rows, numpy
+    row by row against one pass."""
+    seeds = derive_seeds(0, 0, SEED_ROWS)
+    cells = {"`derive_seed` / `derive_seeds`": (
+                 lambda: [derive_seed(0, i) for i in range(SEED_ROWS)],
+                 lambda: derive_seeds(0, 0, SEED_ROWS)),
+             "`rng_from_seed` / `generators`": (
+                 lambda: [rng_from_seed(s) for s in seeds], lambda: generators(seeds))}
+    return f"| seed {SEED_ROWS:,} rows, µs per row | " + " | ".join(
+        f"{label} " + " / ".join("{1:.2f} [{0:.2f}-{2:.2f}]".format(
+            *(1e3 * t for t in cpu_ms(call, SEED_ROWS))) for call in calls)
+        for label, calls in cells.items()) + " |"
+
+
 def main():
     simd = np.show_config(mode="dicts")["SIMD Extensions"]
     print(f"# python {platform.python_version()}, numpy {np.__version__}, "
@@ -140,6 +163,9 @@ def main():
     print(f"# ms per estimate or generated series: one series / per row of a {ROWS}-row block"
           f" (/ per row of a {_AR_ROWS}-row chunk); median [lower-upper quartile] of repeats;"
           f" then the traced peak MiB of one call on a {ROWS}-row block")
+    print("# rows per block the replication engine estimates: " +
+          ", ".join(f"T={T} {_block_rows(T)}" for T in LENGTHS))
+    print(seeding_line(), flush=True)
     print(f"| one series, T={LONG_T} | " + " | ".join(
         subprocess.run([sys.executable, __file__, m], capture_output=True, text=True,
                        check=True).stdout.strip() for m in METHODS) + " |")

@@ -49,6 +49,15 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(","))
 
 
+def _seed(text: str) -> int:
+    """A seed: numpy's SeedSequence, which every stream comes from, takes
+    only non-negative integers."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
+    return seed
+
+
 #: the CLI defaults of the parameters that a model requires, by its tag
 CLI_DEFAULTS = {"arfima": {"d": 0.0}, "lstable": {"alpha": 2.0}, "student_t": {"df": 10}}
 #: the flags that a spec's `ar` field is read from, and their types
@@ -99,7 +108,7 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True,
                    choices=[m.replace("_", "-") for m in MODELS])
     p.add_argument("-T", "--length", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     # one flag per model parameter, typed by its field and in the namespace
     # only when given; a flag the model does not read is a usage error
     readers, types = {}, {}
@@ -133,7 +142,7 @@ def build_parser() -> _Parser:
     p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("-T", "--length", type=int, required=True)
     p.add_argument("--reps", type=int, default=DEFAULT_REPS)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--levels", type=_floats, default=DEFAULT_LEVELS)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--cache-dir", default=None)
@@ -152,7 +161,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("analyze", help="full battery + classification for prices")
     p.add_argument("--input", required=True, help="price CSV with date,close columns")
     p.add_argument("--reps", type=int, default=AnalyzeConfig.reps)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--levels", type=_floats, default=DEFAULT_LEVELS)
     p.add_argument("--max-lag", type=int, default=AnalyzeConfig.max_lag)
     p.add_argument("--criterion", choices=("aic", "bic"), default=AnalyzeConfig.criterion)

@@ -17,9 +17,11 @@ import numpy as np
 from .errors import AllReplicationsFailed, TooFewValues
 from .methods import estimate_blocks
 # not called here: kept as module attributes so that perfbench's traced run,
-# which rebinds montecarlo.estimate_point and montecarlo.generate, still finds them
+# which rebinds montecarlo.derive_seed, montecarlo.estimate_point and
+# montecarlo.generate, still finds them
 from .methods import estimate_point  # noqa: F401
-from .rng import derive_seed
+from .rng import derive_seed  # noqa: F401
+from .rng import derive_seeds
 from .simulate import ARRecursiveSpec, SimulationSpec, generate_block
 from .simulate import generate  # noqa: F401
 
@@ -92,39 +94,51 @@ class PowerResult:
             raise ValueError("rejection rate must lie in [0, 1]")
 
 
-#: replications estimated together: large enough to amortise numpy's
-#: per-call overhead, small enough to keep a block's arrays in cache
-_BLOCK_ROWS = 64
+#: values in a block of estimated replications: about this many (512 KiB)
+#: amortise numpy's per-call overhead over many rows, where larger blocks
+#: cost more per row: 128 rows at T=2000 (2 MiB) ran `rra` 37% slower than 64
+_BLOCK_VALUES = 1 << 16
+#: the fewest replications estimated together, at any length
+_MIN_BLOCK_ROWS = 64
 #: the most replications of an AR-recursive spec generated together: its
 #: generator pays numpy calls per time step over all rows at once
 _AR_ROWS = 256
 
 
+def _block_rows(T: int) -> int:
+    """Replications of length `T` estimated together: the most multiples of
+    `_MIN_BLOCK_ROWS` rows that hold at most `_BLOCK_VALUES` values, and
+    never fewer than `_MIN_BLOCK_ROWS` (128 rows at T=383, 64 from T=1025 on)."""
+    return _MIN_BLOCK_ROWS * max(1, _BLOCK_VALUES // (_MIN_BLOCK_ROWS * T))
+
+
 def _chunks(spec: SimulationSpec, reps: int, workers: int) -> list[tuple[int, int]]:
     """The (lo, hi) replication ranges generated together, which are also the
-    unit of parallel work: `_BLOCK_ROWS` rows each, or for an AR-recursive
-    spec the fewest chunks of at most `_AR_ROWS` rows, as many for each
-    worker, whose heights differ by at most one."""
+    unit of parallel work: one block of `_block_rows(T)` rows each, or for an
+    AR-recursive spec the fewest chunks of at most `_AR_ROWS` rows, as many
+    for each worker, whose heights differ by at most one."""
     if not isinstance(spec, ARRecursiveSpec):
-        return [(lo, min(lo + _BLOCK_ROWS, reps)) for lo in range(0, reps, _BLOCK_ROWS)]
+        rows = _block_rows(spec.T)
+        return [(lo, min(lo + rows, reps)) for lo in range(0, reps, rows)]
     count = -(-reps // _AR_ROWS)
     count = min(-(-count // workers) * workers, reps)
     return [(i * reps // count, (i + 1) * reps // count) for i in range(count)]
 
 
-def _run_chunk(spec: SimulationSpec, methods: tuple[str, ...], master_seed: int,
-               lo: int, hi: int) -> dict[str, tuple[np.ndarray, Counter]]:
-    """Replications lo..hi-1 of `spec`, generated at once and estimated by
-    every method `_BLOCK_ROWS` rows at a time.
+def _run_chunk(spec: SimulationSpec, methods: tuple[str, ...],
+               seeds: np.ndarray) -> dict[str, tuple[np.ndarray, Counter]]:
+    """The replications of `seeds`, generated at once and estimated by every
+    method a block of `_block_rows(T)` rows at a time.
 
     Per method: the estimates of the rows that succeed, in row order, and the
     count of the others by the name of the exception that failed them. A row
     that fails generation keeps that failure, whatever its estimate.
     """
-    X, lost = generate_block(spec, [derive_seed(master_seed, i) for i in range(lo, hi)])
+    X, lost = generate_block(spec, seeds)
+    rows = _block_rows(spec.T)
     values, errors = {m: [] for m in methods}, {m: {} for m in methods}
-    for a in range(0, hi - lo, _BLOCK_ROWS):
-        for method, (v, e) in estimate_blocks(methods, X[a:a + _BLOCK_ROWS]).items():
+    for a in range(0, len(seeds), rows):
+        for method, (v, e) in estimate_blocks(methods, X[a:a + rows]).items():
             values[method].append(v)
             errors[method].update({a + i: exc for i, exc in e.items()})
     out = {}
@@ -152,9 +166,10 @@ def replicate(spec: SimulationSpec, methods, reps: int, master_seed: int,
     """Each method's table of estimates on the same `reps` independent replications of `spec`.
 
     Replication i draws from the sub-stream (master_seed, i), so results do
-    not depend on the worker count or scheduling. Replications are generated
-    in chunks of rows (see `_chunks`) and every method runs on each block of
-    `_BLOCK_ROWS` rows; a row's estimate is bit-identical to the one-row
+    not depend on the worker count or scheduling; the table's seeds are
+    derived in one pass. Replications are generated in chunks of rows (see
+    `_chunks`) and every method runs on each block of `_block_rows(T)`
+    rows; a row's estimate is bit-identical to the one-row
     estimate of the same series. Estimator failures are recorded by exception
     type, not fatal. At most one worker process runs per chunk.
     """
@@ -163,19 +178,18 @@ def replicate(spec: SimulationSpec, methods, reps: int, master_seed: int,
         raise ValueError("reps must be at least 1")
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    chunks = _chunks(spec, reps, workers)
-    starts, ends = zip(*chunks)
+    seeds = derive_seeds(master_seed, 0, reps)
+    chunks = [seeds[lo:hi] for lo, hi in _chunks(spec, reps, workers)]
     workers = min(workers, len(chunks))
     if workers == 1:
-        parts = [_run_chunk(spec, methods, master_seed, lo, hi) for lo, hi in zip(starts, ends)]
+        parts = [_run_chunk(spec, methods, chunk) for chunk in chunks]
     else:
         # imported here: concurrent.futures.process and multiprocessing are
         # milliseconds of every start-up that runs one worker
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_chunk, repeat(spec), repeat(methods),
-                                  repeat(master_seed), starts, ends))
+            parts = list(pool.map(_run_chunk, repeat(spec), repeat(methods), chunks))
     tables = {}
     for method in methods:
         values = np.concatenate([part[method][0] for part in parts])

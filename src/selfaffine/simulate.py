@@ -21,7 +21,7 @@ from .errors import (
     ExplosiveModel,
     NonFiniteValue,
 )
-from .rng import rng_from_seed
+from .rng import generators
 from .timeseries import ARModel, ReturnsSeries, _freeze
 
 #: below this distance from 1, alpha is routed to the alpha=1 branch
@@ -338,7 +338,8 @@ def generate_block(spec: SimulationSpec, seeds) -> tuple[np.ndarray, dict[int, N
     """One series of `spec` per seed, as the rows of a C-ordered
     `(len(seeds), T)` array.
 
-    Row i draws from `rng_from_seed(seeds[i])`, and the model's transform runs
+    Row i draws from `rng_from_seed(seeds[i])`, the rows' generators seeded
+    in one pass (`rng.generators`), and the model's transform runs
     on many rows at once (the ARFIMA convolution on ARFIMA_ROWS at a time),
     so row i is bit-identical to `generate` on that seed. Every model fills
     the one block in place, with at most a few block-sized work arrays. A row
@@ -347,7 +348,7 @@ def generate_block(spec: SimulationSpec, seeds) -> tuple[np.ndarray, dict[int, N
     """
     X = np.empty((len(seeds), spec.T))
     with np.errstate(all="ignore"):
-        spec._fill([rng_from_seed(s) for s in seeds], X)
+        spec._fill(generators(seeds), X)
     bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
     return X, {int(i): NonFiniteValue("returns must be finite") for i in bad}
 

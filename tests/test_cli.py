@@ -484,6 +484,22 @@ def test_ar_coefficients_are_a_float_list(tmp_path, capsys):
         generate(ar_recursive_spec(ARModel(0, 0.0, [], 1.0), 50)).values.tobytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["critvals", "--method", "hill", "-T", "100", "--reps", "100", "--out"],
+    ["power", "--model", "niid", "-T", "100", "--method", "hill", "--reps", "100", "--out"],
+    ["simulate", "--model", "niid", "-T", "100", "--out"],
+    ["analyze", "--input", str(DATA / "prices_demo.csv"), "--reps", "100", "--out-dir"],
+], ids=lambda argv: argv[0])
+def test_a_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
+    # numpy's SeedSequence rejects it too, but only after analyze has fitted
+    # its AR model, and with a message that names no flag
+    out = tmp_path / "out"
+    assert run_cli([*argv, str(out), "--seed", "-1"]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        f"selfaffine {argv[0]}: error: argument --seed: must be a non-negative integer, got -1"
+    assert not out.exists()
+
+
 def test_usage_errors_exit_one():
     assert run_cli(["estimate", "--method", "nope", "--input", "x.csv"]) == 1
     assert run_cli(["frobnicate"]) == 1
@@ -516,11 +532,13 @@ def test_selftest_passes(capsys):
 def test_import_loads_no_scipy():
     # scipy costs about a second of start-up and is needed only by the tests;
     # the process pool (concurrent.futures.process, multiprocessing) costs
-    # milliseconds and only a run with more than one worker needs it
+    # milliseconds and only a run with more than one worker needs it, and
+    # numpy.random (20-30 ms) only a run that draws a series
     env = dict(os.environ, PYTHONPATH=str(Path(selfaffine.__file__).parents[1]))
     out = subprocess.run(
         [sys.executable, "-c", "import sys, selfaffine; print(sorted(m for m in sys.modules "
-         "if m.split('.')[0] in ('scipy', 'concurrent', 'multiprocessing')))"],
+         "if m.split('.')[0] in ('scipy', 'concurrent', 'multiprocessing') "
+         "or m.startswith('numpy.random')))"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
 

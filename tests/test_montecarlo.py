@@ -145,10 +145,10 @@ class TestEngineContract:
         specs, reps = (niid_spec(150), arfima_spec(0.2, 150), ar_recursive_spec(model, 150)), 20
         references = [run_replications(spec, method, reps, master_seed=2) for spec in specs]
         # the AR rows are generated in chunks of up to _AR_ROWS and estimated
-        # _BLOCK_ROWS at a time, chunks that need not be whole blocks
+        # _block_rows(T) at a time, chunks that need not be whole blocks
         for ar_rows, block_rows in ((1, 1), (7, 3), (reps, 7), (7, reps), (3, reps)):
             monkeypatch.setattr(montecarlo, "_AR_ROWS", ar_rows)
-            monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", block_rows)
+            monkeypatch.setattr(montecarlo, "_block_rows", lambda T, rows=block_rows: rows)
             for workers in (1, 2):
                 for spec, reference in zip(specs, references):
                     assert run_replications(spec, method, reps, 2, workers=workers) == reference
@@ -169,7 +169,7 @@ class TestEngineContract:
         assert 0 < len(want) < reps
         for ar_rows, block_rows in ((reps, reps), (7, 3), (3, 7)):
             monkeypatch.setattr(montecarlo, "_AR_ROWS", ar_rows)
-            monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", block_rows)
+            monkeypatch.setattr(montecarlo, "_block_rows", lambda T, rows=block_rows: rows)
             assert run_replications(spec, "marked", reps, 2) == montecarlo._table(
                 "marked", 60, reps, 2, np.array(want), {"NonPositiveTail": reps - len(want)})
 
@@ -182,12 +182,24 @@ class TestEngineContract:
             return real(spec, seeds)
 
         monkeypatch.setattr(montecarlo, "generate_block", recording)
+        # other models' chunks are blocks, here of 64 rows
+        monkeypatch.setattr(montecarlo, "_block_rows", lambda T: 64)
         model = ARModel(order=1, intercept=0.0, coefficients=np.array([0.3]), residual_sd=1.0)
         for spec, want in ((ar_recursive_spec(model, 100), [150, 150]),
                            (arfima_spec(0.2, 100), [64] * 4 + [44])):
             heights.clear()
             replicate(spec, ("hill",), 300, 1)
             assert heights == want
+
+    def test_a_block_holds_about_2_16_values(self):
+        # 128 rows at analyze's T=383 and 64 at T=2000, where 128 rows
+        # (2 MiB) ran `rra` 37% slower per row
+        assert (montecarlo._block_rows(383), montecarlo._block_rows(2000)) == (128, 64)
+        for T in range(1, 3000):
+            rows = montecarlo._block_rows(T)
+            assert rows % 64 == 0 and (rows == 64 or rows * T <= 2 ** 16)
+            assert (rows + 64) * T > 2 ** 16
+        assert montecarlo._chunks(niid_spec(383), 300, 2) == [(0, 128), (128, 256), (256, 300)]
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("reps", [1, 2, 100, 200, 256, 257, 300, 1000])
@@ -224,6 +236,7 @@ class TestEngineContract:
 
         # replicate imports the pool class when it needs one
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(montecarlo, "_block_rows", lambda T: 64)  # chunks of 64 rows
         spec = niid_spec(128)
         for reps, workers, want in ((100, 8, [2]), (64, 4, [])):
             asked.clear()

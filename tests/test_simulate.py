@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 from dataclasses import replace
 
@@ -16,7 +17,7 @@ from selfaffine.errors import (
     NonFiniteValue,
 )
 from selfaffine.methods import FA_METHODS, METHODS, estimate_blocks
-from selfaffine.rng import derive_seed, rng_from_seed
+from selfaffine.rng import _PASS_ROWS, derive_seed, derive_seeds, generators, rng_from_seed
 from selfaffine.simulate import (
     ALPHA_ONE_BAND,
     AR_DRAWS,
@@ -341,6 +342,57 @@ class TestDeterminismAndStreams:
         np.testing.assert_allclose(
             got, [-1.4238250364546312, 1.2637284581291104, -0.8706617379590857],
             atol=1e-15)
+
+
+class TestSeedingPass:
+    """`derive_seeds` and `generators` hash a chunk's seeds in one pass, with
+    numpy's SeedSequence bits: a numpy that changes its hash fails here
+    rather than moving every stream."""
+
+    @pytest.mark.parametrize("master", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64])
+    def test_derive_seeds_are_numpys(self, master):
+        # masters of one, two and three entropy words
+        for lo, hi in ((0, 2), (2**32 - 1, 2**32)):
+            want = [int(np.random.SeedSequence([master, i]).generate_state(1, np.uint64)[0])
+                    for i in range(lo, hi)]
+            got = derive_seeds(master, lo, hi)
+            assert got.dtype == np.uint64 and got.tolist() == want
+        assert derive_seeds(master, 5, 300).tolist() == [derive_seed(master, i)
+                                                         for i in range(5, 300)]
+
+    def test_negative_seeds_and_two_word_indices_are_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            derive_seeds(-1, 0, 10)
+        with pytest.raises(ValueError, match="do not lie in"):  # a two-word index
+            derive_seeds(1, 2**32 - 1, 2**32 + 1)
+        with pytest.raises(ValueError, match="non-negative"):
+            generators([-1] * _PASS_ROWS)
+
+    def assert_numpys(self, seeds):
+        assert len(seeds) >= _PASS_ROWS  # one pass, not numpy row by row
+        for gen, seed in zip(generators(seeds), seeds, strict=True):
+            assert not isinstance(gen.bit_generator.seed_seq, np.random.SeedSequence)
+            assert gen.bit_generator.state == rng_from_seed(seed).bit_generator.state
+
+    def test_generators_are_numpys_at_edge_seeds(self):
+        self.assert_numpys([0, 1, 2**32 - 1, 2**32, 2**64 - 1] * 2)
+
+    def test_one_chunk_mixes_one_and_two_word_seeds(self):
+        seeds = [int(s) >> 32 * (i % 3 == 0) for i, s in enumerate(derive_seeds(7, 0, 40))]
+        random.Random(1).shuffle(seeds)
+        assert {s < 2**32 for s in seeds} == {True, False}
+        self.assert_numpys(seeds)
+        # numpy's own draws, whichever generator draws first
+        gens = generators(seeds)
+        for gen, seed in reversed(list(zip(gens, seeds))):
+            assert gen.standard_normal(3).tobytes() == \
+                rng_from_seed(seed).standard_normal(3).tobytes()
+
+    def test_seeds_of_more_words_and_short_chunks_take_numpys_path(self):
+        for seeds in ([2**64, 3] * _PASS_ROWS, [5, 2**32]):
+            for gen, seed in zip(generators(seeds), seeds, strict=True):
+                assert isinstance(gen.bit_generator.seed_seq, np.random.SeedSequence)
+                assert gen.bit_generator.state == rng_from_seed(seed).bit_generator.state
 
 
 AR4 = ARModel(order=4, intercept=0.01, coefficients=np.array([0.2, -0.1, 0.05, 0.03]),
