@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import IncompleteReport, TooShort
-from .methods import BlockResult, estimate_blocks
+from .methods import BlockFit, estimate_blocks
 # not called here: kept as module attributes so that perfbench's traced run,
 # which rebinds analysis.build_critical_values and analysis.estimate_point,
 # still finds them
@@ -116,15 +116,14 @@ class Classification:
     rationale: str
 
 
-def _make_cell(method: str, variant: str, result: BlockResult, table: CriticalValueTable,
+def _make_cell(method: str, variant: str, fit: BlockFit, table: CriticalValueTable,
                source: str, levels: tuple[float, ...]) -> CellResult:
     """The cell of `method`'s one-row `estimate_blocks` result."""
-    values, errors = result
-    if errors:
-        exc = errors[0]
+    if fit.errors:
+        exc = fit.errors[0]
         return CellResult(method=method, variant=variant, estimate=None,
                           cutoff_source=source, error=f"{type(exc).__name__}: {exc}")
-    value = float(values[0])
+    value = float(fit.values[0])
     cutoffs = tuple((level, table.cutoff(level)) for level in levels)
     rejects = tuple((level, value > cut) for level, cut in cutoffs)
     return CellResult(method=method, variant=variant, estimate=value,
@@ -170,9 +169,9 @@ def analyze_index(prices: PriceSeries, config: AnalyzeConfig) -> TestReport:
     # a failed re-order row leaves both diagnostics unset, a failed normalize row the second
     transformed = np.stack([random_reorder(returns, seed_reorder).values,
                             normalize_transform(returns).values])
-    values, errors = estimate_blocks(("fa1",), transformed)["fa1"]
-    fa1_reordered = None if 0 in errors else float(values[0])
-    fa1_normalized = None if errors else float(values[1])
+    fit = estimate_blocks(("fa1",), transformed)["fa1"]
+    fa1_reordered = None if 0 in fit.errors else float(fit.values[0])
+    fa1_normalized = None if fit.errors else float(fit.values[1])
 
     return TestReport(
         series_id=config.series_id, T=T, levels=config.levels,

@@ -218,6 +218,8 @@ def _cmd_critvals(args) -> int:
 def _cmd_power(args) -> int:
     alt = _spec_from_args(args)
     check_levels((args.level,))
+    if args.reps < 1:  # checked here too, so that no null table is simulated first
+        raise ValueError("reps must be at least 1")
     table = build_critical_values(niid_spec(args.length), args.method, args.null_reps,
                                   args.seed, workers=args.workers, cache_dir=args.cache_dir)
     result = power_function(alt, args.method, table, args.reps,

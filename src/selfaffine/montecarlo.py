@@ -138,9 +138,9 @@ def _run_chunk(spec: SimulationSpec, methods: tuple[str, ...],
     rows = _block_rows(spec.T)
     values, errors = {m: [] for m in methods}, {m: {} for m in methods}
     for a in range(0, len(seeds), rows):
-        for method, (v, e) in estimate_blocks(methods, X[a:a + rows]).items():
-            values[method].append(v)
-            errors[method].update({a + i: exc for i, exc in e.items()})
+        for method, fit in estimate_blocks(methods, X[a:a + rows]).items():
+            values[method].append(fit.values)
+            errors[method].update({a + i: exc for i, exc in fit.errors.items()})
     out = {}
     for method in methods:
         errors[method].update(lost)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +33,17 @@ def time_scale_grid(T: int) -> tuple[int, ...]:
     if len(scales) < 3:
         raise TooShort(f"grid for T={T} has fewer than three scales")
     return tuple(scales)
+
+
+class BlockFit(NamedTuple):
+    """A block kernel's regression line of each row: estimates, the errors of
+    the rows that fail, intercepts (NaN for the order-statistic methods, which
+    fit no line) and the point count (their tail size)."""
+
+    values: np.ndarray
+    errors: dict
+    intercepts: np.ndarray
+    n_points: int
 
 
 #: moment orders q of the partition-function estimators FA(1)-FA(3)
@@ -146,10 +158,12 @@ def rs_statistic(r: ReturnsSeries, n: int) -> float:
     return float(rs[0])
 
 
-def _ols_slopes(x: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """OLS slope of each row of Y on the regressor x."""
-    xd = x - x.mean()
-    return np.sum(xd * (Y - Y.mean(axis=1, keepdims=True)), axis=1) / np.sum(xd * xd)
+def _ols_slopes(x: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """OLS slope and intercept of each row of Y on the regressor x."""
+    xbar, ybar = x.mean(), Y.mean(axis=1, keepdims=True)
+    xd = x - xbar
+    slopes = np.sum(xd * (Y - ybar), axis=1) / np.sum(xd * xd)
+    return slopes, ybar[:, 0] - slopes * xbar
 
 
 def _rra_points(X: np.ndarray, scales: tuple[int, ...]) -> tuple[np.ndarray, dict]:
@@ -162,12 +176,13 @@ def _rra_points(X: np.ndarray, scales: tuple[int, ...]) -> tuple[np.ndarray, dic
     return np.log(np.stack(cols, axis=1)), errors
 
 
-def rra_block(X: np.ndarray) -> tuple[np.ndarray, dict]:
+def rra_block(X: np.ndarray) -> BlockFit:
     """RRA Hurst exponent of every row of X, and each failed row's error: the
     OLS slope of ln[(R/S)_n] on ln(n) over the time-scale grid."""
     scales = time_scale_grid(X.shape[1])
     Y, errors = _rra_points(X, scales)
-    return _ols_slopes(np.log(scales), Y), errors
+    slopes, intercepts = _ols_slopes(np.log(scales), Y)
+    return BlockFit(slopes, errors, intercepts, len(scales))
 
 
 def _pass_increments(P: np.ndarray, start: int, n: int) -> np.ndarray:
@@ -185,20 +200,19 @@ def _block_increments(P: np.ndarray, n: int) -> np.ndarray:
 
 
 def partition_function(r: ReturnsSeries, n: int, q: float) -> float:
-    """q-th order partition function at time scale n: half the sum of v_m^q
-    over the log-price path p_0 = 0, p_t = r_1 + ... + r_t."""
+    """q-th order partition function at time scale n, half the sum of v_m^q
+    over the log-price path p_0 = 0, p_t = r_1 + ... + r_t: the FA kernel's."""
     T = len(r)
     if not 2 <= n <= T:
         raise ValueError(f"scale n={n} out of range for T={T}")
     if q <= 0:
         raise ValueError("q must be positive")
     with np.errstate(all="ignore"):  # raised below as typed errors, as the FA kernel types them
-        v = _block_increments(np.concatenate([[0.0], np.cumsum(r.values)])[None, :], n)[0]
-        S = float(0.5 * np.sum(v ** q))
-        errors = _partition_errors(np.full((1, 1, 1), np.log(S)), (n,))
+        S = _fa_sums(r.values[None, :], np.array([float(q)]), (n,))
+        errors = _partition_errors(np.log(S), (n,))
     if errors:
         raise errors[0]
-    return S
+    return float(S[0, 0, 0])
 
 
 def _partition_errors(lnS: np.ndarray, scales: tuple[int, ...]) -> dict:
@@ -250,8 +264,9 @@ def _sum_twice(w: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
     return _sum_twice(w, lo, lo + half) + _sum_twice(w, lo + half, hi)
 
 
-def _fa_points(X: np.ndarray, q: np.ndarray, scales: tuple[int, ...]) -> np.ndarray:
-    """ln S_q(T,n) over the (q, n) grid for every row of X, shape (rows, q, n).
+def _fa_sums(X: np.ndarray, q: np.ndarray, scales: tuple[int, ...]) -> np.ndarray:
+    """S_q(T,n), half the sum of the powered increments, over the (q, n) grid
+    for every row of X, shape (rows, q, n).
 
     A scale's increments are powered one slab of consecutive orders at a
     time: the orders are split into as few near-equal slabs as hold at most
@@ -260,8 +275,8 @@ def _fa_points(X: np.ndarray, q: np.ndarray, scales: tuple[int, ...]) -> np.ndar
     A slab holds at least three orders (fewer, larger slabs where that bound
     is two): numpy powers q = 0.5 and 2 through its sqrt and square fast
     paths, whose bits differ from its general loop, for an exponent of one
-    order and of two on a one-row block, while from three orders on it
-    chooses as it does for the whole grid.
+    order, or of two on a one-row block, that it broadcasts over two or more
+    increments, while from three orders on it chooses as for the whole grid.
 
     Where n divides T the second pass is the first, so the M increments of
     one pass are powered once and summed as if repeated (`_sum_twice`): the
@@ -271,8 +286,7 @@ def _fa_points(X: np.ndarray, q: np.ndarray, scales: tuple[int, ...]) -> np.ndar
     """
     T = X.shape[1]
     P = np.concatenate([np.zeros((len(X), 1)), np.cumsum(X, axis=1)], axis=1)
-    lnS = np.empty((len(X), len(q), len(scales)))
-    S = np.empty((len(X), len(q)))
+    S = np.empty((len(X), len(q), len(scales)))
     slab_row = max(T, FA_SLAB_VALUES // max(len(X), 1))  # a slab's bound, in values per row
     for j, n in enumerate(scales):
         M = T // n
@@ -283,10 +297,15 @@ def _fa_points(X: np.ndarray, q: np.ndarray, scales: tuple[int, ...]) -> np.ndar
         for i in range(slabs):
             lo, hi = i * len(q) // slabs, (i + 1) * len(q) // slabs
             w = np.power(v, q[None, lo:hi, None])
-            S[:, lo:hi] = _sum_twice(w) if once else w.sum(axis=2)
+            S[:, lo:hi, j] = _sum_twice(w) if once else w.sum(axis=2)
             del w  # so the next slab is powered into the memory this one held
-        lnS[:, :, j] = np.log(0.5 * S)
-    return lnS
+    return np.multiply(S, 0.5, out=S)
+
+
+def _fa_points(X: np.ndarray, q: np.ndarray, scales: tuple[int, ...]) -> np.ndarray:
+    """ln S_q(T,n), shape (rows, q, n): the log of `_fa_sums`, taken in place."""
+    S = _fa_sums(X, q, scales)
+    return np.log(S, out=S)
 
 
 def _fa_slopes(lnS: np.ndarray, q: np.ndarray, lnn: np.ndarray) -> np.ndarray:
@@ -298,15 +317,16 @@ def _fa_slopes(lnS: np.ndarray, q: np.ndarray, lnn: np.ndarray) -> np.ndarray:
     return np.sum(Xd * Yd, axis=(1, 2)) / np.sum(Xd * Xd)
 
 
-def fa_block(X: np.ndarray, grids) -> list[tuple[np.ndarray, dict]]:
+def fa_block(X: np.ndarray, grids) -> list[BlockFit]:
     """Fluctuation-analysis Hurst exponent of every row of X on each q grid of
     `grids`, and each failed row's error.
 
     Stacks ln S_q(T,n) over the (q, n) grid and fits per-q intercepts a(q)
     with one slope parameter through slope(q) = -1 + H*q, solved in closed
-    form by within-q demeaned OLS of (ln S_q + ln n) on q*ln n. ln S_q is
-    computed once, over the union of the grids; a grid's estimates and
-    failures come from its own orders alone.
+    form by within-q demeaned OLS of (ln S_q + ln n) on q*ln n. A grid's line
+    is that of its smallest order q_1: intercept a(q_1), over all of the
+    grid's points. ln S_q is computed once, over the union of the grids; a
+    grid's estimates, lines and failures come from its own orders alone.
     """
     scales = time_scale_grid(X.shape[1])
     # not np.unique: its first call imports numpy.ma, megabytes of resident memory
@@ -317,5 +337,8 @@ def fa_block(X: np.ndarray, grids) -> list[tuple[np.ndarray, dict]]:
         # a contiguous copy: _fa_slopes on the strided selection differs in the
         # last bit
         part = np.ascontiguousarray(lnS[:, np.searchsorted(union, q)])
-        out.append((_fa_slopes(part, q, lnn), _partition_errors(part, scales)))
+        H = _fa_slopes(part, q, lnn)
+        out.append(BlockFit(H, _partition_errors(part, scales),
+                            part[:, 0].mean(axis=1) - (H * q[0] - 1.0) * lnn.mean(),
+                            len(q) * len(scales)))
     return out

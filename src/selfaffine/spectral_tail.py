@@ -6,6 +6,7 @@ import math
 import numpy as np
 
 from .errors import BadOrdinateCount, NonFiniteValue, NonPositiveTail, TooShort, ZeroOrdinate
+from .scaling import BlockFit
 from .timeseries import ReturnsSeries, _freeze
 
 #: bandwidth exponents: m = T^0.5 ordinates for GPH, m = T^0.9 for Robinson
@@ -46,15 +47,16 @@ def _log_periodogram(X: np.ndarray, m: int) -> tuple[np.ndarray, dict]:
     return np.log(I), errors
 
 
-def _dot_slopes(x: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """OLS slope of each row of Y on the regressor x.
+def _dot_slopes(x: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """OLS slope and intercept of each row of Y on the regressor x.
 
     One dot product per row: a matrix product would round differently from
     the one-row case.
     """
-    xd = x - x.mean()
-    Yc = Y - Y.mean(axis=1, keepdims=True)
-    return np.array([xd @ y for y in Yc]) / float(xd @ xd)
+    xbar, ybar = x.mean(), Y.mean(axis=1, keepdims=True)
+    xd = x - xbar
+    slopes = np.array([xd @ y for y in Y - ybar]) / float(xd @ xd)
+    return slopes, ybar[:, 0] - slopes * xbar
 
 
 def gph_regressor(lam: np.ndarray) -> np.ndarray:
@@ -75,13 +77,13 @@ def _regression(method: str, T: int) -> tuple[int, np.ndarray]:
     return m, gph_regressor(lam) if method == "gph" else np.log(lam)
 
 
-def log_periodogram_block(X: np.ndarray, method: str) -> tuple[np.ndarray, dict]:
+def log_periodogram_block(X: np.ndarray, method: str) -> BlockFit:
     """GPH or Robinson estimate of d for every row of X, and each failed row's
     error; the Robinson slope estimates -2d."""
     m, x = _regression(method, X.shape[1])
     Y, errors = _log_periodogram(X, m)
-    slopes = _dot_slopes(x, Y)
-    return (slopes if method == "gph" else -slopes / 2.0), errors
+    slopes, intercepts = _dot_slopes(x, Y)
+    return BlockFit(slopes if method == "gph" else -slopes / 2.0, errors, intercepts, m)
 
 
 TAIL_METHODS = ("pickands", "hill", "hr")
@@ -102,7 +104,7 @@ def _log(a: np.ndarray) -> np.ndarray:
     return np.array([math.log(v) for v in a.tolist()])
 
 
-def tail_block(X: np.ndarray, method: str) -> tuple[np.ndarray, dict]:
+def tail_block(X: np.ndarray, method: str) -> BlockFit:
     """Order-statistic estimate of H for every row of X, and each failed row's
     error.
 
@@ -132,4 +134,5 @@ def tail_block(X: np.ndarray, method: str) -> tuple[np.ndarray, dict]:
         message = "x_(1) and x_(m) must be positive"
         H = (_log(np.where(bad, 1.0, x[:, 0]))
              - _log(np.where(bad, 1.0, x[:, m - 1]))) / math.log(m)
-    return H, {int(i): NonPositiveTail(message) for i in np.flatnonzero(bad)}
+    return BlockFit(H, {int(i): NonPositiveTail(message) for i in np.flatnonzero(bad)},
+                    np.full(len(X), math.nan), m)

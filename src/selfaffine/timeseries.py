@@ -110,6 +110,13 @@ def summary_stats(r: ReturnsSeries) -> SummaryStats:
                         kurtosis=float((s ** 4).mean()))
 
 
+def _ranks(x: np.ndarray) -> np.ndarray:
+    """The ascending rank (1..len(x)) of each value of x, ties broken by index."""
+    ranks = np.empty(len(x), dtype=np.int64)
+    ranks[np.argsort(x, kind="stable")] = np.arange(1, len(x) + 1)
+    return ranks
+
+
 def random_reorder(r: ReturnsSeries, seed: int) -> ReturnsSeries:
     """Random re-ordering built from the ranks of T uniform draws.
 
@@ -118,11 +125,7 @@ def random_reorder(r: ReturnsSeries, seed: int) -> ReturnsSeries:
     permutation: it preserves the value multiset while destroying dependence.
     """
     z = r.values
-    xi = rng_from_seed(seed).uniform(0.0, 1.0, len(z))
-    order = np.argsort(xi, kind="stable")
-    ranks = np.empty(len(z), dtype=np.int64)
-    ranks[order] = np.arange(1, len(z) + 1)
-    return ReturnsSeries(z[ranks - 1])
+    return ReturnsSeries(z[_ranks(rng_from_seed(seed).uniform(0.0, 1.0, len(z))) - 1])
 
 
 # Cephes ndtri's rational approximations (Moshier 1989, "Methods and Programs
@@ -187,11 +190,7 @@ def normalize_transform(r: ReturnsSeries) -> ReturnsSeries:
     Output[t] = ndtri(rank(t) / (T+1)) with ascending ranks and ties broken by
     original index, so the rank ordering of the output equals the input's.
     """
-    z = r.values
-    order = np.argsort(z, kind="stable")
-    ranks = np.empty(len(z), dtype=np.int64)
-    ranks[order] = np.arange(1, len(z) + 1)
-    return ReturnsSeries(_ndtri(ranks / (len(z) + 1.0)))
+    return ReturnsSeries(_ndtri(_ranks(r.values) / (len(r) + 1.0)))
 
 
 def _ar_design(z: np.ndarray, p: int, max_lag: int) -> tuple[np.ndarray, np.ndarray]:

@@ -48,13 +48,17 @@ def scalar_outcome(method, x):
 @pytest.mark.parametrize("method", methods.METHODS)
 def test_block_row_equals_one_row_estimate(method, T):
     X = block(T)
-    values, errors = methods.estimate_blocks((method,), X)[method]
+    fit = methods.estimate_blocks((method,), X)[method]
+    errors = fit.errors
     for i, x in enumerate(X):
-        got = type(errors[i]) if i in errors else float(values[i])
+        got = type(errors[i]) if i in errors else float(fit.values[i])
         assert got == scalar_outcome(method, x), f"row {i}"
-        if i not in errors:  # the record's value is the one-row estimate's bits
+        if i not in errors:  # the record's value and line are the one-row estimate's bits
             r = ReturnsSeries(x)
-            assert methods.estimate(method, r).value == methods.estimate_point(method, r)
+            one = methods.estimate(method, r)
+            assert one.value == methods.estimate_point(method, r)
+            assert np.float64(one.intercept).tobytes() == fit.intercepts[i].tobytes(), f"row {i}"
+            assert one.n_points == fit.n_points
     failing = ({CONSTANT_ROW} | ({NEGATIVE_ROW} if method in ("hill", "hr") else set())
                | ({OVERFLOW_ROW} if method in OVERFLOWS else set()))
     assert set(errors) == failing
@@ -80,9 +84,11 @@ def test_shared_fa_pass_equals_one_pass_per_method(T):
     shared = methods.estimate_blocks(methods.FA_METHODS, X)
     assert list(shared) == list(methods.FA_METHODS)
     for method in methods.FA_METHODS:
-        values, errors = methods.estimate_blocks((method,), X)[method]
-        assert shared[method][0].tobytes() == values.tobytes()
-        assert described(shared[method][1]) == described(errors)
+        fit = methods.estimate_blocks((method,), X)[method]
+        assert shared[method].values.tobytes() == fit.values.tobytes()
+        assert shared[method].intercepts.tobytes() == fit.intercepts.tobytes()
+        assert shared[method].n_points == fit.n_points
+        assert described(shared[method].errors) == described(fit.errors)
     errors = {m: shared[m][1] for m in methods.FA_METHODS}
     assert [type(errors[m].get(tiny)) for m in methods.FA_METHODS] == \
         [type(None), type(None), ZeroPartition]
@@ -181,10 +187,10 @@ def test_fa_points_equal_one_power_call_per_scale(T, rows, monkeypatch):
 def test_a_whole_block_error_fails_every_row_of_every_method():
     shared = methods.estimate_blocks(("fa3", "hill", "fa1"), np.ones((2, 50)))
     assert list(shared) == ["fa3", "hill", "fa1"]
-    for values, errors in shared.values():
-        assert np.isnan(values).all()
-        assert sorted(errors) == [0, 1]
-        assert all(type(exc) is TooShort for exc in errors.values())
+    for fit in shared.values():
+        assert np.isnan(fit.values).all()
+        assert sorted(fit.errors) == [0, 1]
+        assert all(type(exc) is TooShort for exc in fit.errors.values())
 
 
 def test_unknown_method():

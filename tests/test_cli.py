@@ -193,21 +193,26 @@ def test_critvals_bad_cache_file_is_a_miss(tmp_path, damage, capsys):
     assert "WARNING" in err and path.name in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["critvals", "--method", "hill", "-T", "128", "--reps", "120", "--levels", "0.05,0.05"],
-    ["power", "--method", "hill", "-T", "128", "--model", "arfima", "--d", "0.3",
-     "--reps", "60", "--null-reps", "120", "--level", "1.5"],
-    ["analyze", "--input", str(DATA / "prices_demo.csv"), "--reps", "120",
-     "--levels", "0.05,1.5"]],
-    ids=["critvals-repeated-level", "power-level-out-of-range", "analyze-level-out-of-range"])
-def test_bad_level_is_a_data_error_before_simulating(tmp_path, monkeypatch, capsys, argv):
+@pytest.mark.parametrize("argv, message", [
+    (["critvals", "--method", "hill", "-T", "128", "--reps", "120", "--levels", "0.05,0.05"],
+     "level"),
+    (["power", "--method", "hill", "-T", "128", "--model", "arfima", "--d", "0.3",
+      "--reps", "60", "--null-reps", "120", "--level", "1.5"], "level"),
+    (["power", "--method", "rra", "-T", "200", "--model", "niid",
+      "--reps", "0", "--null-reps", "100"], "error: reps must be at least 1\n"),
+    (["analyze", "--input", str(DATA / "prices_demo.csv"), "--reps", "120",
+      "--levels", "0.05,1.5"], "level")],
+    ids=["critvals-repeated-level", "power-level-out-of-range", "power-no-reps",
+         "analyze-level-out-of-range"])
+def test_bad_level_is_a_data_error_before_simulating(tmp_path, monkeypatch, capsys, argv,
+                                                     message):
     def no_simulation(*args, **kwargs):
-        raise AssertionError("simulated before the levels were checked")
+        raise AssertionError("simulated before the arguments were checked")
 
     monkeypatch.setattr(montecarlo, "replicate", no_simulation)
     out = "--out-dir" if argv[0] == "analyze" else "--out"
     assert run_cli([*argv, "--cache-dir", str(tmp_path), out, str(tmp_path / "out")]) == 2
-    assert "level" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -43,6 +43,11 @@ from selfaffine.simulate import (
 from selfaffine.timeseries import ARModel, PriceSeries, ReturnsSeries
 
 
+def line_free(values, errors):
+    """An injected kernel's result: its values and errors, and no line."""
+    return methods.BlockFit(values, errors, np.full(len(values), np.nan), 0)
+
+
 def sample_from(values, method="rra", T=1000):
     values = np.asarray(values, dtype=float)
     return montecarlo._table(method, T, len(values), 0, values, {})
@@ -65,8 +70,8 @@ class TestRunReplications:
 
     def test_failures_recorded_not_fatal(self, monkeypatch):
         def flaky(X):
-            return np.full(len(X), 0.5), {int(i): NonPositiveTail("synthetic failure")
-                                          for i in np.flatnonzero(X.sum(axis=1) > 0)}
+            return line_free(np.full(len(X), 0.5), {int(i): NonPositiveTail("synthetic failure")
+                                                    for i in np.flatnonzero(X.sum(axis=1) > 0)})
 
         monkeypatch.setitem(methods._REGISTRY, "flaky", flaky)
         out = run_replications(niid_spec(64), "flaky", 40, master_seed=11)
@@ -85,7 +90,7 @@ class TestRunReplications:
         def mixed(X):
             errors = {int(i): NonPositiveTail("sum") for i in np.flatnonzero(X.sum(axis=1) > 0)}
             errors.update({int(i): ZeroOrdinate("first") for i in np.flatnonzero(X[:, 0] > 1)})
-            return np.full(len(X), 0.5), errors
+            return line_free(np.full(len(X), 0.5), errors)
 
         monkeypatch.setitem(methods._REGISTRY, "mixed", mixed)
         out = run_replications(niid_spec(64), "mixed", 100, master_seed=11)
@@ -157,8 +162,8 @@ class TestEngineContract:
         # a row's estimate is its first value, so a failure charged to the
         # wrong row of a chunk deletes the wrong estimate
         def marked(X):
-            return X[:, 0].copy(), {int(i): NonPositiveTail("sum")
-                                    for i in np.flatnonzero(X.sum(axis=1) > 0)}
+            return line_free(X[:, 0].copy(), {int(i): NonPositiveTail("sum")
+                                              for i in np.flatnonzero(X.sum(axis=1) > 0)})
 
         monkeypatch.setitem(methods._REGISTRY, "marked", marked)
         model = ARModel(order=1, intercept=0.0, coefficients=np.array([0.3]), residual_sd=1.0)
@@ -480,8 +485,8 @@ class TestCache:
 
     def test_failures_by_kind_round_trip(self, tmp_path, monkeypatch):
         def flaky(X):
-            return X.mean(axis=1), {int(i): NonPositiveTail("synthetic failure")
-                                    for i in np.flatnonzero(X[:, 0] > 1.0)}
+            return line_free(X.mean(axis=1), {int(i): NonPositiveTail("synthetic failure")
+                                              for i in np.flatnonzero(X[:, 0] > 1.0)})
 
         monkeypatch.setitem(methods._REGISTRY, "flaky", flaky)
         spec = niid_spec(128)
