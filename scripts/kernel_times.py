@@ -5,7 +5,7 @@ and per generated series for NIID, ARFIMA d=0.08, symmetric stable H=0.58
 of a 64-row block, at T = 383 (the returns of tests/data/prices_demo.csv,
 the series perfbench's analyze workloads test), 1000, 2000 and 5000. The AR
 row adds the time per row of a 256-row chunk, the largest height at which
-the replication engine generates it.
+the replication engine generates it (`ar_recursive_spec.chunk_rows`).
 
 The estimated series are NIID rows from `generate_block`, seeded by
 `derive_seed(0, i)`. Each figure is the median over repeats of one call
@@ -52,7 +52,7 @@ import numpy as np
 
 from selfaffine.analysis import BATTERY
 from selfaffine.methods import FA_METHODS, METHODS, estimate_blocks
-from selfaffine.montecarlo import _AR_ROWS, _block_rows
+from selfaffine.montecarlo import _block_rows
 from selfaffine.rng import derive_seed, derive_seeds, generators, rng_from_seed
 from selfaffine.simulate import (
     ar_recursive_spec,
@@ -62,6 +62,9 @@ from selfaffine.simulate import (
     niid_spec,
 )
 from selfaffine.timeseries import ARModel
+
+#: the AR rows generated together: the replication engine's chunk height for the model
+AR_ROWS = ar_recursive_spec.chunk_rows
 
 LENGTHS = (383, 1000, 2000, 5000)
 #: the length of the one-series line: perfbench estimate-long's series
@@ -138,7 +141,7 @@ def main():
     print(f"# python {platform.python_version()}, numpy {np.__version__}, "
           f"{platform.machine()}, {os.cpu_count()} CPUs, SIMD baseline "
           f"{' '.join(simd['baseline'])}, found {' '.join(simd['found'])}")
-    seeds = [derive_seed(0, i) for i in range(max(ROWS, _AR_ROWS))]
+    seeds = [derive_seed(0, i) for i in range(max(ROWS, AR_ROWS))]
     blocks = {T: generate_block(niid_spec(T), seeds[:ROWS])[0] for T in LENGTHS}
     print("| kernel | " + " | ".join(f"T={T}" for T in LENGTHS) + " |")
     print("|---" * (len(LENGTHS) + 1) + "|")
@@ -155,13 +158,13 @@ def main():
                   ("`arfima` d=0.08", lambda T: arfima_spec(0.08, T), (1, ROWS)),
                   ("`lstable` H=0.58", lambda T: lstable_spec_for_hurst(0.58, T), (1, ROWS)),
                   ("`ar_recursive` AR(4)", lambda T: ar_recursive_spec(AR4, T),
-                   (1, ROWS, _AR_ROWS))]
+                   (1, ROWS, AR_ROWS))]
     for label, spec, heights in generators:
         row(f"generate {label}",
             [(tuple(cpu_ms(lambda: generate_block(spec(T), seeds[:n]), n) for n in heights),
               peak_mib(lambda: generate_block(spec(T), seeds[:ROWS]))) for T in LENGTHS])
     print(f"# ms per estimate or generated series: one series / per row of a {ROWS}-row block"
-          f" (/ per row of a {_AR_ROWS}-row chunk); median [lower-upper quartile] of repeats;"
+          f" (/ per row of a {AR_ROWS}-row chunk); median [lower-upper quartile] of repeats;"
           f" then the traced peak MiB of one call on a {ROWS}-row block")
     print("# rows per block the replication engine estimates: " +
           ", ".join(f"T={T} {_block_rows(T)}" for T in LENGTHS))

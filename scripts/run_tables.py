@@ -10,6 +10,7 @@ import functools
 import sys
 import time
 
+from selfaffine.cli import _seed
 from selfaffine.montecarlo import build_tables, replicate
 from selfaffine.simulate import arfima_spec, lstable_spec_for_hurst, niid_spec
 
@@ -90,16 +91,22 @@ def table_power(lengths, null_tables, reps, seed, out):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--reps", type=int, default=1000)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--reps", type=int, default=1000,
+                        help="at least 1, and at least 100 for critvals and power")
+    parser.add_argument("--seed", type=_seed, default=0, help="a non-negative integer")
     parser.add_argument("--lengths", type=sample_sizes, default="1000,2000",
                         help="comma-separated sample sizes, each at least 100")
     parser.add_argument("--tables", type=table_names, default=",".join(TABLES),
                         help=f"comma-separated tables among {', '.join(TABLES)}")
     args = parser.parse_args()
+    wanted = args.tables
+    # critvals and power read NIID null tables, which need 100 replications
+    least = 100 if {"critvals", "power"} & set(wanted) else 1
+    if args.reps < least:
+        parser.error(f"argument --reps: {args.reps} is below {least}, "
+                     "the fewest the tables asked for can run")
 
     t0 = time.time()
-    wanted = args.tables
     # each length's NIID null tables serve the critical values and the power grid
     null_tables = functools.cache(
         lambda T: build_tables(niid_spec(T), SCALING_METHODS, args.reps, args.seed))

@@ -1,17 +1,16 @@
 """Registry mapping estimator tags to their block kernels.
 
-A kernel takes a `(rows, T)` array of return series and gives every row's
-regression line as a `BlockFit`: its point estimate (H or d), the intercept
-and point count of the line it fits, and `{row: error}` for the rows that
-fail; a failed row's estimate is meaningless and its error is the one the
-scalar estimator raises. FA(1)-FA(3) share one kernel, `fa_block`, which
-serves several q grids in one pass. The scalar API is the one-row case of
-the same kernel.
+A kernel takes a `(rows, T)` array of return series and the methods it
+serves, and gives each one's regression line of every row as a `BlockFit`:
+its point estimate (H or d), the intercept and point count of the line it
+fits, and `{row: error}` for the rows that fail; a failed row's estimate is
+meaningless and its error is the one the scalar estimator raises. FA(1)-FA(3)
+share `fa_block`'s one pass over their q grids. The scalar API is the
+one-row case of the same kernel.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -25,39 +24,38 @@ FA_METHODS = tuple(Q_GRIDS)
 #: methods whose point value is d rather than H
 D_METHODS = ("gph", "robinson")
 
-#: the kernels of the methods other than FA(1)-FA(3), which share `fa_block`
-_REGISTRY: dict[str, Callable[[np.ndarray], BlockFit]] = {
+#: each method's kernel, `kernel(X, methods) -> [BlockFit per method]`
+_REGISTRY: dict[str, Callable[[np.ndarray, tuple[str, ...]], list[BlockFit]]] = {
     "rra": rra_block,
-    **{s: partial(log_periodogram_block, method=s) for s in D_METHODS},
-    **{t: partial(tail_block, method=t) for t in TAIL_METHODS},
+    **dict.fromkeys(FA_METHODS, fa_block),
+    **dict.fromkeys(D_METHODS, log_periodogram_block),
+    **dict.fromkeys(TAIL_METHODS, tail_block),
 }
 
-METHODS = ("rra", *FA_METHODS, *D_METHODS, *TAIL_METHODS)
+METHODS = tuple(_REGISTRY)
 
 
 def estimate_blocks(methods, X: np.ndarray) -> dict[str, BlockFit]:
     """Each method's regression lines of every row of X and the errors of the
     rows that fail, in the order of `methods`.
 
-    The FA methods share one pass over the union of their q grids, and each
+    Each kernel is called once, with the methods it serves, and each method
     keeps its own failures. A SelfAffineError that a kernel raises for the
     whole block (e.g. T too short) fails every row of each method it serves.
     A row whose estimate is not finite (its arithmetic overflowed) fails
     alone with NonFiniteValue.
     """
     methods = tuple(methods)
-    for method in methods:
-        if method not in Q_GRIDS and method not in _REGISTRY:
+    passes = {}
+    for method in dict.fromkeys(methods):
+        if method not in _REGISTRY:
             raise ValueError(f"unknown method {method!r}")
-    fa = tuple(dict.fromkeys(m for m in methods if m in Q_GRIDS))
-    passes = [(fa, partial(fa_block, grids=[Q_GRIDS[m] for m in fa]))] if fa else []
-    passes += [((m,), lambda X, kernel=_REGISTRY[m]: [kernel(X)])
-               for m in methods if m not in Q_GRIDS]
+        passes.setdefault(_REGISTRY[method], []).append(method)
     out = {}
-    for served, kernel in passes:
+    for kernel, served in passes.items():
         try:
             with np.errstate(all="ignore"):  # caught below and in the kernels, per row
-                results = kernel(X)
+                results = kernel(X, tuple(served))
         except SelfAffineError as exc:
             results = [BlockFit(np.full(len(X), np.nan), dict.fromkeys(range(len(X)), exc),
                                 np.full(len(X), np.nan), 0) for _ in served]

@@ -22,7 +22,7 @@ from .methods import estimate_blocks
 from .methods import estimate_point  # noqa: F401
 from .rng import derive_seed  # noqa: F401
 from .rng import derive_seeds
-from .simulate import ARRecursiveSpec, SimulationSpec, generate_block
+from .simulate import SimulationSpec, generate_block
 from .simulate import generate  # noqa: F401
 
 DEFAULT_LEVELS = (0.10, 0.05, 0.01)
@@ -100,9 +100,6 @@ class PowerResult:
 _BLOCK_VALUES = 1 << 16
 #: the fewest replications estimated together, at any length
 _MIN_BLOCK_ROWS = 64
-#: the most replications of an AR-recursive spec generated together: its
-#: generator pays numpy calls per time step over all rows at once
-_AR_ROWS = 256
 
 
 def _block_rows(T: int) -> int:
@@ -114,15 +111,13 @@ def _block_rows(T: int) -> int:
 
 def _chunks(spec: SimulationSpec, reps: int, workers: int) -> list[tuple[int, int]]:
     """The (lo, hi) replication ranges generated together, which are also the
-    unit of parallel work: one block of `_block_rows(T)` rows each, or for an
-    AR-recursive spec the fewest chunks of at most `_AR_ROWS` rows, as many
-    for each worker, whose heights differ by at most one."""
-    if not isinstance(spec, ARRecursiveSpec):
-        rows = _block_rows(spec.T)
-        return [(lo, min(lo + rows, reps)) for lo in range(0, reps, rows)]
-    count = -(-reps // _AR_ROWS)
+    unit of parallel work: the fewest chunks of at most `spec.chunk_rows` rows
+    (`_block_rows(T)` if None), as many for each worker, one row apart at most
+    and the taller first, so each fits in the memory the one before it freed."""
+    count = -(-reps // (spec.chunk_rows or _block_rows(spec.T)))
     count = min(-(-count // workers) * workers, reps)
-    return [(i * reps // count, (i + 1) * reps // count) for i in range(count)]
+    q, r = divmod(reps, count)
+    return [(i * q + min(i, r), (i + 1) * q + min(i + 1, r)) for i in range(count)]
 
 
 def _run_chunk(spec: SimulationSpec, methods: tuple[str, ...],
@@ -171,13 +166,14 @@ def replicate(spec: SimulationSpec, methods, reps: int, master_seed: int,
     `_chunks`) and every method runs on each block of `_block_rows(T)`
     rows; a row's estimate is bit-identical to the one-row
     estimate of the same series. Estimator failures are recorded by exception
-    type, not fatal. At most one worker process runs per chunk.
+    type, not fatal. At most one worker process runs per chunk and per CPU.
     """
     methods = tuple(methods)
     if reps < 1:
         raise ValueError("reps must be at least 1")
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    workers = min(workers, os.cpu_count() or 1)
     seeds = derive_seeds(master_seed, 0, reps)
     chunks = [seeds[lo:hi] for lo, hi in _chunks(spec, reps, workers)]
     workers = min(workers, len(chunks))

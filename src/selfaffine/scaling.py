@@ -176,13 +176,13 @@ def _rra_points(X: np.ndarray, scales: tuple[int, ...]) -> tuple[np.ndarray, dic
     return np.log(np.stack(cols, axis=1)), errors
 
 
-def rra_block(X: np.ndarray) -> BlockFit:
+def rra_block(X: np.ndarray, methods: tuple[str, ...]) -> list[BlockFit]:
     """RRA Hurst exponent of every row of X, and each failed row's error: the
-    OLS slope of ln[(R/S)_n] on ln(n) over the time-scale grid."""
+    OLS slope of ln[(R/S)_n] on ln(n) over the time-scale grid (`methods`: rra)."""
     scales = time_scale_grid(X.shape[1])
     Y, errors = _rra_points(X, scales)
     slopes, intercepts = _ols_slopes(np.log(scales), Y)
-    return BlockFit(slopes, errors, intercepts, len(scales))
+    return [BlockFit(slopes, errors, intercepts, len(scales))]
 
 
 def _pass_increments(P: np.ndarray, start: int, n: int) -> np.ndarray:
@@ -317,9 +317,9 @@ def _fa_slopes(lnS: np.ndarray, q: np.ndarray, lnn: np.ndarray) -> np.ndarray:
     return np.sum(Xd * Yd, axis=(1, 2)) / np.sum(Xd * Xd)
 
 
-def fa_block(X: np.ndarray, grids) -> list[BlockFit]:
-    """Fluctuation-analysis Hurst exponent of every row of X on each q grid of
-    `grids`, and each failed row's error.
+def fa_block(X: np.ndarray, methods: tuple[str, ...]) -> list[BlockFit]:
+    """Fluctuation-analysis Hurst exponent of every row of X on the q grid of
+    each of `methods` (FA(1)-FA(3)), and each failed row's error.
 
     Stacks ln S_q(T,n) over the (q, n) grid and fits per-q intercepts a(q)
     with one slope parameter through slope(q) = -1 + H*q, solved in closed
@@ -329,6 +329,7 @@ def fa_block(X: np.ndarray, grids) -> list[BlockFit]:
     grid's estimates, lines and failures come from its own orders alone.
     """
     scales = time_scale_grid(X.shape[1])
+    grids = [Q_GRIDS[m] for m in methods]
     # not np.unique: its first call imports numpy.ma, megabytes of resident memory
     union = np.array(sorted({q for grid in grids for q in grid}))
     lnS = _fa_points(X, union, scales)

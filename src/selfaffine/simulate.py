@@ -41,6 +41,7 @@ class SimulationSpec:
     fills a C-ordered `(rows, T)` block in place, row i from `rngs[i]`."""
 
     model: ClassVar[str]  # the model's tag, its key in `MODELS`
+    chunk_rows: ClassVar[int | None] = None  # the most rows generated together; None: one block
 
     def __post_init__(self):
         # one spelling per value: lstable_spec(2, ...) and lstable_spec(2.0, ...)
@@ -203,6 +204,7 @@ class ARRecursiveSpec(SimulationSpec):
     """Returns of the fitted AR model `ar`, after `burn_in` discarded steps."""
 
     model = "ar_recursive"
+    chunk_rows = 256  # taller than a block: each time step costs numpy calls over all rows
     ar: ARModel
     T: int
     seed: int = 0

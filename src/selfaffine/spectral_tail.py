@@ -77,22 +77,23 @@ def _regression(method: str, T: int) -> tuple[int, np.ndarray]:
     return m, gph_regressor(lam) if method == "gph" else np.log(lam)
 
 
-def log_periodogram_block(X: np.ndarray, method: str) -> BlockFit:
-    """GPH or Robinson estimate of d for every row of X, and each failed row's
-    error; the Robinson slope estimates -2d."""
-    m, x = _regression(method, X.shape[1])
-    Y, errors = _log_periodogram(X, m)
-    slopes, intercepts = _dot_slopes(x, Y)
-    return BlockFit(slopes if method == "gph" else -slopes / 2.0, errors, intercepts, m)
+def log_periodogram_block(X: np.ndarray, methods: tuple[str, ...]) -> list[BlockFit]:
+    """GPH or Robinson estimate of d, for each of `methods`, of every row of
+    X, and each failed row's error; the Robinson slope estimates -2d."""
+    out = []
+    for method in methods:
+        m, x = _regression(method, X.shape[1])
+        Y, errors = _log_periodogram(X, m)
+        slopes, intercepts = _dot_slopes(x, Y)
+        out.append(BlockFit(slopes if method == "gph" else -slopes / 2.0, errors, intercepts, m))
+    return out
 
 
 TAIL_METHODS = ("pickands", "hill", "hr")
 
 
-def _tail_size(method: str, T: int) -> int:
+def _tail_size(T: int) -> int:
     """Tail observation count m = 0.05*T."""
-    if method not in TAIL_METHODS:
-        raise ValueError(f"unknown tail method {method!r}")
     if T < 100:
         raise TooShort("need T >= 100")
     return int(math.floor(TAIL_FRACTION * T))
@@ -104,9 +105,9 @@ def _log(a: np.ndarray) -> np.ndarray:
     return np.array([math.log(v) for v in a.tolist()])
 
 
-def tail_block(X: np.ndarray, method: str) -> BlockFit:
-    """Order-statistic estimate of H for every row of X, and each failed row's
-    error.
+def tail_block(X: np.ndarray, methods: tuple[str, ...]) -> list[BlockFit]:
+    """Order-statistic estimate of H, for each of `methods`, of every row of
+    X, and each failed row's error.
 
     The k largest values of each row are sorted descending, k = 4m for
     Pickands and m for Hill and de Haan-Resnick, and the formula is applied
@@ -115,24 +116,26 @@ def tail_block(X: np.ndarray, method: str) -> BlockFit:
     equal values give the same logs and differences, and the sign of a zero
     only matters in a row that fails as NonPositiveTail.
     """
-    m = _tail_size(method, X.shape[1])
-    k = 4 * m if method == "pickands" else m
-    top = np.partition(-X, k - 1, axis=1)[:, :k]
-    x = -np.sort(top, axis=1, kind="stable")  # x[:, 0] = x_(1) >= x[:, 1] = x_(2) >= ...
-    if method == "pickands":
-        d1 = x[:, m - 1] - x[:, 2 * m - 1]
-        d2 = x[:, 2 * m - 1] - x[:, 4 * m - 1]
-        bad = (d1 <= 0.0) | (d2 <= 0.0)
-        message = "tied boundary order statistics"
-        H = (_log(np.where(bad, 1.0, d1)) - _log(np.where(bad, 1.0, d2))) / math.log(2.0)
-    elif method == "hill":
-        bad = x[:, m - 1] <= 0.0
-        message = "x_(m) must be positive"
-        H = np.log(x[:, : m - 1]).mean(axis=1) - _log(np.where(bad, 1.0, x[:, m - 1]))
-    else:  # hr
-        bad = (x[:, 0] <= 0.0) | (x[:, m - 1] <= 0.0)
-        message = "x_(1) and x_(m) must be positive"
-        H = (_log(np.where(bad, 1.0, x[:, 0]))
-             - _log(np.where(bad, 1.0, x[:, m - 1]))) / math.log(m)
-    return BlockFit(H, {int(i): NonPositiveTail(message) for i in np.flatnonzero(bad)},
-                    np.full(len(X), math.nan), m)
+    m, out = _tail_size(X.shape[1]), []
+    for method in methods:
+        k = 4 * m if method == "pickands" else m
+        top = np.partition(-X, k - 1, axis=1)[:, :k]
+        x = -np.sort(top, axis=1, kind="stable")  # x[:, 0] = x_(1) >= x[:, 1] = x_(2) >= ...
+        if method == "pickands":
+            d1 = x[:, m - 1] - x[:, 2 * m - 1]
+            d2 = x[:, 2 * m - 1] - x[:, 4 * m - 1]
+            bad = (d1 <= 0.0) | (d2 <= 0.0)
+            message = "tied boundary order statistics"
+            H = (_log(np.where(bad, 1.0, d1)) - _log(np.where(bad, 1.0, d2))) / math.log(2.0)
+        elif method == "hill":
+            bad = x[:, m - 1] <= 0.0
+            message = "x_(m) must be positive"
+            H = np.log(x[:, : m - 1]).mean(axis=1) - _log(np.where(bad, 1.0, x[:, m - 1]))
+        else:  # hr
+            bad = (x[:, 0] <= 0.0) | (x[:, m - 1] <= 0.0)
+            message = "x_(1) and x_(m) must be positive"
+            H = (_log(np.where(bad, 1.0, x[:, 0]))
+                 - _log(np.where(bad, 1.0, x[:, m - 1]))) / math.log(m)
+        out.append(BlockFit(H, {int(i): NonPositiveTail(message) for i in np.flatnonzero(bad)},
+                            np.full(len(X), math.nan), m))
+    return out

@@ -193,6 +193,25 @@ def test_a_whole_block_error_fails_every_row_of_every_method():
         assert all(type(exc) is TooShort for exc in fit.errors.values())
 
 
+def test_each_kernel_is_called_once_with_the_methods_it_serves(monkeypatch):
+    calls = []
+
+    def recording(X, served):
+        calls.append(served)
+        return [methods.BlockFit(np.full(len(X), float(len(m))), {}, np.full(len(X), np.nan), 0)
+                for m in served]
+
+    monkeypatch.setitem(methods._REGISTRY, "ab", recording)
+    monkeypatch.setitem(methods._REGISTRY, "abc", recording)
+    X = block(200)
+    got = methods.estimate_blocks(("abc", "fa3", "hill", "ab", "fa1", "abc"), X)
+    assert calls == [("abc", "ab")]
+    assert list(got) == ["abc", "fa3", "hill", "ab", "fa1"]
+    assert (got["abc"].values[0], got["ab"].values[0]) == (3.0, 2.0)
+    assert methods.METHODS == ("rra", "fa1", "fa2", "fa3", "gph", "robinson", "pickands",
+                               "hill", "hr")
+
+
 def test_unknown_method():
     with pytest.raises(ValueError):
         methods.estimate_blocks(("dekkers",), np.zeros((1, 200)))

@@ -623,6 +623,22 @@ def test_run_tables_script_rejects_a_bad_length(lengths, message):
     assert "usage:" in done.stderr and f"argument --lengths: {message}" in done.stderr
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--seed", "-1"], "argument --seed: must be a non-negative integer, got -1"),
+    (["--reps", "0", "--tables", "bias"], "argument --reps: 0 is below 1,"),
+    (["--reps", "50", "--tables", "critvals"], "argument --reps: 50 is below 100,"),
+    (["--reps", "99", "--tables", "bias,power"], "argument --reps: 99 is below 100,"),
+], ids=["negative-seed", "no-reps", "critvals-below-100", "power-below-100"])
+def test_run_tables_script_rejects_a_bad_seed_or_reps(args, message):
+    # usage errors before any simulation, not tracebacks from the engine
+    env = dict(os.environ, PYTHONPATH=str(Path(selfaffine.__file__).parents[1]))
+    script = Path(__file__).parents[1] / "scripts" / "run_tables.py"
+    done = subprocess.run([sys.executable, str(script), "--lengths", "500", *args],
+                          env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "usage:" in done.stderr and message in done.stderr
+
+
 def test_package_runs_as_a_module():
     env = dict(os.environ, PYTHONPATH=str(Path(selfaffine.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-m", "selfaffine", "--version"],

@@ -69,9 +69,9 @@ class TestRunReplications:
         assert serial == parallel
 
     def test_failures_recorded_not_fatal(self, monkeypatch):
-        def flaky(X):
-            return line_free(np.full(len(X), 0.5), {int(i): NonPositiveTail("synthetic failure")
-                                                    for i in np.flatnonzero(X.sum(axis=1) > 0)})
+        def flaky(X, methods):
+            return [line_free(np.full(len(X), 0.5), {int(i): NonPositiveTail("synthetic failure")
+                                                     for i in np.flatnonzero(X.sum(axis=1) > 0)})]
 
         monkeypatch.setitem(methods._REGISTRY, "flaky", flaky)
         out = run_replications(niid_spec(64), "flaky", 40, master_seed=11)
@@ -79,7 +79,7 @@ class TestRunReplications:
         assert len(out.sample) + out.failures == 40
 
     def test_all_failures_raises(self, monkeypatch):
-        def broken(X):
+        def broken(X, methods):
             raise NonPositiveTail("always")
 
         monkeypatch.setitem(methods._REGISTRY, "broken", broken)
@@ -87,10 +87,10 @@ class TestRunReplications:
             run_replications(niid_spec(64), "broken", 5, master_seed=1)
 
     def test_failures_counted_by_exception_type(self, monkeypatch):
-        def mixed(X):
+        def mixed(X, methods):
             errors = {int(i): NonPositiveTail("sum") for i in np.flatnonzero(X.sum(axis=1) > 0)}
             errors.update({int(i): ZeroOrdinate("first") for i in np.flatnonzero(X[:, 0] > 1)})
-            return line_free(np.full(len(X), 0.5), errors)
+            return [line_free(np.full(len(X), 0.5), errors)]
 
         monkeypatch.setitem(methods._REGISTRY, "mixed", mixed)
         out = run_replications(niid_spec(64), "mixed", 100, master_seed=11)
@@ -149,10 +149,10 @@ class TestEngineContract:
                         residual_sd=1.0)
         specs, reps = (niid_spec(150), arfima_spec(0.2, 150), ar_recursive_spec(model, 150)), 20
         references = [run_replications(spec, method, reps, master_seed=2) for spec in specs]
-        # the AR rows are generated in chunks of up to _AR_ROWS and estimated
-        # _block_rows(T) at a time, chunks that need not be whole blocks
+        # the AR rows are generated in chunks of up to its chunk_rows and
+        # estimated _block_rows(T) at a time, chunks that need not be whole blocks
         for ar_rows, block_rows in ((1, 1), (7, 3), (reps, 7), (7, reps), (3, reps)):
-            monkeypatch.setattr(montecarlo, "_AR_ROWS", ar_rows)
+            monkeypatch.setattr(simulate.ARRecursiveSpec, "chunk_rows", ar_rows)
             monkeypatch.setattr(montecarlo, "_block_rows", lambda T, rows=block_rows: rows)
             for workers in (1, 2):
                 for spec, reference in zip(specs, references):
@@ -161,9 +161,9 @@ class TestEngineContract:
     def test_failures_keep_their_rows_in_any_chunk(self, monkeypatch):
         # a row's estimate is its first value, so a failure charged to the
         # wrong row of a chunk deletes the wrong estimate
-        def marked(X):
-            return line_free(X[:, 0].copy(), {int(i): NonPositiveTail("sum")
-                                              for i in np.flatnonzero(X.sum(axis=1) > 0)})
+        def marked(X, methods):
+            return [line_free(X[:, 0].copy(), {int(i): NonPositiveTail("sum")
+                                               for i in np.flatnonzero(X.sum(axis=1) > 0)})]
 
         monkeypatch.setitem(methods._REGISTRY, "marked", marked)
         model = ARModel(order=1, intercept=0.0, coefficients=np.array([0.3]), residual_sd=1.0)
@@ -173,7 +173,7 @@ class TestEngineContract:
         want = [x[0] for x in rows if not x.sum() > 0]
         assert 0 < len(want) < reps
         for ar_rows, block_rows in ((reps, reps), (7, 3), (3, 7)):
-            monkeypatch.setattr(montecarlo, "_AR_ROWS", ar_rows)
+            monkeypatch.setattr(simulate.ARRecursiveSpec, "chunk_rows", ar_rows)
             monkeypatch.setattr(montecarlo, "_block_rows", lambda T, rows=block_rows: rows)
             assert run_replications(spec, "marked", reps, 2) == montecarlo._table(
                 "marked", 60, reps, 2, np.array(want), {"NonPositiveTail": reps - len(want)})
@@ -187,11 +187,11 @@ class TestEngineContract:
             return real(spec, seeds)
 
         monkeypatch.setattr(montecarlo, "generate_block", recording)
-        # other models' chunks are blocks, here of 64 rows
+        # other models' chunks hold at most a block, here of 64 rows
         monkeypatch.setattr(montecarlo, "_block_rows", lambda T: 64)
         model = ARModel(order=1, intercept=0.0, coefficients=np.array([0.3]), residual_sd=1.0)
         for spec, want in ((ar_recursive_spec(model, 100), [150, 150]),
-                           (arfima_spec(0.2, 100), [64] * 4 + [44])):
+                           (arfima_spec(0.2, 100), [60] * 5)):
             heights.clear()
             replicate(spec, ("hill",), 300, 1)
             assert heights == want
@@ -204,7 +204,9 @@ class TestEngineContract:
             rows = montecarlo._block_rows(T)
             assert rows % 64 == 0 and (rows == 64 or rows * T <= 2 ** 16)
             assert (rows + 64) * T > 2 ** 16
-        assert montecarlo._chunks(niid_spec(383), 300, 2) == [(0, 128), (128, 256), (256, 300)]
+        # three blocks' rows, split near-equally into two chunks per worker
+        assert montecarlo._chunks(niid_spec(383), 300, 2) == [(0, 75), (75, 150), (150, 225),
+                                                              (225, 300)]
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("reps", [1, 2, 100, 200, 256, 257, 300, 1000])
@@ -216,17 +218,20 @@ class TestEngineContract:
         heights = [hi - lo for lo, hi in chunks]
         assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]]
         assert chunks[-1][1] == reps
-        assert max(heights) <= montecarlo._AR_ROWS and max(heights) - min(heights) <= 1
+        ar_rows = simulate.ARRecursiveSpec.chunk_rows
+        assert max(heights) <= ar_rows and max(heights) - min(heights) <= 1
+        assert heights == sorted(heights, reverse=True)  # a freed chunk holds the next
         if reps >= workers:  # as many chunks for each worker, and no more than that needs
             assert len(chunks) % workers == 0
-            assert len(chunks) < -(-reps // montecarlo._AR_ROWS) + workers
+            assert len(chunks) < -(-reps // ar_rows) + workers
 
-    def test_no_more_worker_processes_than_chunks(self, monkeypatch):
+    @pytest.fixture
+    def in_process_pool(self, monkeypatch):
+        """The process counts that replicate asks its pool for, on two CPUs,
+        while the chunks run in this process."""
         asked = []
 
         class InProcessPool:
-            """Records the process count asked for and runs the chunks here."""
-
             def __init__(self, max_workers):
                 asked.append(max_workers)
 
@@ -241,13 +246,33 @@ class TestEngineContract:
 
         # replicate imports the pool class when it needs one
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        return asked
+
+    def test_no_more_worker_processes_than_chunks(self, monkeypatch, in_process_pool):
         monkeypatch.setattr(montecarlo, "_block_rows", lambda T: 64)  # chunks of 64 rows
         spec = niid_spec(128)
-        for reps, workers, want in ((100, 8, [2]), (64, 4, [])):
-            asked.clear()
+        for reps, workers, want in ((100, 8, [2]), (64, 4, [2]), (1, 2, [])):
+            in_process_pool.clear()
             got = replicate(spec, ("hill", "rra"), reps, 5, workers=workers)
-            assert asked == want
+            assert in_process_pool == want
             assert got == replicate(spec, ("hill", "rra"), reps, 5)
+
+    def test_no_more_worker_processes_than_cpus(self, monkeypatch, in_process_pool):
+        # a thousand workers would split the AR null into one-row chunks
+        heights = []
+        real = montecarlo.generate_block
+
+        def recording(spec, seeds):
+            heights.append(len(seeds))
+            return real(spec, seeds)
+
+        monkeypatch.setattr(montecarlo, "generate_block", recording)
+        model = ARModel(order=1, intercept=0.0, coefficients=np.array([0.3]), residual_sd=1.0)
+        spec = ar_recursive_spec(model, 100)
+        got = replicate(spec, ("hill", "rra"), 100, 5, workers=1000)
+        assert in_process_pool == [2] and heights == [50, 50]
+        assert got == replicate(spec, ("hill", "rra"), 100, 5)
 
     def test_multi_method_run_equals_one_method_runs(self):
         model = ARModel(order=1, intercept=0.0, coefficients=np.array([0.3]),
@@ -484,9 +509,9 @@ class TestCache:
                                     "cv_hill_T128_39878b42e8e5cfdd.json"} < names
 
     def test_failures_by_kind_round_trip(self, tmp_path, monkeypatch):
-        def flaky(X):
-            return line_free(X.mean(axis=1), {int(i): NonPositiveTail("synthetic failure")
-                                              for i in np.flatnonzero(X[:, 0] > 1.0)})
+        def flaky(X, methods):
+            return [line_free(X.mean(axis=1), {int(i): NonPositiveTail("synthetic failure")
+                                               for i in np.flatnonzero(X[:, 0] > 1.0)})]
 
         monkeypatch.setitem(methods._REGISTRY, "flaky", flaky)
         spec = niid_spec(128)

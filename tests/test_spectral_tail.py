@@ -157,7 +157,7 @@ class TestTailEstimators:
             -np.abs(z[7]),
         ])
         with np.errstate(all="ignore"):
-            values, errors, _, _ = tail_block(X, method)
+            values, errors, _, _ = tail_block(X, (method,))[0]
             want, failing = full_sort_tail(X, method)
         assert values.tobytes() == want.tobytes()
         assert set(errors) == failing and failing

@@ -11,6 +11,7 @@ from selfaffine.errors import (
     DegenerateSeries,
     NonPositivePrice,
     OrderTooLarge,
+    SingularDesign,
     TooShort,
 )
 from selfaffine.simulate import arfima_spec, generate
@@ -200,6 +201,13 @@ class TestARFitting:
     def test_bad_criterion(self, rng):
         with pytest.raises(ValueError):
             fit_ar(make_returns(rng.standard_normal(200)), criterion="hqic")
+
+    def test_rank_deficient_design(self, rng):
+        # over the common sample (from observation max_lag + 1) the lag-1
+        # column is the constant 0.001, collinear with the intercept
+        z = np.concatenate([rng.standard_normal(9), np.full(190, 0.001), [0.02]])
+        with pytest.raises(SingularDesign, match="rank-deficient design at order 1"):
+            fit_ar(make_returns(z), max_lag=10)
 
 
 class TestARFilter:
