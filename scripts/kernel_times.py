@@ -11,12 +11,14 @@ The estimated series are NIID rows from `generate_block`, seeded by
 `derive_seed(0, i)`. Each figure is the median over repeats of one call
 filling about 0.2 CPU seconds (at least five), after one untimed call,
 printed with the lower and upper quartiles of those repeats in brackets. The
-`fa1`+`fa2`+`fa3` row times FA(1)-FA(3) together, in the one shared pass the
-replication engine makes. The analyze battery row times the six methods of
-`analysis.BATTERY` on one series: the one `estimate_blocks` call that
-`analyze_index` makes per variant, against six one-method calls. A generator
-row times `generate_block` on the same seeds, the ARFIMA pre-sample of 5000
-draws and the AR burn-in of 1000 steps included. Each cell ends with the
+`fa1`+`fa2`+`fa3`, `gph`+`robinson` and `pickands`+`hill`+`hr` rows time each
+kernel's methods together, in the one shared pass the replication engine
+makes: one partition function over the union of the FA q grids, one
+periodogram, one sort of each row's tail. The analyze battery row times the
+six methods of `analysis.BATTERY` on one series: the one `estimate_blocks`
+call that `analyze_index` makes per variant, against six one-method calls. A
+generator row times `generate_block` on the same seeds, the ARFIMA
+pre-sample of 5000 draws and the AR burn-in of 1000 steps included. Each cell ends with the
 traced peak memory of one untimed call on a 64-row block, in MiB (tracemalloc;
 the estimators' input block is allocated before tracing starts, a generator's
 output block is counted). The header names numpy's SIMD baseline and the
@@ -51,7 +53,7 @@ import tracemalloc
 import numpy as np
 
 from selfaffine.analysis import BATTERY
-from selfaffine.methods import FA_METHODS, METHODS, estimate_blocks
+from selfaffine.methods import D_METHODS, FA_METHODS, METHODS, TAIL_METHODS, estimate_blocks
 from selfaffine.montecarlo import _block_rows
 from selfaffine.rng import derive_seed, derive_seeds, generators, rng_from_seed
 from selfaffine.simulate import (
@@ -145,7 +147,7 @@ def main():
     blocks = {T: generate_block(niid_spec(T), seeds[:ROWS])[0] for T in LENGTHS}
     print("| kernel | " + " | ".join(f"T={T}" for T in LENGTHS) + " |")
     print("|---" * (len(LENGTHS) + 1) + "|")
-    for methods in [(m,) for m in METHODS] + [FA_METHODS]:
+    for methods in [(m,) for m in METHODS] + [FA_METHODS, D_METHODS, TAIL_METHODS]:
         row("+".join(f"`{m}`" for m in methods),
             [((cpu_ms(lambda: estimate_blocks(methods, X[:1])),
                cpu_ms(lambda: estimate_blocks(methods, X), ROWS)),

@@ -12,6 +12,7 @@ import time
 
 from selfaffine.cli import _seed
 from selfaffine.montecarlo import build_tables, replicate
+from selfaffine.scaling import MIN_T
 from selfaffine.simulate import arfima_spec, lstable_spec_for_hurst, niid_spec
 
 SCALING_METHODS = ("rra", "fa1", "fa2", "fa3")
@@ -31,15 +32,15 @@ def table_names(text):
 
 def sample_sizes(text):
     """The comma-separated sample sizes of --lengths, each an integer of at
-    least 100 (the time-scale grid's shortest series)."""
+    least MIN_T (the estimators' shortest series)."""
     values = []
     for item in text.split(","):
         try:
             values.append(int(item))
         except ValueError:
             raise argparse.ArgumentTypeError(f"length {item!r} is not an integer") from None
-        if values[-1] < 100:
-            raise argparse.ArgumentTypeError(f"length {values[-1]} is below 100")
+        if values[-1] < MIN_T:
+            raise argparse.ArgumentTypeError(f"length {values[-1]} is below {MIN_T}")
     return values
 
 
@@ -95,7 +96,7 @@ def main():
                         help="at least 1, and at least 100 for critvals and power")
     parser.add_argument("--seed", type=_seed, default=0, help="a non-negative integer")
     parser.add_argument("--lengths", type=sample_sizes, default="1000,2000",
-                        help="comma-separated sample sizes, each at least 100")
+                        help=f"comma-separated sample sizes, each at least {MIN_T}")
     parser.add_argument("--tables", type=table_names, default=",".join(TABLES),
                         help=f"comma-separated tables among {', '.join(TABLES)}")
     args = parser.parse_args()

@@ -19,6 +19,7 @@ from .methods import estimate_point  # noqa: F401
 from .montecarlo import DEFAULT_LEVELS, CriticalValueTable, build_tables, check_levels
 from .montecarlo import build_critical_values  # noqa: F401
 from .rng import derive_seed
+from .scaling import MIN_T
 from .simulate import SimulationSpec, ar_recursive_spec, niid_spec
 from .timeseries import (
     ARModel,
@@ -142,8 +143,8 @@ def analyze_index(prices: PriceSeries, config: AnalyzeConfig) -> TestReport:
     T = len(returns)
     ar_model = fit_ar(returns, config.max_lag, config.criterion)
     filtered = ar_filter(returns, ar_model)
-    if len(filtered) < 100:
-        raise TooShort(f"need at least 100 AR residuals for the battery, got {len(filtered)}")
+    if len(filtered) < MIN_T:
+        raise TooShort(f"need at least {MIN_T} AR residuals for the battery, got {len(filtered)}")
 
     seed_niid = derive_seed(config.seed, 1)
     seed_rec = derive_seed(config.seed, 2)

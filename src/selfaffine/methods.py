@@ -5,8 +5,9 @@ serves, and gives each one's regression line of every row as a `BlockFit`:
 its point estimate (H or d), the intercept and point count of the line it
 fits, and `{row: error}` for the rows that fail; a failed row's estimate is
 meaningless and its error is the one the scalar estimator raises. FA(1)-FA(3)
-share `fa_block`'s one pass over their q grids. The scalar API is the
-one-row case of the same kernel.
+share `fa_block`'s one pass over their q grids, GPH and Robinson one
+periodogram and the tail methods one sort. The scalar API is the one-row
+case of the same kernel.
 """
 from __future__ import annotations
 
@@ -17,12 +18,12 @@ import numpy as np
 
 from .errors import NonFiniteValue, SelfAffineError
 from .scaling import Q_GRIDS, BlockFit, fa_block, rra_block
-from .spectral_tail import TAIL_METHODS, log_periodogram_block, tail_block
+from .spectral_tail import BANDS, TAIL_METHODS, log_periodogram_block, tail_block
 from .timeseries import ReturnsSeries
 
 FA_METHODS = tuple(Q_GRIDS)
 #: methods whose point value is d rather than H
-D_METHODS = ("gph", "robinson")
+D_METHODS = tuple(BANDS)
 
 #: each method's kernel, `kernel(X, methods) -> [BlockFit per method]`
 _REGISTRY: dict[str, Callable[[np.ndarray, tuple[str, ...]], list[BlockFit]]] = {

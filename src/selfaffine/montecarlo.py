@@ -315,6 +315,10 @@ def load_table(cache_dir: str | Path, spec: SimulationSpec, method: str, reps: i
         # a file of the cutoffs-only format has no "null": KeyError
         null = base64.b64decode(fields["null"], validate=True)
         table = critical_values(CriticalValueTable(**{**fields, "null": null}))
+        counts = (table.T, table.reps, table.master_seed, table.failures)
+        if not (all(type(v) is int for v in counts)
+                and all(type(v) is float and math.isfinite(v) for v in (table.mean, table.sd))):
+            raise ValueError("a count is not an int, or mean or sd not a finite float")
         values = table.sample
         if not (np.isfinite(values).all() and (values[1:] >= values[:-1]).all()):
             raise ValueError("the null sample is not finite and ascending")

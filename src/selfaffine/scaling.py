@@ -13,6 +13,8 @@ from .timeseries import ReturnsSeries, _freeze
 GRID_LNMIN = 1.6
 GRID_STEP = 0.15
 GRID_CAP = 0.1
+#: the shortest series every estimator takes
+MIN_T = 100
 
 
 def time_scale_grid(T: int) -> tuple[int, ...]:
@@ -21,8 +23,8 @@ def time_scale_grid(T: int) -> tuple[int, ...]:
     The cap is 0.15*int(ln(0.1*T)/0.15) with int rounding down; each grid
     point is rounded half-up to an integer and duplicates are dropped.
     """
-    if T < 100:
-        raise TooShort("need T >= 100 for the time-scale grid")
+    if T < MIN_T:
+        raise TooShort(f"need T >= {MIN_T} for the time-scale grid")
     ln_max = GRID_STEP * math.floor(math.log(GRID_CAP * T) / GRID_STEP)
     scales: list[int] = []
     k = 0

@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from .errors import BadOrdinateCount, NonFiniteValue, NonPositiveTail, TooShort, ZeroOrdinate
-from .scaling import BlockFit
+from .scaling import MIN_T, BlockFit
 from .timeseries import ReturnsSeries, _freeze
 
 #: bandwidth exponents: m = T^0.5 ordinates for GPH, m = T^0.9 for Robinson
@@ -35,18 +35,6 @@ def periodogram(r: ReturnsSeries, m: int) -> np.ndarray:
     return _freeze(I)
 
 
-def _log_periodogram(X: np.ndarray, m: int) -> tuple[np.ndarray, dict]:
-    """ln I(lambda_j), j = 1..m, for every row of X, and each failed row's
-    error: a zero ordinate in the band, or else one that overflows, as
-    `periodogram` fails it."""
-    I = _ordinates(X, m)
-    errors = {int(i): ZeroOrdinate("zero periodogram ordinate in the regression band")
-              for i in np.flatnonzero(np.any(I == 0.0, axis=1))}
-    for i in np.flatnonzero(~np.all(np.isfinite(I), axis=1)):
-        errors.setdefault(int(i), NonFiniteValue("periodogram ordinate overflows"))
-    return np.log(I), errors
-
-
 def _dot_slopes(x: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """OLS slope and intercept of each row of Y on the regressor x.
 
@@ -64,39 +52,36 @@ def gph_regressor(lam: np.ndarray) -> np.ndarray:
     return -2.0 * np.log(2.0 * np.sin(lam / 2.0))
 
 
-def _regression(method: str, T: int) -> tuple[int, np.ndarray]:
-    """Ordinate count m and regressor: the GPH regressor over m = T^0.5
-    ordinates, or ln(lambda_j) over m = T^0.9 capped at (T-1)/2 (Robinson)."""
-    if T < 100:
-        raise TooShort("need T >= 100")
-    if method == "gph":
-        m = int(math.floor(T ** GPH_EXPONENT))
-    else:
-        m = min(int(math.floor(T ** ROBINSON_EXPONENT)), (T - 1) // 2)
-    lam = 2.0 * math.pi * np.arange(1, m + 1) / T
-    return m, gph_regressor(lam) if method == "gph" else np.log(lam)
+#: each log-periodogram method's bandwidth exponent e, over m = min(T^e, (T-1)/2)
+#: ordinates, its regressor in lambda_j and the factor taking its slope to d
+BANDS = {"gph": (GPH_EXPONENT, gph_regressor, 1.0), "robinson": (ROBINSON_EXPONENT, np.log, -0.5)}
 
 
 def log_periodogram_block(X: np.ndarray, methods: tuple[str, ...]) -> list[BlockFit]:
     """GPH or Robinson estimate of d, for each of `methods`, of every row of
-    X, and each failed row's error; the Robinson slope estimates -2d."""
-    out = []
-    for method in methods:
-        m, x = _regression(method, X.shape[1])
-        Y, errors = _log_periodogram(X, m)
-        slopes, intercepts = _dot_slopes(x, Y)
-        out.append(BlockFit(slopes if method == "gph" else -slopes / 2.0, errors, intercepts, m))
+    X, and each failed row's error: a zero ordinate in its band, or else one
+    that overflows, as `periodogram` fails it. One periodogram over the widest
+    band asked for serves each method's leading ordinates."""
+    T = X.shape[1]
+    if T < MIN_T:
+        raise TooShort(f"need T >= {MIN_T}")
+    bands = [(min(int(T ** e), (T - 1) // 2), x, to_d) for e, x, to_d in map(BANDS.get, methods)]
+    I = _ordinates(X, max(m for m, _, _ in bands))
+    Y, out = np.log(I), []
+    for m, regressor, to_d in bands:
+        errors = {int(i): ZeroOrdinate("zero periodogram ordinate in the regression band")
+                  for i in np.flatnonzero(np.any(I[:, :m] == 0.0, axis=1))}
+        for i in np.flatnonzero(~np.all(np.isfinite(I[:, :m]), axis=1)):
+            errors.setdefault(int(i), NonFiniteValue("periodogram ordinate overflows"))
+        slopes, intercepts = _dot_slopes(regressor(2.0 * math.pi * np.arange(1, m + 1) / T),
+                                         Y[:, :m])
+        out.append(BlockFit(slopes * to_d, errors, intercepts, m))
     return out
 
 
-TAIL_METHODS = ("pickands", "hill", "hr")
-
-
-def _tail_size(T: int) -> int:
-    """Tail observation count m = 0.05*T."""
-    if T < 100:
-        raise TooShort("need T >= 100")
-    return int(math.floor(TAIL_FRACTION * T))
+#: the order statistics each tail method reads, in multiples of the tail size m
+TAIL_DEPTHS = {"pickands": 4, "hill": 1, "hr": 1}
+TAIL_METHODS = tuple(TAIL_DEPTHS)
 
 
 def _log(a: np.ndarray) -> np.ndarray:
@@ -109,18 +94,21 @@ def tail_block(X: np.ndarray, methods: tuple[str, ...]) -> list[BlockFit]:
     """Order-statistic estimate of H, for each of `methods`, of every row of
     X, and each failed row's error.
 
-    The k largest values of each row are sorted descending, k = 4m for
-    Pickands and m for Hill and de Haan-Resnick, and the formula is applied
-    with m = 0.05*T tail observations; alpha is recoverable as 1/H. Only the
-    order of equal values can differ from a full sort, and no formula sees it:
-    equal values give the same logs and differences, and the sign of a zero
-    only matters in a row that fails as NonPositiveTail.
+    The k largest values of each row are sorted descending once, k = m times
+    the deepest of `methods`' `TAIL_DEPTHS` with m = 0.05*T tail observations,
+    and each formula reads the leading ones it needs; alpha is 1/H.
+    Only the order of equal values can differ from a full sort, and no formula
+    sees it: equal values give the same logs and differences, and the sign of
+    a zero only matters in a row that fails as NonPositiveTail.
     """
-    m, out = _tail_size(X.shape[1]), []
+    T = X.shape[1]
+    if T < MIN_T:
+        raise TooShort(f"need T >= {MIN_T}")
+    m, out = int(math.floor(TAIL_FRACTION * T)), []
+    k = m * max(map(TAIL_DEPTHS.get, methods))
+    top = np.partition(-X, k - 1, axis=1)[:, :k]
+    x = -np.sort(top, axis=1, kind="stable")  # x[:, 0] = x_(1) >= x[:, 1] = x_(2) >= ...
     for method in methods:
-        k = 4 * m if method == "pickands" else m
-        top = np.partition(-X, k - 1, axis=1)[:, :k]
-        x = -np.sort(top, axis=1, kind="stable")  # x[:, 0] = x_(1) >= x[:, 1] = x_(2) >= ...
         if method == "pickands":
             d1 = x[:, m - 1] - x[:, 2 * m - 1]
             d2 = x[:, 2 * m - 1] - x[:, 4 * m - 1]

@@ -74,29 +74,43 @@ def described(errors):
 
 
 @pytest.mark.parametrize("T", [100, 383, 2000])
-def test_shared_fa_pass_equals_one_pass_per_method(T):
-    """One pass over the union of the q grids gives each FA method its own
-    estimates and failures: a row whose large-q partition function underflows
-    or overflows fails only the methods whose grid holds that q."""
+@pytest.mark.parametrize("shared", [methods.FA_METHODS, methods.D_METHODS, methods.TAIL_METHODS,
+                                    methods.METHODS], ids=["fa", "d", "tail", "all"])
+def test_shared_pass_equals_one_pass_per_method(shared, T):
+    """One kernel call for several methods gives each method its one-method
+    fit: its values and intercepts bit for bit, its point count and each
+    failed row's error. In the FA pass over the union of the q grids, a row
+    whose large-q partition function underflows or overflows fails only the
+    methods whose grid holds that q, and a row whose periodogram overflows
+    just past GPH's band fails only Robinson."""
     z = np.random.default_rng(T + 1).standard_normal(T)
-    X = np.vstack([block(T), z * 1e-70, z * 1e70, z * 1e-300])
-    tiny, huge, tinier = len(X) - 3, len(X) - 2, len(X) - 1
-    shared = methods.estimate_blocks(methods.FA_METHODS, X)
-    assert list(shared) == list(methods.FA_METHODS)
-    for method in methods.FA_METHODS:
+    j = int(T ** 0.5) + 1
+    wave = 1e155 * np.cos(2.0 * np.pi * j * np.arange(T) / T)
+    X = np.vstack([block(T), z * 1e-70, z * 1e70, z * 1e-300, wave])
+    tiny, huge, tinier, past_gph = range(len(X) - 4, len(X))
+    fits = methods.estimate_blocks(shared, X)
+    assert list(fits) == list(shared)
+    for method in shared:
         fit = methods.estimate_blocks((method,), X)[method]
-        assert shared[method].values.tobytes() == fit.values.tobytes()
-        assert shared[method].intercepts.tobytes() == fit.intercepts.tobytes()
-        assert shared[method].n_points == fit.n_points
-        assert described(shared[method].errors) == described(fit.errors)
-    errors = {m: shared[m][1] for m in methods.FA_METHODS}
+        assert fits[method].values.tobytes() == fit.values.tobytes()
+        assert fits[method].intercepts.tobytes() == fit.intercepts.tobytes()
+        assert fits[method].n_points == fit.n_points
+        assert described(fits[method].errors) == described(fit.errors)
+        assert CONSTANT_ROW in fit.errors  # the error comparison is not vacuous
+    if "gph" in shared:
+        assert past_gph not in fits["gph"].errors
+        assert described({0: fits["robinson"].errors[past_gph]}) == \
+            {0: (NonFiniteValue, "periodogram ordinate overflows")}
+    if "fa1" not in shared:
+        return
+    errors = {m: fits[m].errors for m in methods.FA_METHODS}
     assert [type(errors[m].get(tiny)) for m in methods.FA_METHODS] == \
         [type(None), type(None), ZeroPartition]
     assert [type(errors[m].get(huge)) for m in methods.FA_METHODS] == \
         [type(None), type(None), NonFiniteValue]
     assert [type(errors[m].get(tinier)) for m in methods.FA_METHODS] == \
         [type(None), ZeroPartition, ZeroPartition]
-    assert np.isfinite(shared["fa1"][0][tinier])
+    assert np.isfinite(fits["fa1"].values[tinier])
 
 
 def one_call_fa_points(X, q, scales):

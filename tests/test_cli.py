@@ -3,6 +3,7 @@ import base64
 import csv
 import importlib.util
 import json
+import math
 import os
 import re
 import subprocess
@@ -166,7 +167,19 @@ def _resample(change):
                             "failures_by_kind": {"ZeroDispersion": 120}}, id="null-empty"),
     pytest.param(lambda f: {**{k: v for k, v in f.items() if k != "null"},
                             "cutoffs": [[0.1, 0.2], [0.05, 0.25], [0.01, 0.3]]},
-                 id="cutoffs-only")])
+                 id="cutoffs-only"),
+    # a wrong-typed field: a count that is a float or a bool, a moment that
+    # is missing, text, a bool or not finite
+    pytest.param(lambda f: {**f, "T": 128.0}, id="T-float"),
+    pytest.param(lambda f: {**f, "reps": 120.0}, id="reps-float"),
+    pytest.param(lambda f: {**f, "master_seed": 5.0}, id="seed-float"),
+    pytest.param(lambda f: {**f, "failures": False}, id="failures-bool"),
+    pytest.param(lambda f: {**f, "mean": None}, id="mean-null"),
+    pytest.param(lambda f: {**f, "mean": "0.5"}, id="mean-string"),
+    pytest.param(lambda f: {**f, "mean": True}, id="mean-bool"),
+    pytest.param(lambda f: {**f, "sd": True}, id="sd-bool"),
+    pytest.param(lambda f: {**f, "mean": math.nan}, id="mean-nan"),
+    pytest.param(lambda f: {**f, "sd": math.inf}, id="sd-inf")])
 def test_critvals_bad_cache_file_is_a_miss(tmp_path, damage, capsys):
     def critvals(seed, cache):
         out = tmp_path / f"cv_{seed}_{cache.name}.csv"
@@ -596,6 +609,18 @@ def test_run_tables_script_builds_each_null_once(monkeypatch, capsys):
     run_tables.main()
     assert capsys.readouterr().out.encode() == (DATA / "run_tables_r100_T500.csv").read_bytes()
     assert len(passes) == 13 and passes.count("niid") == 1
+
+
+def test_kernel_times_script_times_a_long_cell(monkeypatch):
+    # the script imports the package's internals by name: a rename breaks it here
+    script = Path(__file__).parents[1] / "scripts" / "kernel_times.py"
+    spec = importlib.util.spec_from_file_location("kernel_times", script)
+    kernel_times = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(kernel_times)
+    monkeypatch.setattr(kernel_times, "LONG_T", 1000)
+    monkeypatch.setattr(kernel_times, "BUDGET_S", 0)
+    cell = kernel_times.long_cell("hill")
+    assert re.fullmatch(r"`hill` \d+\.\d\d \[\d+\.\d\d-\d+\.\d\d\]; \d+ faults", cell), cell
 
 
 def test_run_tables_script_rejects_an_unknown_table():

@@ -141,8 +141,10 @@ def full_sort_tail(X, method):
 
 class TestTailEstimators:
     @pytest.mark.parametrize("T", [100, 383, 2000])
-    @pytest.mark.parametrize("method", TAIL_METHODS)
-    def test_tail_sort_equals_full_sort(self, method, T):
+    @pytest.mark.parametrize("served", [*[pytest.param((m,), id=m) for m in TAIL_METHODS],
+                                        pytest.param(TAIL_METHODS, id="shared")])
+    def test_tail_sort_equals_full_sort(self, served, T):
+        # one call serves each method, or all of them from one sort
         rng = np.random.default_rng(T)
         z = rng.standard_normal((8, T))
         signed_zeros = np.where(rng.random(T) < 0.5, 0.0, -0.0)
@@ -157,11 +159,12 @@ class TestTailEstimators:
             -np.abs(z[7]),
         ])
         with np.errstate(all="ignore"):
-            values, errors, _, _ = tail_block(X, (method,))[0]
-            want, failing = full_sort_tail(X, method)
-        assert values.tobytes() == want.tobytes()
-        assert set(errors) == failing and failing
-        assert all(isinstance(e, NonPositiveTail) for e in errors.values())
+            fits = tail_block(X, served)
+            for method, (values, errors, _, _) in zip(served, fits, strict=True):
+                want, failing = full_sort_tail(X, method)
+                assert values.tobytes() == want.tobytes()
+                assert set(errors) == failing and failing
+                assert all(isinstance(e, NonPositiveTail) for e in errors.values())
 
     def test_hand_computed_values(self):
         values = np.arange(1.0, 101.0)  # sorted ascending 1..100, m = 5
