@@ -37,7 +37,8 @@ _log = logging.getLogger(__name__)
 class CriticalValueTable:
     """One estimator's estimates over the replications of one spec: the null
     table that serves critical values at any level, and the sample that power
-    rates and bias rows read."""
+    rates and bias rows read. Every table, whether the engine, a caller or a
+    cache file builds it, meets the one rule set that `__post_init__` checks."""
 
     method: str
     T: int
@@ -50,16 +51,23 @@ class CriticalValueTable:
     failures_by_kind: dict[str, int] = field(default_factory=dict)  # exception name -> count
 
     def __post_init__(self):
-        if self.sd < 0:
-            raise ValueError("sd must be non-negative")
         # a damaged cache file's field raises TypeError or ValueError here
         object.__setattr__(self, "failures_by_kind", dict(self.failures_by_kind))
-        # also turns a cache file written before the field existed, for a
-        # table with failures, into a miss
-        if sum(self.failures_by_kind.values()) != self.failures:
-            raise ValueError("failures_by_kind must add up to failures")
-        if len(self.sample) + self.failures != self.reps:  # ValueError unless whole float64s
+        kinds = tuple(self.failures_by_kind.values())
+        counts = (self.T, self.reps, self.master_seed, self.failures, *kinds)
+        if not all(type(v) is int for v in counts):  # bools are not ints here
+            raise TypeError("T, reps, master_seed, failures and each count by kind must be ints")
+        # so a file from before failures_by_kind existed is a miss if it had failures
+        if min(kinds, default=1) < 1 or sum(kinds) != self.failures:
+            raise ValueError("failures_by_kind must be positive counts adding up to failures")
+        values = self.sample  # ValueError unless whole float64s
+        if len(values) + self.failures != self.reps:
             raise ValueError("the sample and failures must account for every replication")
+        if not (np.isfinite(values).all() and (values[1:] >= values[:-1]).all()):
+            raise ValueError("the null sample is not finite and ascending")
+        if not (type(self.mean) is float and math.isfinite(self.mean) and type(self.sd) is float
+                and (math.isnan(self.sd) if len(values) < 2 else 0.0 <= self.sd < math.inf)):
+            raise ValueError("mean must be finite, and sd finite and >= 0 or NaN below 2 values")
 
     @property
     def sample(self) -> np.ndarray:
@@ -148,6 +156,7 @@ def _table(method: str, T: int, reps: int, master_seed: int, values: np.ndarray,
            by_kind: dict[str, int]) -> CriticalValueTable:
     """The table of `method`'s successful estimates `values`, in replication
     order: mean and sd keep that order's bits, and `null` is sorted."""
+    T, reps, master_seed = int(T), int(reps), int(master_seed)  # also from numpy ints
     return CriticalValueTable(
         method=method, T=T, mean=float(values.mean()),
         # NaN, without numpy's warning, when fewer than two rows succeed
@@ -278,13 +287,13 @@ def power_function(alt: SimulationSpec, method: str, table: CriticalValueTable,
 
 def _cache_path(cache_dir: str | Path, spec: SimulationSpec, method: str, reps: int,
                 master_seed: int) -> Path:
-    # vars gives T, the model's own parameters and an ARModel's fields without
-    # copying them; tolist() keeps full-precision AR coefficients. The seed is
-    # dropped from a copy of the dict: `replace` would rerun the spec's validation
+    # vars gives T, the model's parameters and an ARModel's fields uncopied;
+    # tolist() keeps full-precision AR coefficients and a numpy scalar's value.
+    # The seed is dropped from a copy: `replace` would rerun the spec's validation
     params = {name: value for name, value in vars(spec).items() if name != "seed"}
     key = json.dumps([CACHE_SCHEMA_VERSION, spec.model, params, method, reps, master_seed],
-                     sort_keys=True,
-                     default=lambda o: o.tolist() if isinstance(o, np.ndarray) else vars(o))
+                     sort_keys=True, default=lambda o: (
+                         o.tolist() if isinstance(o, (np.ndarray, np.generic)) else vars(o)))
     digest = hashlib.sha256(key.encode()).hexdigest()[:16]
     return Path(cache_dir) / f"cv_{method}_T{spec.T}_{digest}.json"
 
@@ -315,13 +324,6 @@ def load_table(cache_dir: str | Path, spec: SimulationSpec, method: str, reps: i
         # a file of the cutoffs-only format has no "null": KeyError
         null = base64.b64decode(fields["null"], validate=True)
         table = critical_values(CriticalValueTable(**{**fields, "null": null}))
-        counts = (table.T, table.reps, table.master_seed, table.failures)
-        if not (all(type(v) is int for v in counts)
-                and all(type(v) is float and math.isfinite(v) for v in (table.mean, table.sd))):
-            raise ValueError("a count is not an int, or mean or sd not a finite float")
-        values = table.sample
-        if not (np.isfinite(values).all() and (values[1:] >= values[:-1]).all()):
-            raise ValueError("the null sample is not finite and ascending")
     except FileNotFoundError:
         return None
     except (OSError, ValueError, TypeError, KeyError, TooFewValues) as exc:

@@ -31,10 +31,7 @@ def time_scale_grid(T: int) -> tuple[int, ...]:
     while GRID_LNMIN + GRID_STEP * k <= ln_max + 1e-9:
         scales.append(int(math.floor(math.exp(GRID_LNMIN + GRID_STEP * k) + 0.5)))
         k += 1
-    scales = sorted(set(scales))
-    if len(scales) < 3:
-        raise TooShort(f"grid for T={T} has fewer than three scales")
-    return tuple(scales)
+    return tuple(sorted(set(scales)))
 
 
 class BlockFit(NamedTuple):

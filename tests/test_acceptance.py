@@ -60,7 +60,6 @@ from selfaffine.scaling import (
     time_scale_grid,
 )
 from selfaffine.simulate import (
-    arfima_acf,
     arfima_spec,
     generate,
     lstable_spec,

@@ -2,7 +2,6 @@ import json
 from dataclasses import fields, replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import selfaffine.analysis as analysis

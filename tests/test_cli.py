@@ -158,6 +158,12 @@ def _resample(change):
     pytest.param(lambda f: {**f, "failures_by_kind": None}, id="kinds-null"),
     pytest.param(lambda f: {**f, "failures_by_kind": [1]}, id="kinds-list"),
     pytest.param(lambda f: {**f, "failures_by_kind": "none"}, id="kinds-string"),
+    # counts that add up to "failures": 0 but are not all positive ints
+    pytest.param(lambda f: {**f, "failures_by_kind": {"ZeroDispersion": 2, "TooShort": -2}},
+                 id="kinds-negative"),
+    pytest.param(lambda f: {**f, "failures_by_kind": {"TooShort": 0}}, id="kind-zero"),
+    pytest.param(lambda f: {**f, "failures_by_kind": {"TooShort": 0.0}}, id="kind-float"),
+    pytest.param(lambda f: {**f, "failures_by_kind": {"TooShort": False}}, id="kind-bool"),
     pytest.param(lambda f: {**f, "null": "not base64!"}, id="null-not-base64"),
     pytest.param(_resample(lambda v: v.tobytes()[:-3]), id="null-ragged"),
     pytest.param(_resample(lambda v: v[:-1].tobytes()), id="null-short"),
@@ -621,6 +627,20 @@ def test_kernel_times_script_times_a_long_cell(monkeypatch):
     monkeypatch.setattr(kernel_times, "BUDGET_S", 0)
     cell = kernel_times.long_cell("hill")
     assert re.fullmatch(r"`hill` \d+\.\d\d \[\d+\.\d\d-\d+\.\d\d\]; \d+ faults", cell), cell
+
+
+def test_perfbench_finds_every_attribute_it_traces(monkeypatch):
+    # the traced benchmark run rebinds these module attributes, some kept in
+    # the package only for it (its `noqa: F401` imports), so dropping one
+    # breaks the benchmark; this loads perfbench's workloads and writes nothing
+    bench = Path(__file__).parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))  # for its `tracing` import
+    spec = importlib.util.spec_from_file_location("workloads", bench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    targets = workloads.trace_targets()
+    assert targets and all(callable(getattr(t.module, t.attr, None)) for t in targets)
 
 
 def test_run_tables_script_rejects_an_unknown_table():

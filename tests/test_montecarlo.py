@@ -40,7 +40,7 @@ from selfaffine.simulate import (
     lstable_spec,
     niid_spec,
 )
-from selfaffine.timeseries import ARModel, PriceSeries, ReturnsSeries
+from selfaffine.timeseries import ARModel, PriceSeries
 
 
 def line_free(values, errors):
@@ -406,6 +406,32 @@ class TestCriticalValues:
                                null=np.linspace(0.0, 1.0, 100).tobytes(),
                                reps=100, master_seed=0)
 
+    @pytest.mark.parametrize("change", [
+        dict(sd=math.nan), dict(sd=math.inf), dict(mean=math.nan),
+        dict(null=np.linspace(1.0, 0.0, 100).tobytes()),
+        dict(null=np.append(np.linspace(0.0, 1.0, 99), np.inf).tobytes()),
+        dict(T=100.0), dict(T=True), dict(reps=np.int64(100)),
+        dict(failures=1, failures_by_kind={"TooShort": 1}),
+        dict(failures_by_kind={"TooShort": 0}),
+        dict(failures_by_kind={"TooShort": 2, "ZeroDispersion": -2})],
+        ids=["sd-nan", "sd-inf", "mean-nan", "null-unsorted", "null-inf", "T-float",
+             "T-bool", "reps-numpy", "failures-unaccounted", "kind-zero", "kinds-negative"])
+    def test_every_table_meets_the_rule_set(self, change):
+        # one rule set for every table, not only those read from a cache file
+        fields = dict(method="rra", T=100, mean=0.5, sd=0.1,
+                      null=np.linspace(0.0, 1.0, 100).tobytes(), reps=100, master_seed=0)
+        CriticalValueTable(**fields)
+        with pytest.raises((ValueError, TypeError)):
+            CriticalValueTable(**{**fields, **change})
+
+    def test_one_value_has_a_nan_sd(self):
+        fields = dict(method="rra", T=100, mean=0.5, null=np.array([0.5]).tobytes(),
+                      reps=100, master_seed=0, failures=99,
+                      failures_by_kind={"ZeroDispersion": 99})
+        assert math.isnan(CriticalValueTable(**fields, sd=math.nan).sd)
+        with pytest.raises(ValueError):
+            CriticalValueTable(**fields, sd=0.0)
+
 
 class TestPower:
     def test_size_matches_level(self):
@@ -486,6 +512,18 @@ class TestCache:
             build_critical_values(lstable_spec(alpha, 500), "hill", 200, 0,
                                   cache_dir=tmp_path)
         assert [p.name for p in tmp_path.iterdir()] == ["cv_hill_T500_1cb77a935c398327.json"]
+
+    def test_numpy_integer_spellings_share_one_file(self, tmp_path):
+        # numpy integers key and store as the Python ints they equal
+        tables = [build_tables(niid_spec(T), ("hill",), reps, seed, cache_dir=tmp_path)["hill"]
+                  for T, reps, seed in [(128, np.int64(120), np.int64(5)),
+                                        (np.int64(128), 120, 5), (128, 120, 5)]]
+        assert [p.name for p in tmp_path.iterdir()] == ["cv_hill_T128_5993e666bb4ed73f.json"]
+        assert tables[0] == tables[1] == tables[2]
+        fresh = build_tables(niid_spec(np.int64(128)), ("hill",), np.int64(120), np.int64(5))
+        assert fresh["hill"] == tables[0]
+        assert all(type(v) is int for v in (fresh["hill"].T, fresh["hill"].reps,
+                                            fresh["hill"].master_seed, fresh["hill"].failures))
 
     def test_a_new_model_leaves_the_other_models_keys_alone(self, tmp_path, monkeypatch):
         @dataclass(frozen=True)

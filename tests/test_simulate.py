@@ -27,7 +27,6 @@ from selfaffine.simulate import (
     _ar_recursion,
     _fast_len,
     ar_recursive_spec,
-    arfima_acf,
     arfima_spec,
     arfima_weights,
     generate,
@@ -38,6 +37,8 @@ from selfaffine.simulate import (
     student_t_spec,
 )
 from selfaffine.timeseries import ARModel
+
+from conftest import arfima_acf
 
 
 def sample_acf(z: np.ndarray, k: int) -> float:

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
@@ -18,7 +18,6 @@ from selfaffine.simulate import arfima_spec, generate
 from selfaffine.timeseries import (
     ARModel,
     PriceSeries,
-    ReturnsSeries,
     _ndtri,
     ar_filter,
     fit_ar,
