@@ -49,10 +49,16 @@ def alternatives(H, T):
     return (("arfima", arfima_spec(H - 0.5, T)), ("lstable", lstable_spec_for_hurst(H, T)))
 
 
-def alternative_samples(T, reps, seed):
-    """{(H, model): {method: table}}: each alternative runs once for every method."""
-    return {(H, model): replicate(spec, SCALING_METHODS, reps, seed)
-            for H in HURSTS for model, spec in alternatives(H, T)}
+def alternative_cells(lengths, reps, seed):
+    """(T, H, method, model, table) of every bias or power cell, in row
+    order: each alternative runs once for every method."""
+    for T in lengths:
+        for H in HURSTS:
+            runs = {model: replicate(spec, SCALING_METHODS, reps, seed)
+                    for model, spec in alternatives(H, T)}
+            for method in SCALING_METHODS:
+                for model, tables in runs.items():
+                    yield T, H, method, model, tables[method]
 
 
 def table_critvals(lengths, null_tables, out):
@@ -66,28 +72,15 @@ def table_critvals(lengths, null_tables, out):
 
 def table_bias(lengths, reps, seed, out):
     print("table,model,H,method,T,mean,sd", file=out)
-    for T in lengths:
-        samples = alternative_samples(T, reps, seed)
-        for H in HURSTS:
-            for method in SCALING_METHODS:
-                for model, _ in alternatives(H, T):
-                    s = samples[(H, model)][method]
-                    print(f"bias,{model},{H},{method},{T},{s.mean:.4f},{s.sd:.4f}",
-                          file=out)
+    for T, H, method, model, s in alternative_cells(lengths, reps, seed):
+        print(f"bias,{model},{H},{method},{T},{s.mean:.4f},{s.sd:.4f}", file=out)
 
 
 def table_power(lengths, null_tables, reps, seed, out):
     print("table,model,H,method,T,level,power", file=out)
-    for T in lengths:
-        tables = null_tables(T)
-        samples = alternative_samples(T, reps, seed + 1)
-        for H in HURSTS:
-            for method in SCALING_METHODS:
-                for model, _ in alternatives(H, T):
-                    s = samples[(H, model)][method]
-                    rate = float((s.sample > tables[method].cutoff(0.05)).mean())
-                    print(f"power,{model},{H},{method},{T},0.05,{rate:.3f}",
-                          file=out)
+    for T, H, method, model, s in alternative_cells(lengths, reps, seed + 1):
+        rate = float((s.sample > null_tables(T)[method].cutoff(0.05)).mean())
+        print(f"power,{model},{H},{method},{T},0.05,{rate:.3f}", file=out)
 
 
 def main():

@@ -29,6 +29,7 @@ from .montecarlo import (
     DEFAULT_REPS,
     build_critical_values,
     check_levels,
+    check_request,
     power_function,
 )
 from .simulate import MODELS, SimulationSpec, generate, niid_spec
@@ -218,8 +219,7 @@ def _cmd_critvals(args) -> int:
 def _cmd_power(args) -> int:
     alt = _spec_from_args(args)
     check_levels((args.level,))
-    if args.reps < 1:  # checked here too, so that no null table is simulated first
-        raise ValueError("reps must be at least 1")
+    check_request(args.reps, args.seed + 1, args.workers)  # before the null table is simulated
     table = build_critical_values(niid_spec(args.length), args.method, args.null_reps,
                                   args.seed, workers=args.workers, cache_dir=args.cache_dir)
     result = power_function(alt, args.method, table, args.reps,

@@ -21,7 +21,7 @@ from .methods import estimate_blocks
 # montecarlo.generate, still finds them
 from .methods import estimate_point  # noqa: F401
 from .rng import derive_seed  # noqa: F401
-from .rng import derive_seeds
+from .rng import as_int, derive_seeds
 from .simulate import SimulationSpec, generate_block
 from .simulate import generate  # noqa: F401
 
@@ -63,8 +63,8 @@ class CriticalValueTable:
         values = self.sample  # ValueError unless whole float64s
         if len(values) + self.failures != self.reps:
             raise ValueError("the sample and failures must account for every replication")
-        if not (np.isfinite(values).all() and (values[1:] >= values[:-1]).all()):
-            raise ValueError("the null sample is not finite and ascending")
+        if not (len(values) and np.isfinite(values).all() and (values[1:] >= values[:-1]).all()):
+            raise ValueError("the null sample is empty, or not finite and ascending")
         if not (type(self.mean) is float and math.isfinite(self.mean) and type(self.sd) is float
                 and (math.isnan(self.sd) if len(values) < 2 else 0.0 <= self.sd < math.inf)):
             raise ValueError("mean must be finite, and sd finite and >= 0 or NaN below 2 values")
@@ -156,13 +156,21 @@ def _table(method: str, T: int, reps: int, master_seed: int, values: np.ndarray,
            by_kind: dict[str, int]) -> CriticalValueTable:
     """The table of `method`'s successful estimates `values`, in replication
     order: mean and sd keep that order's bits, and `null` is sorted."""
-    T, reps, master_seed = int(T), int(reps), int(master_seed)  # also from numpy ints
     return CriticalValueTable(
         method=method, T=T, mean=float(values.mean()),
         # NaN, without numpy's warning, when fewer than two rows succeed
         sd=float(values.std(ddof=1)) if len(values) > 1 else math.nan,
         null=np.sort(values).astype("<f8").tobytes(), reps=reps, master_seed=master_seed,
         failures=reps - len(values), failures_by_kind=dict(sorted(by_kind.items())))
+
+
+def check_request(reps: int, master_seed: int, workers: int) -> tuple[int, int, int]:
+    """The request as ints (`rng.as_int`), once reps and workers are at least 1."""
+    reps, workers = as_int(reps, "reps"), as_int(workers, "workers")
+    for name, count in (("reps", reps), ("workers", workers)):
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1")
+    return reps, as_int(master_seed, "master_seed"), workers
 
 
 def replicate(spec: SimulationSpec, methods, reps: int, master_seed: int,
@@ -178,10 +186,7 @@ def replicate(spec: SimulationSpec, methods, reps: int, master_seed: int,
     type, not fatal. At most one worker process runs per chunk and per CPU.
     """
     methods = tuple(methods)
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
+    reps, master_seed, workers = check_request(reps, master_seed, workers)
     workers = min(workers, os.cpu_count() or 1)
     seeds = derive_seeds(master_seed, 0, reps)
     chunks = [seeds[lo:hi] for lo, hi in _chunks(spec, reps, workers)]
@@ -236,10 +241,9 @@ def build_tables(spec: SimulationSpec, methods, reps: int, master_seed: int, wor
     replications, and each table is cached in its own file. A table holds
     its whole null sample, so it serves a cutoff at any level.
     """
-    if reps < 100:  # fewer cannot give the 100 successful replications it needs
+    if as_int(reps, "reps") < 100:  # fewer cannot give the 100 successful replications it needs
         raise TooFewValues("need at least 100 replications")
-    if workers < 1:  # as in `replicate`, so a warm cache serves no request a cold run rejects
-        raise ValueError("workers must be at least 1")
+    reps, master_seed, workers = check_request(reps, master_seed, workers)  # as `replicate`
     methods = tuple(methods)
     tables = {}
     if cache_dir is not None:

@@ -31,6 +31,13 @@ _MASK32 = 0xFFFFFFFF
 _PASS_ROWS = 8
 
 
+def as_int(value, name: str) -> int:
+    """`value`, an int or a numpy integer, as an int; else a TypeError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def rng_from_seed(seed: int) -> np.random.Generator:
     """Generator for a single 64-bit seed."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
@@ -38,7 +45,7 @@ def rng_from_seed(seed: int) -> np.random.Generator:
 
 def derive_seed(master_seed: int, index: int) -> int:
     """Pure-function sub-seed for replication `index` under `master_seed`."""
-    ss = np.random.SeedSequence([int(master_seed), int(index)])
+    ss = np.random.SeedSequence([as_int(master_seed, "master_seed"), as_int(index, "index")])
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -47,7 +54,7 @@ def derive_seeds(master_seed: int, lo: int, hi: int) -> np.ndarray:
     computed in one pass; an index is one entropy word, so hi is at most 2**32."""
     if not 0 <= lo <= hi <= 1 << 32:
         raise ValueError(f"indices {lo}..{hi} do not lie in [0, 2**32]")
-    master = [np.full(hi - lo, w, np.uint32) for w in _words(int(master_seed))]
+    master = [np.full(hi - lo, w, np.uint32) for w in _words(as_int(master_seed, "master_seed"))]
     return _state(_mix_entropy([*master, np.arange(lo, hi, dtype=np.uint32)]), 1)[:, 0]
 
 

@@ -21,7 +21,7 @@ from .errors import (
     ExplosiveModel,
     NonFiniteValue,
 )
-from .rng import generators
+from .rng import as_int, generators
 from .timeseries import ARModel, ReturnsSeries, _freeze
 
 #: below this distance from 1, alpha is routed to the alpha=1 branch
@@ -49,6 +49,8 @@ class SimulationSpec:
         for f in fields(self):
             if f.type in (float, "float"):  # the string where annotations are postponed
                 object.__setattr__(self, f.name, float(getattr(self, f.name)))
+            elif f.type in (int, "int"):
+                object.__setattr__(self, f.name, as_int(getattr(self, f.name), f.name))
         if self.T < 1:
             raise ValueError("T must be at least 1")
 

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import base64
 import csv
 import importlib.util
@@ -8,7 +9,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields, make_dataclass
+from dataclasses import fields, make_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -375,6 +376,23 @@ def test_every_model_field_has_a_flag(command):
             assert set(flags) <= options, (command, spec_class.model, f.name)
 
 
+@pytest.mark.parametrize("model", MODELS)
+def test_every_int_field_takes_integers_only(model):
+    # one rule for every int field of every spec: a float or a bool is
+    # refused, not truncated, and a numpy integer is stored as its int
+    args = build_parser().parse_args(["simulate", "--model", model.replace("_", "-"),
+                                      "-T", "200", "--out", "x.csv"])
+    spec = _spec_from_args(args)
+    names = [f.name for f in fields(spec) if f.type in (int, "int")]
+    assert {"T", "seed"} <= set(names)
+    for name in names:
+        for bad in (1.0, 1.5, True):
+            with pytest.raises(TypeError, match=f"{name} must be an integer"):
+                replace(spec, **{name: bad})
+        respelt = replace(spec, **{name: np.int64(getattr(spec, name))})
+        assert type(getattr(respelt, name)) is int and respelt == spec
+
+
 def _scaled_normal(name, default):
     """A model to register as "scaled_normal": NIID returns times its one
     float parameter `name`, which has no default where `default` is None."""
@@ -641,6 +659,30 @@ def test_perfbench_finds_every_attribute_it_traces(monkeypatch):
     spec.loader.exec_module(workloads)
     targets = workloads.trace_targets()
     assert targets and all(callable(getattr(t.module, t.attr, None)) for t in targets)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # the unused-import rule (F401) of a linter, in the standard library: an
+    # imported name is read somewhere in its module, listed in its __all__,
+    # or marked `# noqa: F401` on its line (perfbench's traced attributes)
+    root = Path(__file__).parents[1]
+    unused = []
+    for path in sorted(p for d in ("src", "scripts", "tests") for p in (root / d).rglob("*.py")):
+        source = path.read_text()
+        tree, lines = ast.parse(source), source.splitlines()
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        read |= {name for node in tree.body if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["__all__"]
+                 for name in ast.literal_eval(node.value)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                unused += [f"{path.relative_to(root)}:{alias.lineno} {alias.name}"
+                           for alias in node.names
+                           if (alias.asname or alias.name.split(".")[0]) not in read
+                           and "# noqa: F401" not in lines[alias.lineno - 1]]
+    assert unused == []
 
 
 def test_run_tables_script_rejects_an_unknown_table():

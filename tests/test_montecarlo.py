@@ -368,25 +368,30 @@ class TestCriticalValues:
     def test_check_levels_sorts_largest_first(self):
         assert check_levels((0.01, 0.1, 0.05)) == (0.1, 0.05, 0.01)
 
-    @pytest.mark.parametrize("reps, levels, workers, error",
-                             [(2000, (0.05, 1.5), 1, ValueError),
-                              (99, (0.05,), 1, TooFewValues),
-                              (2000, (0.05, 0.05), 1, ValueError),
-                              (2000, (0.05,), 0, ValueError)],
-                             ids=["bad-level", "too-few-reps", "repeated-level", "no-workers"])
-    def test_build_tables_checks_before_simulating(self, tmp_path, monkeypatch,
-                                                   reps, levels, workers, error):
+    @pytest.mark.parametrize("change, error",
+                             [(dict(levels=(0.05, 1.5)), ValueError),
+                              (dict(reps=99), TooFewValues),
+                              (dict(levels=(0.05, 0.05)), ValueError),
+                              (dict(workers=0), ValueError),
+                              (dict(reps=2000.0), TypeError),
+                              (dict(seed=1.5), TypeError),
+                              (dict(seed=True), TypeError),
+                              (dict(workers=True), TypeError)],
+                             ids=["bad-level", "too-few-reps", "repeated-level", "no-workers",
+                                  "float-reps", "float-seed", "bool-seed", "bool-workers"])
+    def test_build_tables_checks_before_simulating(self, tmp_path, monkeypatch, change, error):
         # levels belong to the request: the analysis that asks build_tables for its
-        # null tables checks them, and build_tables checks reps and workers, before
-        # any simulation
+        # null tables checks them, its master seed is derived by the integer rule,
+        # and build_tables checks reps and workers, before any cache read or simulation
         def no_simulation(*args, **kwargs):
-            raise AssertionError("simulated before the arguments were checked")
+            raise AssertionError("simulated or read the cache before the arguments were checked")
 
         monkeypatch.setattr(montecarlo, "replicate", no_simulation)
+        monkeypatch.setattr(montecarlo, "load_table", no_simulation)
         steps = np.random.default_rng(3).standard_normal(600) * 0.01
         prices = PriceSeries(100.0 * np.exp(np.cumsum(steps)))
         with pytest.raises(error):
-            analyze_index(prices, AnalyzeConfig(reps=reps, levels=levels, workers=workers,
+            analyze_index(prices, AnalyzeConfig(**{"reps": 2000, **change},
                                                 cache_dir=str(tmp_path)))
 
     def test_missing_cutoff_lookup(self):
@@ -413,9 +418,11 @@ class TestCriticalValues:
         dict(T=100.0), dict(T=True), dict(reps=np.int64(100)),
         dict(failures=1, failures_by_kind={"TooShort": 1}),
         dict(failures_by_kind={"TooShort": 0}),
-        dict(failures_by_kind={"TooShort": 2, "ZeroDispersion": -2})],
+        dict(failures_by_kind={"TooShort": 2, "ZeroDispersion": -2}),
+        dict(null=b"", sd=math.nan, failures=100, failures_by_kind={"TooShort": 100})],
         ids=["sd-nan", "sd-inf", "mean-nan", "null-unsorted", "null-inf", "T-float",
-             "T-bool", "reps-numpy", "failures-unaccounted", "kind-zero", "kinds-negative"])
+             "T-bool", "reps-numpy", "failures-unaccounted", "kind-zero", "kinds-negative",
+             "null-empty"])
     def test_every_table_meets_the_rule_set(self, change):
         # one rule set for every table, not only those read from a cache file
         fields = dict(method="rra", T=100, mean=0.5, sd=0.1,
@@ -431,6 +438,10 @@ class TestCriticalValues:
         assert math.isnan(CriticalValueTable(**fields, sd=math.nan).sd)
         with pytest.raises(ValueError):
             CriticalValueTable(**fields, sd=0.0)
+        # no value: no mean, and no cutoff to read
+        with pytest.raises(ValueError, match="the null sample is empty"):
+            CriticalValueTable(**{**fields, "null": b"", "failures": 100,
+                                  "failures_by_kind": {"ZeroDispersion": 100}}, sd=math.nan)
 
 
 class TestPower:
@@ -524,6 +535,13 @@ class TestCache:
         assert fresh["hill"] == tables[0]
         assert all(type(v) is int for v in (fresh["hill"].T, fresh["hill"].reps,
                                             fresh["hill"].master_seed, fresh["hill"].failures))
+
+    def test_a_float_or_bool_master_seed_writes_no_file(self, tmp_path):
+        # refused on every call, not run and cached as the int it truncates to
+        for seed in (5.5, 5.0, True, 5.5):
+            with pytest.raises(TypeError, match="master_seed must be an integer"):
+                build_tables(niid_spec(128), ("hill",), 120, seed, cache_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_a_new_model_leaves_the_other_models_keys_alone(self, tmp_path, monkeypatch):
         @dataclass(frozen=True)
